@@ -2,7 +2,6 @@
 recommendation, with projected baselines, contextual lifts, a simulated
 benchmark environment, and a certificate-backed experiment harness."""
 
-from ._kernels import BACKEND, HAS_NUMBA, USE_NUMBA
 from .diagnostics import Certificate, TraceSummary, standard_certificates
 from .environment import (
     ActionSetSpec,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels
 from .diagnostics import TraceSummary, standard_certificates
 from .environment import (
     ActionSetSpec,
@@ -348,7 +347,6 @@ def run_episode(
     if with_gram:
         gram, gram_add = _gram_updater(config, algorithm, T)
 
-    _kernels.warmup()
     status, message = "ok", ""
     learner_time = 0.0
     t_total0 = time.perf_counter()

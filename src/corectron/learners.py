@@ -21,6 +21,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import blas
 
 from .lifting import (
     KERNEL,
@@ -141,6 +142,9 @@ class CoRectron:
         self._potential = 0.0
         self._rounds = 0
         self._last_lifted: np.ndarray | None = None
+        # inv . cum, computed by predict and reused by update; None once
+        # either factor has changed.
+        self._pre: np.ndarray | None = None
         self.potential_drift = 0.0
 
     @property
@@ -148,16 +152,17 @@ class CoRectron:
         return self._rounds
 
     @property
-    def preconditioner_inverse(self) -> SpdInverse:
-        return self._inv
-
-    @property
     def cumulative_residual(self) -> np.ndarray:
         return self._cum
 
+    def _preconditioned_cum(self) -> np.ndarray:
+        if self._pre is None:
+            self._pre = self._inv.apply(self._cum)
+        return self._pre
+
     def predict_lifted(self) -> np.ndarray:
         """Lifted prediction: minus the preconditioned cumulative residual."""
-        return -self._inv.apply(self._cum)
+        return -self._preconditioned_cum()
 
     def predict(self, z=None) -> np.ndarray:
         cmap = self.lift_spec.map_for(z)
@@ -166,10 +171,10 @@ class CoRectron:
     def update(self, z, g_base) -> RoundDiagnostics:
         cmap = self.lift_spec.map_for(z)
         g = lift(cmap, g_base)
-        pre = self._inv.apply(self._cum)
-        align = float(g.dot(pre))
+        align = float(g.dot(self._preconditioned_cum()))
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(self._cum))
         lev = self._inv.rank_one_update(g)
+        self._pre = None
         self._cum += g
         self._potential += _potential_increment(lev, align)
         self._rounds += 1
@@ -328,7 +333,9 @@ class ONS:
         self.surrogate_scale = float(surrogate_scale)
         self.step_coeff = float(step_coeff)
         d = lift_spec.dim
-        self._metric = np.eye(d) * ridge
+        # Fortran order, so the BLAS rank-one update below works in place.
+        self._metric = np.zeros((d, d), order="F")
+        np.fill_diagonal(self._metric, self.ridge)
         self._inv = SpdInverse.from_ridge(d, ridge)
         self._w = np.zeros(d)
 
@@ -343,7 +350,7 @@ class ONS:
     def update(self, z, g_base) -> RoundDiagnostics:
         cmap = self.lift_spec.map_for(z)
         g = self.surrogate_scale * lift(cmap, g_base)
-        self._metric += np.outer(g, g)
+        self._metric = blas.dger(1.0, g, g, a=self._metric, overwrite_a=1)
         self._inv.rank_one_update(g)
         target = self._w - self._inv.apply(g) / self.step_coeff
         proj = project_ball_mahalanobis(self._metric, target, 1.0)

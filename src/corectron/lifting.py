@@ -153,7 +153,7 @@ def lift(cmap: ContextMap, x_base) -> np.ndarray:
     if cmap.kind == IDENTITY:
         return x.copy()
     if cmap.kind == LINEAR:
-        return np.kron(cmap.z, x)
+        return np.outer(cmap.z, x).ravel()
     raise ValueError("kernel lifts cannot be materialised explicitly")
 
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-
-from . import _kernels
+from scipy.linalg import eigh, solve_triangular
 
 __all__ = [
     "DegenerateGramError",
@@ -40,6 +38,9 @@ RADIUS_TOL = 1e-10
 # retry with JITTER_REL * (rho + ridge) added to the diagonal.
 BETA_FLOOR_REL = 1e-12
 JITTER_REL = 1e-10
+# Rows of the stored inverse updated per pass of SpdInverse.rank_one_update;
+# the scratch block (1 MB at dim 1000) stays in cache between its passes.
+UPDATE_BLOCK_ROWS = 128
 
 
 class DegenerateGramError(RuntimeError):
@@ -69,17 +70,40 @@ def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-@dataclass
 class SpdInverse:
     """Stored inverse of ``A = ridge * I + sum_s g_s g_s^T``.
 
-    ``rank_one_update`` folds one more ``g g^T`` term into ``A`` using the
-    rank-one inverse-update identity; the stored matrix is re-symmetrised
-    on every update so the symmetry invariant survives long chains.
+    ``rank_one_update`` folds one more ``g g^T`` term into ``A`` with the
+    rank-one inverse-update identity.  It subtracts the update a block of
+    rows at a time through a scratch buffer owned by the instance, so no
+    ``dim x dim`` temporary is made.  Entries ``(i, j)`` and ``(j, i)``
+    come from the same correctly rounded operations, so the stored
+    inverse stays exactly symmetric without re-symmetrising.
+
+    The arithmetic is that of the dense formula
+    ``inv - outer(ag, ag) / (1 + lev)``, bit for bit.  A BLAS ``dsyr``
+    update of one triangle is several times faster at large ``dim`` but
+    rounds differently, and the last bit decides the argmax between
+    predicted utilities that are tied in exact arithmetic, so it changes
+    which actions get recommended and the resulting regret.
     """
 
-    dim: int
-    inv: np.ndarray
+    def __init__(self, dim: int, inv):
+        """Start from ``inv``, a symmetric ``dim x dim`` matrix.
+
+        Its lower triangle is copied and mirrored, so the stored matrix is
+        exactly symmetric.
+        """
+        inv = _require_symmetric(_as_square(inv), "inverse")
+        if inv.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: expected {dim}, got {inv.shape[0]}")
+        low = np.tril(inv)
+        self._setup(low + np.tril(low, -1).T)
+
+    def _setup(self, inv: np.ndarray) -> None:
+        self.dim = inv.shape[0]
+        self._inv = inv
+        self._buf = np.empty((min(UPDATE_BLOCK_ROWS, self.dim), self.dim))
 
     @classmethod
     def from_ridge(cls, dim: int, ridge: float) -> "SpdInverse":
@@ -87,30 +111,50 @@ class SpdInverse:
             raise ValueError("dim must be positive")
         if ridge <= 0:
             raise ValueError("ridge must be positive")
-        return cls(dim=dim, inv=np.eye(dim) / ridge)
+        inv = np.zeros((dim, dim))
+        np.fill_diagonal(inv, 1.0 / ridge)
+        out = cls.__new__(cls)
+        out._setup(inv)
+        return out
+
+    @property
+    def inv(self) -> np.ndarray:
+        """A copy of the stored inverse."""
+        return self._inv.copy()
 
     def copy(self) -> "SpdInverse":
-        return SpdInverse(self.dim, self.inv.copy())
+        out = SpdInverse.__new__(SpdInverse)
+        out._setup(self._inv.copy())
+        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.inv.dot(v)
+        return self._inv.dot(v)
 
     def quad(self, v: np.ndarray) -> float:
         """Quadratic form ``v^T A^{-1} v``."""
-        return float(v.dot(self.inv.dot(v)))
+        return float(v.dot(self._inv.dot(v)))
 
     def rank_one_update(self, g: np.ndarray) -> float:
         """In place, absorb ``g g^T`` into ``A``; returns ``g^T A^{-1} g``.
 
         The returned quadratic form is evaluated against the state before
         the update.  The denominator ``1 + g^T A^{-1} g`` is positive for
-        any positive-definite state; a non-positive value means the state
-        was corrupted and is reported as an error.
+        any positive-definite state; a non-positive (or NaN) value means
+        the state was corrupted and raises :class:`FloatingPointError`
+        before anything is changed.
         """
         g = _as_vector(g, self.dim)
-        lev = _kernels.sm_update(self.inv, g)
+        ag = self._inv.dot(g)
+        lev = float(g.dot(ag))
         if not lev > -1.0:
-            raise ValueError("inverse update denominator not positive; state is not SPD")
+            raise FloatingPointError("inverse update denominator not positive; state is not SPD")
+        denom = 1.0 + lev
+        for r0 in range(0, self.dim, UPDATE_BLOCK_ROWS):
+            r1 = min(r0 + UPDATE_BLOCK_ROWS, self.dim)
+            blk = self._buf[: r1 - r0]
+            np.multiply(ag[r0:r1, None], ag, out=blk)
+            blk /= denom
+            self._inv[r0:r1] -= blk
         return lev
 
 
@@ -165,7 +209,7 @@ class CholFactor:
         k = _as_vector(k, self.size)
         if rho_plus_ridge <= 0:
             raise ValueError("rho_plus_ridge must be positive")
-        y = _kernels.forward_solve(self.L, k) if self.size else np.empty(0)
+        y = solve_triangular(self.L, k, lower=True, check_finite=False) if self.size else np.empty(0)
         pivot_sq = rho_plus_ridge - float(y.dot(y))
         floor = BETA_FLOOR_REL * rho_plus_ridge
         if pivot_sq <= floor:
@@ -187,7 +231,9 @@ class CholFactor:
         b = _as_vector(b, self.size)
         if self.size == 0:
             return np.empty(0)
-        return _kernels.spd_solve(self.L, b)
+        L = self.L
+        y = solve_triangular(L, b, lower=True, check_finite=False)
+        return solve_triangular(L, y, lower=True, trans=1, check_finite=False)
 
 
 def chol_extend(factor: CholFactor, k: np.ndarray, rho_plus_ridge: float) -> CholFactor:
@@ -317,7 +363,11 @@ def project_ball_mahalanobis(metric, point, radius: float) -> ProjectionResult:
     metric = _require_symmetric(_as_square(metric), "metric")
     if metric.shape[0] != point.shape[0]:
         raise ValueError("metric and point dimensions disagree")
-    evals, vecs = np.linalg.eigh(metric)
+    # scipy's LAPACK, like the BLAS that grows ONS's metric: numpy and
+    # scipy wheels each bundle an OpenBLAS with its own thread pool, and
+    # alternating between the two pools made projecting ONS rounds ~5x
+    # slower with BLAS threads unpinned on two cores.
+    evals, vecs = eigh(metric, driver="evd", check_finite=False)
     if evals[0] <= 0:
         raise ValueError("metric must be positive definite")
     yt = vecs.T.dot(point)

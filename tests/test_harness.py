@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from corectron import harness
 from corectron.cli import main as cli_main
 from corectron.environment import FeedbackModel
 from corectron.harness import (
@@ -21,6 +22,7 @@ from corectron.harness import (
     run_episode,
     sweep,
 )
+from corectron.numkit import SpdInverse
 
 
 def tiny_config(**overrides):
@@ -187,6 +189,29 @@ class TestSweep:
         seq = sweep(config, jobs=1)
         par = sweep(config, jobs=2)
         assert [r.csv_row()[:8] for r in seq] == [r.csv_row()[:8] for r in par]
+
+    def test_corrupted_inverse_fails_only_its_cell(self, monkeypatch):
+        config = tiny_config(horizon=30)
+        clean = sweep(config)
+        build = harness.build_learner
+        corrupted = []
+
+        def corrupting(config, algorithm, params):
+            learner = build(config, algorithm, params)
+            if algorithm == "corectron_l" and not corrupted:
+                # negative definite: the first nonzero residual breaks it
+                learner._inv = SpdInverse(learner.lift_spec.dim, -1e6 * np.eye(learner.lift_spec.dim))
+                corrupted.append(learner)
+            return learner
+
+        monkeypatch.setattr(harness, "build_learner", corrupting)
+        rows = sweep(config)
+        assert len(rows) == len(clean)
+        assert rows[0].algorithm == "corectron_l" and rows[0].status == "failed"
+        assert rows[0].message.startswith("FloatingPointError")
+        for row, ref in zip(rows[1:], clean[1:]):
+            assert row.status == "ok"
+            assert row.csv_row()[:8] == ref.csv_row()[:8]
 
     def test_feedback_sweep_expands_rows(self):
         config = tiny_config(

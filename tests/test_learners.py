@@ -77,6 +77,18 @@ class TestCoRectron:
             post = learner.post_round_leverage()
             assert post == pytest.approx(diag.leverage / (1 + diag.leverage), abs=1e-10)
 
+    def test_update_same_with_or_without_predict(self):
+        # update reuses the product predict computed in the same round
+        rng = np.random.default_rng(3)
+        spec = LiftSpec.linear(3, 2)
+        asked, silent = CoRectron(spec, 0.5), CoRectron(spec, 0.5)
+        for t in range(20):
+            z, g = unit_context(rng, 2), rng.standard_normal(3)
+            if t % 3:
+                asked.predict(z)
+            assert asked.update(z, g) == silent.update(z, g)
+            np.testing.assert_array_equal(asked.predict(z), silent.predict(z))
+
 
 class TestCoRectronK:
     def kernel_spec(self):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corectron.learners import ONS
+from corectron.lifting import LiftSpec
 from corectron.numkit import (
     CholFactor,
     DegenerateGramError,
@@ -36,8 +38,8 @@ class TestSmInverseUpdate:
 
     def test_zero_vector_is_noop(self):
         rng = np.random.default_rng(1)
-        state = SpdInverse(5, np.linalg.inv(random_spd(rng, 5)))
-        state.inv = 0.5 * (state.inv + state.inv.T)
+        inv = np.linalg.inv(random_spd(rng, 5))
+        state = SpdInverse(5, 0.5 * (inv + inv.T))
         out = sm_inverse_update(state, np.zeros(5))
         np.testing.assert_array_equal(out.inv, state.inv)
 
@@ -89,6 +91,87 @@ class TestSmInverseUpdate:
         assert resid < 1e-8
         sym = np.abs(state.inv - state.inv.T).max() / np.abs(state.inv).max()
         assert sym < 1e-10
+
+
+# A stream of residuals for the property tests: fresh Gaussian vectors,
+# zero residuals and exact repeats of the previous residual, mixed.  Sizes
+# above numkit.UPDATE_BLOCK_ROWS exercise the blocked update.
+hostile_streams = st.tuples(
+    st.integers(1, 300),
+    st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0]),
+    st.lists(st.sampled_from(["fresh", "zero", "repeat"]), max_size=24),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def residual_stream(d, kinds, seed):
+    rng = np.random.default_rng(seed)
+    g = np.zeros(d)
+    for kind in kinds:
+        if kind == "fresh":
+            g = rng.standard_normal(d)
+        elif kind == "zero":
+            g = np.zeros(d)
+        yield g.copy()
+
+
+class TestBlockedInverseUpdate:
+    @settings(deadline=None, max_examples=60)
+    @given(hostile_streams)
+    def test_matches_dense_inverse(self, stream):
+        d, ridge, kinds, seed = stream
+        state = SpdInverse.from_ridge(d, ridge)
+        A = ridge * np.eye(d)
+        for g in residual_stream(d, kinds, seed):
+            lev = state.rank_one_update(g)
+            assert lev == pytest.approx(g.dot(np.linalg.solve(A, g)), rel=1e-8, abs=1e-12)
+            A += np.outer(g, g)
+        inv = state.inv
+        np.testing.assert_array_equal(inv, inv.T)
+        direct = np.linalg.inv(A)
+        assert np.abs(inv - direct).max() <= 1e-8 * np.abs(direct).max()
+
+    @settings(deadline=None, max_examples=30)
+    @given(hostile_streams)
+    def test_bitwise_equal_to_dense_formula(self, stream):
+        d, ridge, kinds, seed = stream
+        state = SpdInverse.from_ridge(d, ridge)
+        ref = np.eye(d) / ridge
+        for g in residual_stream(d, kinds, seed):
+            state.rank_one_update(g)
+            ag = ref.dot(g)
+            ref -= np.outer(ag, ag) / (1.0 + g.dot(ag))
+        np.testing.assert_array_equal(state.inv, ref)
+
+    def test_copy_is_independent(self):
+        state = SpdInverse.from_ridge(3, 1.0)
+        twin = state.copy()
+        state.rank_one_update(np.ones(3))
+        np.testing.assert_array_equal(twin.inv, np.eye(3))
+
+    @pytest.mark.parametrize("corrupt", [-np.eye(4), np.full((4, 4), np.nan)])
+    def test_spd_violation_leaves_state_unchanged(self, corrupt):
+        state = SpdInverse(4, corrupt)
+        before = state.inv
+        with pytest.raises(FloatingPointError):
+            state.rank_one_update(np.array([1.0, 2.0, 0.0, -1.0]))
+        np.testing.assert_array_equal(state.inv, before)
+
+    def test_non_symmetric_start_rejected(self):
+        with pytest.raises(ValueError):
+            SpdInverse(2, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @settings(deadline=None, max_examples=30)
+    @given(hostile_streams)
+    def test_ons_metric_matches_dense_sum(self, stream):
+        d, ridge, kinds, seed = stream
+        ons = ONS(LiftSpec.identity(d), ridge)
+        metric = ridge * np.eye(d)
+        for g in residual_stream(d, kinds, seed):
+            ons.update(None, g)
+            metric += np.outer(ons.surrogate_scale * g, ons.surrogate_scale * g)
+        np.testing.assert_array_equal(ons._metric, ons._metric.T)
+        assert np.abs(ons._metric - metric).max() <= 1e-14 * np.abs(metric).max()
 
 
 # ---------------------------------------------------------------------------

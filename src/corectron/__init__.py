@@ -39,7 +39,6 @@ from .lifting import (
     adjoint_apply,
     gram_entry,
     lift,
-    lifted_dim,
 )
 from .numkit import (
     CholFactor,
@@ -47,13 +46,11 @@ from .numkit import (
     GramMatrix,
     ProjectionResult,
     SpdInverse,
-    chol_extend,
     effective_dimension,
+    gram_eigenvalues,
     log_det_ratio,
     project_ball_mahalanobis,
     project_ellipsoid_coeff,
-    sm_inverse_update,
-    solve_spd,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import effective_dimension, log_det_ratio
+from .numkit import gram_eigenvalues
 
 __all__ = [
     "Certificate",
@@ -111,6 +111,8 @@ class TraceSummary:
     # comparator-dependent bounds are then not applicable.
     comparator_in_span: bool = True
     extras: dict = field(default_factory=dict)
+    # (gram, its clamped eigenvalues), shared by the spectral checks.
+    _gram_evals: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- derived quantities -------------------------------------------------
 
@@ -124,6 +126,17 @@ class TraceSummary:
         """Log-determinant of the ridged Gram system via the exact
         product identity over per-round leverages."""
         return float(np.sum(np.log1p(self.leverage)))
+
+    def gram_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the stored Gram matrix, clamped at zero.
+
+        Computed once per Gram array and shared by the spectral checks.
+        """
+        if self.gram is None:
+            raise ValueError("trace has no stored Gram matrix")
+        if self._gram_evals is None or self._gram_evals[0] is not self.gram:
+            self._gram_evals = (self.gram, gram_eigenvalues(self.gram))
+        return self._gram_evals[1]
 
     def comparator_metric_norm(self) -> float:
         """Norm of the hidden utility under the final preconditioner.
@@ -274,10 +287,10 @@ def check_epl(trace: TraceSummary, ridge: float | None = None) -> list[Certifica
             Certificate("elliptical_potential", 0.0, 0.0, DEFAULT_REL_TOL),
             Certificate("logdet_product_identity", 0.0, 0.0, 1e-6),
         ]
-    if trace.gram is None:
-        raise ValueError("trace has no stored Gram matrix")
     lam = trace.regularizer if ridge is None else ridge
-    h_eig = log_det_ratio(trace.gram, lam)
+    if lam <= 0:
+        raise ValueError("ridge must be positive")
+    h_eig = float(np.sum(np.log1p(trace.gram_eigenvalues() / lam)))
     lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
     ident_err = abs(trace.logdet_from_leverage() - h_eig)
     return [
@@ -360,14 +373,12 @@ def check_instantiated_bound(trace: TraceSummary) -> list[Certificate]:
             Certificate("logdet_effective_dim", 0.0, 0.0, DEFAULT_REL_TOL),
             Certificate("gram_operator_norm", 0.0, 0.0, DEFAULT_REL_TOL),
         ]
-    if trace.gram is None:
-        raise ValueError("trace has no stored Gram matrix")
+    evals = trace.gram_eigenvalues()
     try:
         factor = _MODEL_FACTORS[trace.model_kind](trace)
     except KeyError:
         raise ValueError(f"unknown model kind: {trace.model_kind!r}") from None
     lam = trace.regularizer
-    evals = np.clip(np.linalg.eigvalsh(trace.gram), 0.0, None)
     opnorm = float(evals[-1])
     h_eig = float(np.sum(np.log1p(evals / lam)))
     deff = float(np.sum(evals / (evals + lam)))

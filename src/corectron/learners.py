@@ -40,10 +40,6 @@ from .numkit import (
 
 __all__ = ["RoundDiagnostics", "CoRectron", "CoRectronK", "OGD", "ONS", "KONS"]
 
-# Interval (in rounds) of the built-in consistency check between the
-# incrementally accumulated potential and its direct recomputation.
-_CROSSCHECK_EVERY = 100
-
 
 class RoundDiagnostics(NamedTuple):
     """Per-round scalars recorded by the second-order learners.
@@ -106,16 +102,17 @@ class _History:
         self._G[self.size] = g
         self.size += 1
 
-    def kernel_column(self, kernel, z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    def lifted_column(
+        self, kernel, z: np.ndarray, g: np.ndarray, kcol: np.ndarray
+    ) -> tuple[np.ndarray, float]:
         """Lifted inner products of (z, g) against the stored history.
 
-        Returns the cross column and the diagonal entry: each entry is
-        the scalar kernel value times the base dot product.
+        ``kcol`` is ``kernel.column(self.contexts, z)``, which the caller
+        may already hold.  Returns the cross column and the diagonal
+        entry: each entry is the scalar kernel value times the base dot
+        product.
         """
-        if self.size == 0:
-            col = np.empty(0)
-        else:
-            col = kernel.column(self.contexts, z) * self.residuals.dot(g)
+        col = kcol * self.residuals.dot(g)
         rho = kernel.diag_value(z) * float(g.dot(g))
         return col, rho
 
@@ -145,7 +142,6 @@ class CoRectron:
         # inv . cum, computed by predict and reused by update; None once
         # either factor has changed.
         self._pre: np.ndarray | None = None
-        self.potential_drift = 0.0
 
     @property
     def rounds(self) -> int:
@@ -179,10 +175,6 @@ class CoRectron:
         self._potential += _potential_increment(lev, align)
         self._rounds += 1
         self._last_lifted = g
-        if self._rounds % _CROSSCHECK_EVERY == 0:
-            direct = self.potential_direct()
-            drift = abs(self._potential - direct) / (1.0 + abs(direct))
-            self.potential_drift = max(self.potential_drift, drift)
         return RoundDiagnostics(lev, align, self._potential, scale, False)
 
     def potential_direct(self) -> float:
@@ -199,10 +191,13 @@ class CoRectron:
 class CoRectronK:
     """Representer-form twin of :class:`CoRectron` for kernel lifts.
 
-    Keeps the Cholesky factor of the ridged residual Gram matrix and the
-    coefficient vector solving it against the all-ones right-hand side;
-    the prediction is the negated coefficient combination of past
-    residual features evaluated at the current context.
+    Keeps the Cholesky factor ``L`` of the ridged residual Gram matrix
+    and the coefficient vector solving it against the all-ones
+    right-hand side; the prediction is the negated coefficient
+    combination of past residual features evaluated at the current
+    context.  ``L^{-1} 1`` is kept incrementally, so each round costs one
+    forward solve (inside :meth:`CholFactor.extend`) and one backward
+    solve.
     """
 
     def __init__(self, lift_spec: LiftSpec, regularizer: float):
@@ -213,12 +208,16 @@ class CoRectronK:
         self.lift_spec = lift_spec
         self.regularizer = float(regularizer)
         self._chol = CholFactor()
+        self._fwd_ones = np.empty(0)  # L^{-1} 1
         self._coef = np.empty(0)
+        self._pivot = 0.0  # last diagonal entry of L
         self._hist = _History(lift_spec.context_dim, lift_spec.base_dim)
+        # (z, kernel.column(contexts, z)) from predict, reused by update
+        # at the same z; None once the history has changed.
+        self._kcol: tuple[np.ndarray, np.ndarray] | None = None
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
         self._potential = 0.0
         self._rounds = 0
-        self.potential_drift = 0.0
 
     @property
     def rounds(self) -> int:
@@ -232,30 +231,38 @@ class CoRectronK:
     def gram_factor(self) -> CholFactor:
         return self._chol
 
-    def representer_weights(self) -> RepresenterWeights:
-        return RepresenterWeights(-self._coef, self._hist.contexts, self._hist.residuals)
+    def _kernel_column(self, z: np.ndarray) -> np.ndarray:
+        """``kernel.column(contexts, z)``, computed once per history and z."""
+        if self._kcol is None or not np.array_equal(self._kcol[0], z):
+            self._kcol = (z.copy(), self.lift_spec.kernel.column(self._hist.contexts, z))
+        return self._kcol[1]
 
     def predict(self, z) -> np.ndarray:
+        # adjoint_apply's arithmetic on the representer weights
+        # (-coefficients, contexts, residuals), keeping the kernel column
+        # for update.
         cmap = self.lift_spec.map_for(z)
-        return adjoint_apply(cmap, self.representer_weights())
+        if self._rounds == 0:
+            return np.zeros(cmap.base_dim)
+        return (-self._coef * self._kernel_column(cmap.z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = np.asarray(z, dtype=float)
         g = np.asarray(g_base, dtype=float)
-        col, rho = self._hist.kernel_column(self.lift_spec.kernel, z, g)
-        y, _ = self._chol.extend(col, rho + self.regularizer)
+        col, rho = self._hist.lifted_column(self.lift_spec.kernel, z, g, self._kernel_column(z))
+        y, self._pivot = self._chol.extend(col, rho + self.regularizer)
         lev = (rho - float(y.dot(y))) / self.regularizer
         align = float(self._coef.dot(col)) if self._rounds else 0.0
         scale = 1.0 + math.sqrt(max(rho, 0.0)) * math.sqrt(max(self._gram_total, 0.0))
         self._gram_total += 2.0 * float(col.sum()) + rho
         self._hist.append(z, g)
+        self._kcol = None
         self._rounds += 1
-        self._coef = self._chol.solve(np.ones(self._rounds))
+        # The new row [y^T, pivot] of L extends L v = 1 by one entry.
+        v_new = (1.0 - float(y.dot(self._fwd_ones))) / self._pivot
+        self._fwd_ones = np.append(self._fwd_ones, v_new)
+        self._coef = self._chol.backward(self._fwd_ones)
         self._potential += _potential_increment(lev, align)
-        if self._rounds % _CROSSCHECK_EVERY == 0:
-            direct = self.potential_direct()
-            drift = abs(self._potential - direct) / (1.0 + abs(direct))
-            self.potential_drift = max(self.potential_drift, drift)
         return RoundDiagnostics(lev, align, self._potential, scale, False)
 
     def potential_direct(self) -> float:
@@ -267,13 +274,15 @@ class CoRectronK:
         return self._rounds - self.regularizer * float(self._coef.sum())
 
     def post_round_leverage(self) -> float:
-        """Last diagonal entry of ``K (K + ridge I)^{-1}`` from the factor."""
+        """Last diagonal entry of ``K (K + ridge I)^{-1}`` from the factor.
+
+        ``L`` is lower triangular, so ``L^{-1} e_t = e_t / pivot`` and the
+        last entry of ``(L L^T)^{-1} e_t`` is ``(1 / pivot) / pivot``, the
+        value the two dense triangular solves produce.
+        """
         if self._rounds == 0:
             raise RuntimeError("no update has been applied yet")
-        e = np.zeros(self._rounds)
-        e[-1] = 1.0
-        x = self._chol.solve(e)
-        return 1.0 - self.regularizer * float(x[-1])
+        return 1.0 - self.regularizer * ((1.0 / self._pivot) / self._pivot)
 
 
 class OGD:
@@ -414,17 +423,19 @@ class KONS:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = np.asarray(z, dtype=float)
         g = np.asarray(g_base, dtype=float)
-        col, rho = self._hist.kernel_column(self.lift_spec.kernel, z, g)
+        kernel = self.lift_spec.kernel
+        col, rho = self._hist.lifted_column(kernel, z, g, kernel.column(self._hist.contexts, z))
         s2 = self.surrogate_scale**2
         self._gram.append(col, rho)
         self._scaled.append(s2 * col, s2 * rho + self.ridge)
-        self._chol.extend(s2 * col, s2 * rho + self.ridge)
+        _, pivot = self._chol.extend(s2 * col, s2 * rho + self.ridge)
         self._hist.append(z, g)
         self._rounds += 1
-        t = self._rounds
-        e = np.zeros(t)
-        e[-1] = 1.0
-        q = self._chol.solve(e)
+        # (L L^T)^{-1} e_t, with L^{-1} e_t = e_t / pivot as L is lower
+        # triangular.
+        e = np.zeros(self._rounds)
+        e[-1] = 1.0 / pivot
+        q = self._chol.backward(e)
         target = np.append(self._coef, 0.0) - (self.surrogate_scale / self.step_coeff) * q
         proj = project_ellipsoid_coeff(
             self._scaled.entries, self._gram.entries, target, 1.0

@@ -18,7 +18,6 @@ __all__ = [
     "RepresenterWeights",
     "LiftSpec",
     "lift",
-    "lifted_dim",
     "adjoint_apply",
     "gram_entry",
 ]
@@ -130,15 +129,6 @@ class RepresenterWeights:
     coeffs: np.ndarray
     contexts: np.ndarray
     residuals: np.ndarray
-
-
-def lifted_dim(cmap: ContextMap) -> int:
-    """Dimension of the lifted space for materialisable variants."""
-    if cmap.kind == IDENTITY:
-        return cmap.base_dim
-    if cmap.kind == LINEAR:
-        return cmap.base_dim * cmap.z.shape[0]
-    raise ValueError("kernel lifts have no explicit coordinate dimension")
 
 
 def lift(cmap: ContextMap, x_base) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import blas, eigh, solve_triangular
 
 __all__ = [
     "DegenerateGramError",
@@ -20,11 +20,9 @@ __all__ = [
     "CholFactor",
     "GramMatrix",
     "ProjectionResult",
-    "sm_inverse_update",
-    "chol_extend",
-    "solve_spd",
     "project_ball_mahalanobis",
     "project_ellipsoid_coeff",
+    "gram_eigenvalues",
     "log_det_ratio",
     "effective_dimension",
 ]
@@ -158,42 +156,43 @@ class SpdInverse:
         return lev
 
 
-def sm_inverse_update(state: SpdInverse, g: np.ndarray) -> SpdInverse:
-    """Return the inverse of ``A + g g^T`` given ``state.inv = A^{-1}``."""
-    out = state.copy()
-    out.rank_one_update(g)
-    return out
-
-
 class CholFactor:
     """Growing lower-triangular factor ``L L^T = K + ridge * I``.
 
-    Rows are appended one at a time via :meth:`extend`; storage doubles
-    as needed, so a length-T chain costs O(T^2) amortised memory traffic.
+    Rows are appended one at a time via :meth:`extend`.  Row ``t`` of
+    ``L`` (its ``t + 1`` leading entries) is stored right after row
+    ``t - 1`` in one flat buffer that doubles as needed, so the first
+    ``t`` rows are always one contiguous block of ``t (t + 1) / 2``
+    entries.  Read column-major, that block is the packed upper triangle
+    of ``L^T``, so both triangular solves are BLAS ``dtpsv`` calls on the
+    buffer itself, with no copy of the factor.
     """
 
     def __init__(self, capacity: int = 64):
-        self._buf = np.zeros((max(capacity, 1), max(capacity, 1)))
+        cap = max(capacity, 1)
+        self._ap = np.zeros(cap * (cap + 1) // 2)
         self.size = 0
 
     @property
     def L(self) -> np.ndarray:
-        """View of the current factor (lower triangular, positive diagonal)."""
-        return self._buf[: self.size, : self.size]
+        """Dense copy of the current factor (lower triangular, positive diagonal)."""
+        n = self.size
+        out = np.zeros((n, n))
+        out[np.tril_indices(n)] = self._ap[: n * (n + 1) // 2]
+        return out
 
     def copy(self) -> "CholFactor":
-        out = CholFactor(self._buf.shape[0])
-        out._buf = self._buf.copy()
+        out = CholFactor.__new__(CholFactor)
+        out._ap = self._ap.copy()
         out.size = self.size
         return out
 
-    def _grow(self) -> None:
-        cap = self._buf.shape[0]
-        if self.size < cap:
-            return
-        new = np.zeros((2 * cap, 2 * cap))
-        new[:cap, :cap] = self._buf
-        self._buf = new
+    def _tpsv(self, b: np.ndarray, trans: int) -> np.ndarray:
+        # lower=0: the buffer is the packed upper triangle U = L^T, so
+        # trans=1 solves L x = b and trans=0 solves L^T x = b.
+        if self.size == 0:
+            return np.empty(0)
+        return blas.dtpsv(self.size, self._ap, b, lower=0, trans=trans)
 
     def extend(self, k: np.ndarray, rho_plus_ridge: float) -> tuple[np.ndarray, float]:
         """Append the row for a new point with cross terms ``k``.
@@ -209,7 +208,7 @@ class CholFactor:
         k = _as_vector(k, self.size)
         if rho_plus_ridge <= 0:
             raise ValueError("rho_plus_ridge must be positive")
-        y = solve_triangular(self.L, k, lower=True, check_finite=False) if self.size else np.empty(0)
+        y = self._tpsv(k, trans=1)
         pivot_sq = rho_plus_ridge - float(y.dot(y))
         floor = BETA_FLOOR_REL * rho_plus_ridge
         if pivot_sq <= floor:
@@ -219,33 +218,26 @@ class CholFactor:
                     "Gram extension is numerically degenerate even after jitter"
                 )
         pivot = float(np.sqrt(pivot_sq))
-        self._grow()
         t = self.size
-        self._buf[t, :t] = y
-        self._buf[t, t] = pivot
+        start, stop = t * (t + 1) // 2, (t + 1) * (t + 2) // 2
+        if stop > self._ap.shape[0]:
+            # t equals the row capacity here; double it.
+            grown = np.empty(t * (2 * t + 1))
+            grown[:start] = self._ap[:start]
+            self._ap = grown
+        self._ap[start : stop - 1] = y
+        self._ap[stop - 1] = pivot
         self.size = t + 1
         return y, pivot
 
+    def backward(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``L^T x = b``."""
+        return self._tpsv(_as_vector(b, self.size), trans=0)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``(L L^T) x = b``."""
-        b = _as_vector(b, self.size)
-        if self.size == 0:
-            return np.empty(0)
-        L = self.L
-        y = solve_triangular(L, b, lower=True, check_finite=False)
-        return solve_triangular(L, y, lower=True, trans=1, check_finite=False)
-
-
-def chol_extend(factor: CholFactor, k: np.ndarray, rho_plus_ridge: float) -> CholFactor:
-    """Functional form of :meth:`CholFactor.extend` (input left untouched)."""
-    out = factor.copy()
-    out.extend(k, rho_plus_ridge)
-    return out
-
-
-def solve_spd(factor: CholFactor, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) x = b`` by forward then backward substitution."""
-    return factor.solve(b)
+        y = self._tpsv(_as_vector(b, self.size), trans=1)
+        return self._tpsv(y, trans=0)
 
 
 class GramMatrix:
@@ -428,27 +420,28 @@ def _gram_entries(gram) -> np.ndarray:
     return _as_square(gram)
 
 
-def log_det_ratio(gram, ridge: float) -> float:
-    """``log det(I + K / ridge)`` for a positive-semidefinite ``K``.
+def gram_eigenvalues(gram) -> np.ndarray:
+    """Ascending eigenvalues of a positive-semidefinite ``K``.
 
     Eigenvalues that dip slightly negative (near-duplicate residuals) are
-    clamped to zero before the log.
+    clamped to zero.
     """
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
     K = _require_symmetric(_gram_entries(gram), "gram matrix")
     if K.size == 0:
-        return 0.0
-    evals = np.clip(np.linalg.eigvalsh(K), 0.0, None)
-    return float(np.sum(np.log1p(evals / ridge)))
+        return np.empty(0)
+    return np.clip(np.linalg.eigvalsh(K), 0.0, None)
+
+
+def log_det_ratio(gram, ridge: float) -> float:
+    """``log det(I + K / ridge)`` for a positive-semidefinite ``K``."""
+    if ridge <= 0:
+        raise ValueError("ridge must be positive")
+    return float(np.sum(np.log1p(gram_eigenvalues(gram) / ridge)))
 
 
 def effective_dimension(gram, ridge: float) -> float:
     """``trace(K (K + ridge I)^{-1})`` via the eigenvalues of ``K``."""
     if ridge <= 0:
         raise ValueError("ridge must be positive")
-    K = _require_symmetric(_gram_entries(gram), "gram matrix")
-    if K.size == 0:
-        return 0.0
-    evals = np.clip(np.linalg.eigvalsh(K), 0.0, None)
+    evals = gram_eigenvalues(gram)
     return float(np.sum(evals / (evals + ridge)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from corectron.diagnostics import (
 )
 from corectron.environment import FeedbackModel
 from corectron.harness import default_config, resolve_hyperparameters, run_episode
+from corectron.numkit import effective_dimension, log_det_ratio
 
 
 def run_trace(setting="linear", algorithm="corectron_l", T=120, coefficient=1.0,
@@ -172,6 +175,30 @@ class TestOnRealRuns:
         trace.model_kind = "mystery"
         with pytest.raises(ValueError):
             check_instantiated_bound(trace)
+
+
+    def test_spectral_checks_share_one_eigendecomposition(self, monkeypatch):
+        # one eigvalsh of the stored Gram matrix per trace, and the same
+        # certificate values as separate decompositions, bit for bit
+        _, trace = run_trace(setting="kernel", algorithm="corectron_k", T=60)
+        trace = TraceSummary.from_dict(trace.to_dict())
+        lam = trace.regularizer
+        h_eig = log_det_ratio(trace.gram, lam)
+        deff = effective_dimension(trace.gram, lam)
+        opnorm = float(np.clip(np.linalg.eigvalsh(trace.gram), 0.0, None)[-1])
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda K: calls.append(K) or eigvalsh(K))
+        certs = {c.name: c for c in standard_certificates(trace)[0]}
+        assert len(calls) == 1
+        assert certs["elliptical_potential"].rhs == h_eig
+        assert certs["logdet_product_identity"].lhs == abs(trace.logdet_from_leverage() - h_eig)
+        assert certs["logdet_effective_dim"].lhs == h_eig
+        assert certs["logdet_effective_dim"].rhs == deff * (1.0 + math.log1p(opnorm / lam))
+        assert certs["gram_operator_norm"].lhs == opnorm
+        trace.gram = trace.gram.copy()
+        standard_certificates(trace)
+        assert len(calls) == 2  # a new Gram array is decomposed again
 
 
 class TestTraceSerialization:

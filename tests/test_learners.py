@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from corectron.environment import ActionSetSpec, top_m_oracle
 from corectron.learners import KONS, OGD, ONS, CoRectron, CoRectronK
-from corectron.lifting import KernelSpec, LiftSpec
+from corectron.lifting import KernelSpec, LiftSpec, RepresenterWeights, adjoint_apply
+from corectron.numkit import JITTER_REL
 
 
 def unit_context(rng, p):
@@ -134,6 +137,108 @@ class TestCoRectronK:
         )
         c = np.linalg.solve(K + 0.9 * np.eye(len(hist)), np.ones(len(hist)))
         np.testing.assert_allclose(learner.coefficients, c, rtol=1e-8, atol=1e-10)
+
+    def test_update_same_with_or_without_predict(self):
+        # update reuses the kernel column predict computed at the same context
+        rng = np.random.default_rng(14)
+        spec = self.kernel_spec()
+        asked, silent = CoRectronK(spec, 0.5), CoRectronK(spec, 0.5)
+        for t in range(30):
+            z, g = unit_context(rng, 2), rng.standard_normal(3)
+            if t % 3 == 1:
+                asked.predict(z)
+            elif t % 3 == 2:
+                asked.predict(unit_context(rng, 2))  # another context: no reuse
+            assert asked.update(z, g) == silent.update(z, g)
+            np.testing.assert_array_equal(asked.coefficients, silent.coefficients)
+            w = asked.predict(z)
+            np.testing.assert_array_equal(w, silent.predict(z))
+            weights = RepresenterWeights(
+                -asked.coefficients, asked._hist.contexts, asked._hist.residuals
+            )
+            np.testing.assert_array_equal(w, adjoint_apply(spec.map_for(z), weights))
+
+
+# Hostile kernel streams: per round, a fresh context or a near-duplicate
+# of the previous one, and a fresh, zero or repeated residual.  A zero
+# residual appends a decoupled row; near-duplicate contexts with repeated
+# residuals under the 1e-13 regularizer push the new pivot under the
+# floor, so the factor takes the jitter retry.
+kernel_streams = st.tuples(
+    st.sampled_from([1e-13, 1e-3, 0.1, 1.0, 10.0]),
+    st.lists(
+        st.tuples(st.sampled_from(["fresh", "near"]), st.sampled_from(["fresh", "zero", "repeat"])),
+        max_size=30,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def run_kernel_stream(stream, check):
+    """Feed a stream to CoRectronK; after each round call ``check(learner,
+    M)`` with ``M = K + ridge * I`` plus the jitter the factor added.
+    Returns the number of jittered rounds."""
+    lam, kinds, seed = stream
+    rng = np.random.default_rng(seed)
+    spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
+    learner = CoRectronK(spec, lam)
+    z, g = unit_context(rng, 2), np.zeros(3)
+    hist, jitter = [], []
+    for t, (zkind, gkind) in enumerate(kinds):
+        if zkind == "fresh":
+            z = unit_context(rng, 2)
+        else:
+            z = z + 1e-9 * rng.standard_normal(2)
+            z /= max(1.0, np.linalg.norm(z))
+        if gkind == "fresh":
+            g = rng.standard_normal(3)
+        elif gkind == "zero":
+            g = np.zeros(3)
+        learner.update(z, g)
+        hist.append((z.copy(), g.copy()))
+        K = np.array([[spec.kernel.value(zs, zt) * gs.dot(gt) for zt, gt in hist] for zs, gs in hist])
+        L = learner.gram_factor.L
+        y, pivot = L[t, :t], L[t, t]
+        diag = K[t, t] + lam
+        took = abs(pivot * pivot + y.dot(y) - diag) > 0.5 * JITTER_REL * diag
+        jitter.append(JITTER_REL * diag if took else 0.0)
+        check(learner, K + lam * np.eye(t + 1) + np.diag(jitter))
+    return np.count_nonzero(jitter)
+
+
+class TestPackedFactorInLearners:
+    """CoRectronK's incremental Gram quantities against dense references.
+
+    Forward errors are bounded relative to the condition number, which the
+    1e-13 regularizer and the jitter make large.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(kernel_streams)
+    def test_gram_quantities_match_dense(self, stream):
+        lam = stream[0]
+
+        def check(learner, M):
+            n = M.shape[0]
+            L = learner.gram_factor.L
+            cond = np.linalg.cond(M)
+            ref = np.linalg.cholesky(M)
+            assert np.abs(L - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+            fresh = solve_triangular(L, np.ones(n), lower=True)
+            v = learner._fwd_ones
+            assert np.abs(v - fresh).max() <= 1e-12 * np.linalg.cond(L) * np.abs(fresh).max()
+            c = np.linalg.solve(M, np.ones(n))
+            assert np.abs(learner.coefficients - c).max() <= 1e-12 * cond * np.abs(c).max()
+            post = 1.0 - lam * np.linalg.inv(M)[-1, -1]
+            assert abs(learner.post_round_leverage() - post) <= 1e-12 * cond
+
+        run_kernel_stream(stream, check)
+
+    def test_near_duplicate_contexts_take_jitter(self):
+        stream = (1e-13, [("fresh", "fresh"), ("near", "repeat"), ("near", "repeat")], 5)
+        calls = []
+        jitters = run_kernel_stream(stream, lambda learner, M: calls.append(M))
+        assert jitters == 2 and len(calls) == 3
 
 
 class TestRepresenterEquivalence:

@@ -9,7 +9,6 @@ from corectron.lifting import (
     adjoint_apply,
     gram_entry,
     lift,
-    lifted_dim,
 )
 
 
@@ -67,10 +66,10 @@ class TestContextMap:
             ContextMap.linear_context(np.array([2.0, 0.0]), 2)
 
     def test_lifted_dims(self):
-        assert lifted_dim(ContextMap.identity(5)) == 5
-        assert lifted_dim(ContextMap.linear_context(np.array([0.1, 0.2, 0.3]), 4)) == 12
+        assert LiftSpec.identity(5).dim == 5
+        assert LiftSpec.linear(4, 3).dim == 12
         with pytest.raises(ValueError):
-            lifted_dim(ContextMap.kernel_feature(np.zeros(2), KernelSpec.rbf(1.0), 4))
+            LiftSpec.kernelized(4, 2, KernelSpec.rbf(1.0)).dim
 
     def test_adjoint_identity_property(self):
         # <w, lift(x)> == <adjoint(w), x> for identity and linear variants
@@ -80,9 +79,9 @@ class TestContextMap:
             z = rng.standard_normal(p)
             z /= max(1.0, np.linalg.norm(z))
             x = rng.standard_normal(n)
-            for cmap in (ContextMap.identity(n), ContextMap.linear_context(z, n)):
-                d = lifted_dim(cmap)
-                w = rng.standard_normal(d)
+            for spec in (LiftSpec.identity(n), LiftSpec.linear(n, p)):
+                cmap = spec.map_for(z)
+                w = rng.standard_normal(spec.dim)
                 lhs = float(w.dot(lift(cmap, x)))
                 rhs = float(adjoint_apply(cmap, w).dot(x))
                 assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))

@@ -6,16 +6,14 @@ from corectron.learners import ONS
 from corectron.lifting import LiftSpec
 from corectron.numkit import (
     CholFactor,
+    JITTER_REL,
     DegenerateGramError,
     GramMatrix,
     SpdInverse,
-    chol_extend,
     effective_dimension,
     log_det_ratio,
     project_ball_mahalanobis,
     project_ellipsoid_coeff,
-    sm_inverse_update,
-    solve_spd,
 )
 
 
@@ -29,10 +27,17 @@ def random_spd(rng, d, spread=1.0):
 # rank-one inverse updates
 
 
+def updated_copy(state: SpdInverse, g: np.ndarray) -> SpdInverse:
+    """The inverse of ``A + g g^T`` as a new state; ``state`` is untouched."""
+    out = state.copy()
+    out.rank_one_update(g)
+    return out
+
+
 class TestSmInverseUpdate:
     def test_identity_plus_e1(self):
         state = SpdInverse.from_ridge(2, 1.0)
-        out = sm_inverse_update(state, np.array([1.0, 0.0]))
+        out = updated_copy(state, np.array([1.0, 0.0]))
         # direct inversion of [[2, 0], [0, 1]]
         np.testing.assert_allclose(out.inv, [[0.5, 0.0], [0.0, 1.0]], atol=1e-14)
 
@@ -40,7 +45,7 @@ class TestSmInverseUpdate:
         rng = np.random.default_rng(1)
         inv = np.linalg.inv(random_spd(rng, 5))
         state = SpdInverse(5, 0.5 * (inv + inv.T))
-        out = sm_inverse_update(state, np.zeros(5))
+        out = updated_copy(state, np.zeros(5))
         np.testing.assert_array_equal(out.inv, state.inv)
 
     def test_matches_direct_inversion(self):
@@ -48,7 +53,7 @@ class TestSmInverseUpdate:
         A = random_spd(rng, 5)
         g = rng.standard_normal(5)
         state = SpdInverse(5, np.linalg.inv(A))
-        out = sm_inverse_update(state, g)
+        out = updated_copy(state, g)
         direct = np.linalg.inv(A + np.outer(g, g))
         err = np.abs(out.inv - direct).max() / np.abs(direct).max()
         assert err < 1e-10
@@ -56,7 +61,7 @@ class TestSmInverseUpdate:
     def test_dimension_mismatch(self):
         state = SpdInverse.from_ridge(3, 1.0)
         with pytest.raises(ValueError):
-            sm_inverse_update(state, np.ones(4))
+            updated_copy(state, np.ones(4))
 
     def test_returns_pre_update_quadratic_form(self):
         state = SpdInverse.from_ridge(2, 1.0)
@@ -187,9 +192,11 @@ class TestCholFactor:
     def test_diagonal_extension(self):
         f = CholFactor()
         f.extend(np.empty(0), 1.0)
-        out = chol_extend(f, np.array([0.0]), 4.0)
+        out = f.copy()
+        out.extend(np.array([0.0]), 4.0)
         np.testing.assert_allclose(out.L, [[1.0, 0.0], [0.0, 2.0]])
-        assert f.size == 1  # functional form leaves the input untouched
+        assert f.size == 1  # the copy leaves the original untouched
+        np.testing.assert_allclose(f.L, [[1.0]])
 
     def test_chain_matches_fresh_factorization(self):
         rng = np.random.default_rng(4)
@@ -206,11 +213,11 @@ class TestCholFactor:
     def test_solve_examples(self):
         f = CholFactor()
         f.extend(np.empty(0), 9.0)
-        np.testing.assert_allclose(solve_spd(f, np.array([9.0])), [1.0])
+        np.testing.assert_allclose(f.solve(np.array([9.0])), [1.0])
         f2 = CholFactor()
         f2.extend(np.empty(0), 1.0)
         f2.extend(np.array([0.0]), 4.0)
-        np.testing.assert_allclose(solve_spd(f2, np.array([1.0, 4.0])), [1.0, 1.0])
+        np.testing.assert_allclose(f2.solve(np.array([1.0, 4.0])), [1.0, 1.0])
 
     def test_solve_residual(self):
         rng = np.random.default_rng(5)
@@ -221,7 +228,7 @@ class TestCholFactor:
         for i in range(t):
             f.extend(K[i, :i], K[i, i] + 1.0)
         b = rng.standard_normal(t)
-        x = solve_spd(f, b)
+        x = f.solve(b)
         M = K + np.eye(t)
         assert np.linalg.norm(M.dot(x) - b) <= 1e-9 * np.linalg.norm(b)
 
@@ -246,6 +253,123 @@ class TestCholFactor:
             f.solve(np.ones(3))
         with pytest.raises(ValueError):
             f.extend(np.ones(2), 1.0)
+
+
+# Gram streams for the packed factor: fresh feature vectors, zero vectors
+# (decoupled rows), exact repeats and near-duplicates of the previous
+# vector.  Under the 1e-13 ridge, repeats and the rank deficiency of the
+# Gram matrix (rank at most the feature dimension) push new pivots under
+# the floor, so extend takes the jitter retry.
+gram_streams = st.tuples(
+    st.integers(1, 4),
+    st.sampled_from([1e-13, 1e-3, 0.1, 1.0, 10.0]),
+    st.lists(st.sampled_from(["fresh", "zero", "repeat", "near"]), max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+
+EPS = np.finfo(float).eps
+
+
+def jittered(y, pivot, rho_plus_ridge):
+    """Whether ``extend`` added jitter to the pivot it returned."""
+    return abs(pivot * pivot + y.dot(y) - rho_plus_ridge) > 0.5 * JITTER_REL * rho_plus_ridge
+
+
+def grow_packed(stream):
+    """A factor grown from capacity 1 over a Gram stream, the matrix it
+    factors (``K + ridge * I`` plus the jitter on the rows that took it),
+    the number of those rows, and the stream's generator."""
+    dim, ridge, kinds, seed = stream
+    rng = np.random.default_rng(seed)
+    phi, feats = np.zeros(dim), []
+    for kind in kinds:
+        if kind == "fresh":
+            phi = rng.standard_normal(dim)
+        elif kind == "zero":
+            phi = np.zeros(dim)
+        elif kind == "near":
+            phi = phi + 1e-9 * rng.standard_normal(dim)
+        feats.append(phi.copy())
+    F = np.array(feats).reshape(len(kinds), dim)
+    K = F.dot(F.T)
+    M = K + ridge * np.eye(len(kinds))
+    factor = CholFactor(capacity=1)
+    jitters = 0
+    for t in range(len(kinds)):
+        y, pivot = factor.extend(K[t, :t], M[t, t])
+        if jittered(y, pivot, M[t, t]):
+            M[t, t] += JITTER_REL * M[t, t]
+            jitters += 1
+    return factor, M, jitters, rng
+
+
+class TestPackedFactorProperties:
+    """The packed factor and its ``dtpsv`` solves against dense references.
+
+    Forward errors are bounded relative to the condition number, which the
+    1e-13 ridge and the jitter make large; residuals are bounded absolutely.
+    """
+
+    @settings(deadline=None, max_examples=80)
+    @given(gram_streams)
+    def test_factor_matches_dense_cholesky(self, stream):
+        factor, M, _, _ = grow_packed(stream)
+        n = M.shape[0]
+        L = factor.L
+        assert factor.size == n and L.shape == (n, n)
+        if n == 0:
+            return
+        np.testing.assert_array_equal(L, np.tril(L))
+        assert np.all(np.diag(L) > 0)
+        ref = np.linalg.cholesky(M)
+        scale = np.abs(M).max()
+        assert np.abs(L - ref).max() <= 1e-12 * np.linalg.cond(M) * np.abs(ref).max()
+        assert np.abs(L.dot(L.T) - M).max() <= 1e-13 * scale
+
+    @settings(deadline=None, max_examples=80)
+    @given(gram_streams)
+    def test_solves_match_dense_solve(self, stream):
+        factor, M, _, rng = grow_packed(stream)
+        n = M.shape[0]
+        b = rng.standard_normal(n)
+        x = factor.solve(b)
+        xb = factor.backward(b)
+        assert x.shape == xb.shape == (n,)
+        if n == 0:
+            return
+        ref = np.linalg.solve(M, b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.linalg.cond(M) * np.abs(ref).max()
+        assert np.abs(M.dot(x) - b).max() <= 1e-13 * np.abs(M).max() * np.abs(x).max()
+        L = factor.L
+        ref = np.linalg.solve(L.T, b)
+        assert np.abs(xb - ref).max() <= 1e-12 * np.linalg.cond(L) * np.abs(ref).max()
+        assert np.abs(L.T.dot(xb) - b).max() <= 1e-13 * np.abs(L).max() * np.abs(xb).max()
+
+    def test_near_duplicate_stream_takes_jitter(self):
+        factor, M, jitters, _ = grow_packed((2, 1e-13, ["fresh", "near", "repeat", "fresh"], 3))
+        assert jitters == 2
+        np.testing.assert_allclose(factor.L.dot(factor.L.T), M, rtol=0, atol=1e-13 * np.abs(M).max())
+
+    def test_growth_keeps_rows(self):
+        # capacity 1 doubles to 2, 4, ..., 64; every row survives each copy
+        factor = CholFactor(capacity=1)
+        rows = []
+        for t in range(40):
+            k = np.full(t, 0.01)
+            y, pivot = factor.extend(k, 2.0)
+            rows.append(np.append(y, pivot))
+            L = factor.L
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(L[i, : i + 1], row)
+
+    def test_size_zero(self):
+        factor = CholFactor()
+        assert factor.L.shape == (0, 0)
+        assert factor.solve(np.empty(0)).shape == (0,)
+        assert factor.backward(np.empty(0)).shape == (0,)
+        twin = factor.copy()
+        twin.extend(np.empty(0), 4.0)
+        assert factor.size == 0 and twin.size == 1
 
 
 # ---------------------------------------------------------------------------

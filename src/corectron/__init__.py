@@ -31,15 +31,7 @@ from .harness import (
     sweep,
 )
 from .learners import KONS, OGD, ONS, CoRectron, CoRectronK, RoundDiagnostics
-from .lifting import (
-    ContextMap,
-    KernelSpec,
-    LiftSpec,
-    RepresenterWeights,
-    adjoint_apply,
-    gram_entry,
-    lift,
-)
+from .lifting import KernelSpec, LiftSpec, adjoint_apply, lift
 from .numkit import (
     CholFactor,
     DegenerateGramError,

@@ -110,7 +110,6 @@ class TraceSummary:
     # lifted space (reference runs under model mismatch); the
     # comparator-dependent bounds are then not applicable.
     comparator_in_span: bool = True
-    extras: dict = field(default_factory=dict)
     # (gram, its clamped eigenvalues), shared by the spectral checks.
     _gram_evals: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -181,7 +180,6 @@ class TraceSummary:
             "gram_capped": self.gram_capped,
             "residual_regret": self.residual_regret,
             "comparator_in_span": self.comparator_in_span,
-            "extras": self.extras,
         }
 
     @classmethod
@@ -215,7 +213,6 @@ class TraceSummary:
             gram_capped=d.get("gram_capped", False),
             residual_regret=d.get("residual_regret"),
             comparator_in_span=d.get("comparator_in_span", True),
-            extras=d.get("extras", {}),
         )
 
     def save(self, path) -> None:

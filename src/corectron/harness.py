@@ -31,7 +31,7 @@ from .environment import (
 )
 from .learners import CoRectron, CoRectronK, KONS, OGD, ONS
 from .lifting import KernelSpec, LiftSpec
-from .numkit import DegenerateGramError
+from .numkit import DegenerateGramError, GramMatrix
 
 __all__ = [
     "SETTINGS",
@@ -252,55 +252,22 @@ def make_environment(config: ExperimentConfig, feedback: FeedbackModel, seed: in
     return Environment(actions, utility, feedback, config.horizon, seed)
 
 
-def _gram_updater(config: ExperimentConfig, algorithm: str, horizon: int):
-    """Incremental builder of the lifted-residual Gram matrix."""
-    spec = _lift_for(config, algorithm)
-    K = np.zeros((horizon, horizon))
-    Z = np.zeros((horizon, max(config.context_dim, 1)))
-    G = np.zeros((horizon, config.items))
-
-    def add(t: int, z: np.ndarray, g: np.ndarray) -> None:
-        base = G[:t].dot(g)
-        if spec.kind == "identity":
-            col = base
-            diag = float(g.dot(g))
-        elif spec.kind == "linear":
-            col = Z[:t].dot(z) * base
-            diag = float(z.dot(z)) * float(g.dot(g))
-        else:
-            col = spec.kernel.column(Z[:t], z) * base
-            diag = spec.kernel.diag_value(z) * float(g.dot(g))
-        K[t, :t] = col
-        K[:t, t] = col
-        K[t, t] = diag
-        Z[t] = z
-        G[t] = g
-
-    return K, add
+# The hidden-utility model that each lift kind represents exactly.
+_MODEL_OF_LIFT = {"identity": "noncontextual", "linear": "linear", "kernel": "kernel"}
 
 
-def _lifted_comparator(config: ExperimentConfig, algorithm: str, env: Environment):
-    """Explicit coordinates of the hidden utility in the learner's lift,
-    when both sides are finite dimensional and the model matches."""
-    spec = _lift_for(config, algorithm)
-    model = env.model
-    if spec.kind == "identity" and env.model_kind == "noncontextual":
-        return model.vector
-    if spec.kind == "linear" and env.model_kind == "linear":
-        return model.weights.flatten(order="F")
-    return None
-
-
-def _comparator_representable(config: ExperimentConfig, algorithm: str, env: Environment) -> bool:
-    """Whether the hidden utility is an element of the learner's lifted
-    space (with unit norm there).  False for reference runs under model
-    mismatch, e.g. the linear-lift learner facing RBF utilities."""
-    spec = _lift_for(config, algorithm)
-    if spec.kind == "kernel":
-        return env.model_kind == "kernel"
+def _comparator(spec: LiftSpec, env: Environment) -> tuple[bool, np.ndarray | None]:
+    """Whether the hidden utility lies in the learner's lifted space
+    (with unit norm there), and its explicit coordinates when the lift is
+    explicit.  Not in the span for reference runs under model mismatch,
+    e.g. the linear-lift learner facing RBF utilities."""
+    if env.model_kind != _MODEL_OF_LIFT[spec.kind]:
+        return False, None
+    if spec.kind == "identity":
+        return True, env.model.vector
     if spec.kind == "linear":
-        return env.model_kind == "linear"
-    return env.model_kind == "noncontextual"
+        return True, env.model.weights.flatten(order="F")
+    return True, None
 
 
 _CORECTRON_ALGOS = ("corectron_l", "corectron_k")
@@ -343,9 +310,9 @@ def run_episode(
     projected = np.zeros(T, dtype=bool)
     potential_direct = np.zeros(T) if want_full else None
     post_leverage = np.zeros(T) if want_full else None
-    gram, gram_add = (None, None)
-    if with_gram:
-        gram, gram_add = _gram_updater(config, algorithm, T)
+    # Lifted-residual Gram matrix of the episode and the residuals so far.
+    gram = GramMatrix(T) if with_gram else None
+    residuals = np.zeros((T, config.items)) if with_gram else None
 
     status, message = "ok", ""
     learner_time = 0.0
@@ -373,8 +340,9 @@ def run_episode(
             if want_full:
                 potential_direct[t] = learner.potential_direct()
                 post_leverage[t] = learner.post_round_leverage()
-            if gram_add is not None:
-                gram_add(t, np.asarray(z, dtype=float), g)
+            if gram is not None:
+                gram.append(*learner.lift_spec.gram_column(env.contexts[:t], residuals[:t], z, g))
+                residuals[t] = g
         if not np.isfinite(regret.sum()):
             raise FloatingPointError("non-finite regret")
     except _EPISODE_ERRORS as exc:
@@ -402,9 +370,9 @@ def run_episode(
     if level != "off" and status == "ok" and is_corectron:
         consts = env.trace_constants()
         final_direct = learner.potential_direct() if T else 0.0
-        comparator = _lifted_comparator(config, algorithm, env)
+        in_span, comparator = _comparator(learner.lift_spec, env)
         residual_regret = None
-        if comparator is not None and hasattr(learner, "cumulative_residual"):
+        if comparator is not None:
             residual_regret = -float(comparator.dot(learner.cumulative_residual))
         trace = TraceSummary(
             algorithm=algorithm,
@@ -428,10 +396,10 @@ def run_episode(
             final_potential_direct=final_direct,
             potential_direct=potential_direct,
             post_leverage=post_leverage,
-            gram=gram,
+            gram=None if gram is None else gram.entries,
             gram_capped=want_full and not with_gram,
             residual_regret=residual_regret,
-            comparator_in_span=_comparator_representable(config, algorithm, env),
+            comparator_in_span=in_span,
         )
         certs, skipped = standard_certificates(trace)
         result.certificates = certs

@@ -23,13 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas
 
-from .lifting import (
-    KERNEL,
-    LiftSpec,
-    RepresenterWeights,
-    adjoint_apply,
-    lift,
-)
+from .lifting import KERNEL, LiftSpec, adjoint_apply, lift
 from .numkit import (
     CholFactor,
     GramMatrix,
@@ -102,20 +96,6 @@ class _History:
         self._G[self.size] = g
         self.size += 1
 
-    def lifted_column(
-        self, kernel, z: np.ndarray, g: np.ndarray, kcol: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Lifted inner products of (z, g) against the stored history.
-
-        ``kcol`` is ``kernel.column(self.contexts, z)``, which the caller
-        may already hold.  Returns the cross column and the diagonal
-        entry: each entry is the scalar kernel value times the base dot
-        product.
-        """
-        col = kcol * self.residuals.dot(g)
-        rho = kernel.diag_value(z) * float(g.dot(g))
-        return col, rho
-
 
 class CoRectron:
     """Projection-free second-order learner on an explicit lift.
@@ -161,12 +141,12 @@ class CoRectron:
         return -self._preconditioned_cum()
 
     def predict(self, z=None) -> np.ndarray:
-        cmap = self.lift_spec.map_for(z)
-        return adjoint_apply(cmap, self.predict_lifted())
+        z = self.lift_spec.check_context(z)
+        return adjoint_apply(self.lift_spec, z, self.predict_lifted())
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        cmap = self.lift_spec.map_for(z)
-        g = lift(cmap, g_base)
+        z = self.lift_spec.check_context(z)
+        g = lift(self.lift_spec, z, g_base)
         align = float(g.dot(self._preconditioned_cum()))
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(self._cum))
         lev = self._inv.rank_one_update(g)
@@ -212,8 +192,8 @@ class CoRectronK:
         self._coef = np.empty(0)
         self._pivot = 0.0  # last diagonal entry of L
         self._hist = _History(lift_spec.context_dim, lift_spec.base_dim)
-        # (z, kernel.column(contexts, z)) from predict, reused by update
-        # at the same z; None once the history has changed.
+        # (z, context column of the history at z) from predict, reused by
+        # update at the same z; None once the history has changed.
         self._kcol: tuple[np.ndarray, np.ndarray] | None = None
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
         self._potential = 0.0
@@ -232,24 +212,25 @@ class CoRectronK:
         return self._chol
 
     def _kernel_column(self, z: np.ndarray) -> np.ndarray:
-        """``kernel.column(contexts, z)``, computed once per history and z."""
+        """The history's context column at z, computed once per history and z."""
         if self._kcol is None or not np.array_equal(self._kcol[0], z):
-            self._kcol = (z.copy(), self.lift_spec.kernel.column(self._hist.contexts, z))
+            self._kcol = (z.copy(), self.lift_spec.context_column(self._hist.contexts, z))
         return self._kcol[1]
 
     def predict(self, z) -> np.ndarray:
-        # adjoint_apply's arithmetic on the representer weights
-        # (-coefficients, contexts, residuals), keeping the kernel column
-        # for update.
-        cmap = self.lift_spec.map_for(z)
+        # The representer sum with weights -coefficients, keeping the
+        # kernel column for update.
+        z = self.lift_spec.check_context(z)
         if self._rounds == 0:
-            return np.zeros(cmap.base_dim)
-        return (-self._coef * self._kernel_column(cmap.z)).dot(self._hist.residuals)
+            return np.zeros(self.lift_spec.base_dim)
+        return (-self._coef * self._kernel_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        z = np.asarray(z, dtype=float)
+        z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
-        col, rho = self._hist.lifted_column(self.lift_spec.kernel, z, g, self._kernel_column(z))
+        col, rho = self.lift_spec.gram_column(
+            self._hist.contexts, self._hist.residuals, z, g, kcol=self._kernel_column(z)
+        )
         y, self._pivot = self._chol.extend(col, rho + self.regularizer)
         lev = (rho - float(y.dot(y))) / self.regularizer
         align = float(self._coef.dot(col)) if self._rounds else 0.0
@@ -302,12 +283,12 @@ class OGD:
         return self._w
 
     def predict(self, z=None) -> np.ndarray:
-        cmap = self.lift_spec.map_for(z)
-        return adjoint_apply(cmap, self._w)
+        z = self.lift_spec.check_context(z)
+        return adjoint_apply(self.lift_spec, z, self._w)
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        cmap = self.lift_spec.map_for(z)
-        g = lift(cmap, g_base)
+        z = self.lift_spec.check_context(z)
+        g = lift(self.lift_spec, z, g_base)
         self._w -= self.step_size * g
         nrm = float(np.linalg.norm(self._w))
         if nrm > 1.0:
@@ -353,12 +334,12 @@ class ONS:
         return self._w
 
     def predict(self, z=None) -> np.ndarray:
-        cmap = self.lift_spec.map_for(z)
-        return adjoint_apply(cmap, self._w)
+        z = self.lift_spec.check_context(z)
+        return adjoint_apply(self.lift_spec, z, self._w)
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        cmap = self.lift_spec.map_for(z)
-        g = self.surrogate_scale * lift(cmap, g_base)
+        z = self.lift_spec.check_context(z)
+        g = self.surrogate_scale * lift(self.lift_spec, z, g_base)
         self._metric = blas.dger(1.0, g, g, a=self._metric, overwrite_a=1)
         self._inv.rank_one_update(g)
         target = self._w - self._inv.apply(g) / self.step_coeff
@@ -403,16 +384,13 @@ class KONS:
     def coefficients(self) -> np.ndarray:
         return self._coef
 
-    @property
-    def gram(self) -> GramMatrix:
-        return self._gram
-
-    def representer_weights(self) -> RepresenterWeights:
-        return RepresenterWeights(self._coef, self._hist.contexts, self._hist.residuals)
-
     def predict(self, z) -> np.ndarray:
-        cmap = self.lift_spec.map_for(z)
-        return adjoint_apply(cmap, self.representer_weights())
+        # The representer sum with weights coefficients.
+        z = self.lift_spec.check_context(z)
+        if self._rounds == 0:
+            return np.zeros(self.lift_spec.base_dim)
+        kcol = self.lift_spec.context_column(self._hist.contexts, z)
+        return (self._coef * kcol).dot(self._hist.residuals)
 
     def rkhs_norm_sq(self) -> float:
         if self._rounds == 0:
@@ -421,10 +399,9 @@ class KONS:
         return float(c.dot(self._gram.entries[: c.size, : c.size].dot(c)))
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        z = np.asarray(z, dtype=float)
+        z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
-        kernel = self.lift_spec.kernel
-        col, rho = self._hist.lifted_column(kernel, z, g, kernel.column(self._hist.contexts, z))
+        col, rho = self.lift_spec.gram_column(self._hist.contexts, self._hist.residuals, z, g)
         s2 = self.surrogate_scale**2
         self._gram.append(col, rho)
         self._scaled.append(s2 * col, s2 * rho + self.ridge)

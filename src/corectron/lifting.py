@@ -1,9 +1,15 @@
 """Context lifts: per-round linear maps from base actions into the
-learner's inner-product space, with adjoints and Gram entries.
+learner's inner-product space, with adjoints and lifted-Gram columns.
 
 Three variants are supported: the identity (no context), the
 outer-product lift ``x -> x z^T`` for linear context models, and the
 kernel feature lift realised as a scalar kernel times the identity.
+
+Every lifted inner product factors into a context part and a base part,
+``<lift(z, g), lift(z', g')> = kappa(z, z') * <g, g'>``, where the
+context factor ``kappa`` is 1 for the identity lift, ``z . z'`` for the
+linear lift and ``k(z, z')`` for a kernel lift.  :class:`LiftSpec` is
+the one place that knows the variants.
 """
 
 from __future__ import annotations
@@ -12,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "KernelSpec",
-    "ContextMap",
-    "RepresenterWeights",
-    "LiftSpec",
-    "lift",
-    "adjoint_apply",
-    "gram_entry",
-]
+__all__ = ["KernelSpec", "LiftSpec", "lift", "adjoint_apply"]
 
 IDENTITY = "identity"
 LINEAR = "linear"
@@ -80,125 +78,8 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class ContextMap:
-    """One round's lift, tagged by variant.
-
-    ``z`` and ``kernel`` are set for the variants that need them; the
-    context vector must lie in the unit ball.
-    """
-
-    kind: str
-    base_dim: int
-    z: np.ndarray | None = None
-    kernel: KernelSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in (IDENTITY, LINEAR, KERNEL):
-            raise ValueError(f"unknown context map variant: {self.kind!r}")
-        if self.base_dim <= 0:
-            raise ValueError("base_dim must be positive")
-        if self.kind in (LINEAR, KERNEL):
-            if self.z is None:
-                raise ValueError(f"{self.kind} map requires a context vector")
-            if np.linalg.norm(self.z) > 1.0 + _CONTEXT_NORM_SLACK:
-                raise ValueError("context vector must lie in the unit ball")
-        if self.kind == KERNEL and self.kernel is None:
-            raise ValueError("kernel map requires a KernelSpec")
-
-    @classmethod
-    def identity(cls, base_dim: int) -> "ContextMap":
-        return cls(IDENTITY, base_dim)
-
-    @classmethod
-    def linear_context(cls, z, base_dim: int) -> "ContextMap":
-        return cls(LINEAR, base_dim, z=np.asarray(z, dtype=float))
-
-    @classmethod
-    def kernel_feature(cls, z, kernel: KernelSpec, base_dim: int) -> "ContextMap":
-        return cls(KERNEL, base_dim, z=np.asarray(z, dtype=float), kernel=kernel)
-
-
-@dataclass(frozen=True)
-class RepresenterWeights:
-    """Span representation ``w = sum_s coeffs[s] * (lift of residuals[s])``.
-
-    The coefficients are stored signed; :func:`adjoint_apply` uses them
-    exactly as given.
-    """
-
-    coeffs: np.ndarray
-    contexts: np.ndarray
-    residuals: np.ndarray
-
-
-def lift(cmap: ContextMap, x_base) -> np.ndarray:
-    """Explicit coordinates of the lifted vector.
-
-    Linear-context lifts are stored column-major: the flat vector of
-    ``x z^T`` stacks the columns ``z_j * x``.
-    """
-    x = np.asarray(x_base, dtype=float)
-    if x.shape != (cmap.base_dim,):
-        raise ValueError("base vector has wrong dimension")
-    if cmap.kind == IDENTITY:
-        return x.copy()
-    if cmap.kind == LINEAR:
-        return np.outer(cmap.z, x).ravel()
-    raise ValueError("kernel lifts cannot be materialised explicitly")
-
-
-def adjoint_apply(cmap: ContextMap, w_repr) -> np.ndarray:
-    """Pull a lifted weight vector back to base-action coordinates.
-
-    Identity maps return the vector itself; linear-context maps apply the
-    reshaped weight matrix to the context; kernel maps evaluate a
-    :class:`RepresenterWeights` sum at the round's context.
-    """
-    if cmap.kind == IDENTITY:
-        w = np.asarray(w_repr, dtype=float)
-        if w.shape != (cmap.base_dim,):
-            raise ValueError("weight vector has wrong dimension")
-        return w.copy()
-    if cmap.kind == LINEAR:
-        w = np.asarray(w_repr, dtype=float)
-        p = cmap.z.shape[0]
-        if w.shape != (cmap.base_dim * p,):
-            raise ValueError("weight vector has wrong dimension")
-        return w.reshape((cmap.base_dim, p), order="F").dot(cmap.z)
-    if not isinstance(w_repr, RepresenterWeights):
-        raise ValueError("kernel maps require RepresenterWeights")
-    if w_repr.coeffs.shape[0] == 0:
-        return np.zeros(cmap.base_dim)
-    kcol = cmap.kernel.column(w_repr.contexts, cmap.z)
-    return (w_repr.coeffs * kcol).dot(w_repr.residuals)
-
-
-def gram_entry(map_s: ContextMap, g_s_base, map_t: ContextMap, g_t_base) -> float:
-    """Inner product of two lifted residuals.
-
-    Both rounds must use the same lift variant (and kernel, where
-    applicable); the entry always factors into a context part times the
-    base dot product.
-    """
-    if map_s.kind != map_t.kind:
-        raise ValueError("cannot mix context map variants in one Gram matrix")
-    gs = np.asarray(g_s_base, dtype=float)
-    gt = np.asarray(g_t_base, dtype=float)
-    if gs.shape != (map_s.base_dim,) or gt.shape != (map_t.base_dim,):
-        raise ValueError("residual has wrong dimension")
-    base = float(gs.dot(gt))
-    if map_s.kind == IDENTITY:
-        return base
-    if map_s.kind == LINEAR:
-        return float(map_s.z.dot(map_t.z)) * base
-    if map_s.kernel != map_t.kernel:
-        raise ValueError("cannot mix kernels in one Gram matrix")
-    return map_s.kernel.value(map_s.z, map_t.z) * base
-
-
-@dataclass(frozen=True)
 class LiftSpec:
-    """Family of per-round context maps for one contextual model."""
+    """The lift of one contextual model, applied to each round's context."""
 
     kind: str
     base_dim: int
@@ -234,9 +115,74 @@ class LiftSpec:
             return self.base_dim * self.context_dim
         raise ValueError("kernel lifts have no explicit coordinate dimension")
 
-    def map_for(self, z) -> ContextMap:
+    def check_context(self, z) -> np.ndarray | None:
+        """The round's context as a float vector in the unit ball.
+
+        The identity lift ignores the context and returns None.
+        """
         if self.kind == IDENTITY:
-            return ContextMap.identity(self.base_dim)
+            return None
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.context_dim,):
+            raise ValueError("context vector has wrong dimension")
+        if np.linalg.norm(z) > 1.0 + _CONTEXT_NORM_SLACK:
+            raise ValueError("context vector must lie in the unit ball")
+        return z
+
+    def context_column(self, Z: np.ndarray, z) -> np.ndarray:
+        """Context factors ``kappa(Z[s], z)`` over the rows of ``Z``."""
+        if self.kind == IDENTITY:
+            return np.ones(Z.shape[0])
         if self.kind == LINEAR:
-            return ContextMap.linear_context(z, self.base_dim)
-        return ContextMap.kernel_feature(z, self.kernel, self.base_dim)
+            return Z.dot(z)
+        return self.kernel.column(Z, z)
+
+    def gram_column(
+        self, Z: np.ndarray, G: np.ndarray, z, g: np.ndarray, kcol: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float]:
+        """Lifted inner products of ``(z, g)`` with the rows of ``(Z, G)``.
+
+        Returns the column ``kappa(Z, z) * (G g)`` and the diagonal entry
+        ``kappa(z, z) * (g . g)``.  ``kcol`` is ``context_column(Z, z)``,
+        which the caller may already hold.
+        """
+        if kcol is None:
+            kcol = self.context_column(Z, z)
+        if self.kind == IDENTITY:
+            kzz = 1.0
+        elif self.kind == LINEAR:
+            kzz = float(z.dot(z))
+        else:
+            kzz = self.kernel.diag_value(z)
+        return kcol * G.dot(g), kzz * float(g.dot(g))
+
+
+def lift(spec: LiftSpec, z, x_base) -> np.ndarray:
+    """Explicit coordinates of the lifted vector at context ``z``.
+
+    Linear-context lifts are stored column-major: the flat vector of
+    ``x z^T`` stacks the columns ``z_j * x``.
+    """
+    x = np.asarray(x_base, dtype=float)
+    if x.shape != (spec.base_dim,):
+        raise ValueError("base vector has wrong dimension")
+    if spec.kind == IDENTITY:
+        return x.copy()
+    if spec.kind == LINEAR:
+        return np.outer(z, x).ravel()
+    raise ValueError("kernel lifts cannot be materialised explicitly")
+
+
+def adjoint_apply(spec: LiftSpec, z, w) -> np.ndarray:
+    """Pull an explicit lifted weight vector back to base coordinates.
+
+    The identity lift returns the vector itself; the linear lift applies
+    the reshaped weight matrix to the context.  Kernel lifts keep their
+    weights in representer form and have no explicit adjoint.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (spec.dim,):
+        raise ValueError("weight vector has wrong dimension")
+    if spec.kind == IDENTITY:
+        return w.copy()
+    return w.reshape((spec.base_dim, spec.context_dim), order="F").dot(z)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -217,3 +218,17 @@ class TestTraceSerialization:
             assert ca.name == cb.name
             assert ca.lhs == pytest.approx(cb.lhs)
             assert ca.holds == cb.holds
+
+    def test_loads_trace_with_extras_key(self, tmp_path):
+        # trace files written before the field was removed carry "extras"
+        _, trace = run_trace(T=30)
+        saved = trace.to_dict()
+        assert "extras" not in saved
+        saved["extras"] = {}
+        path = tmp_path / "old_trace.json"
+        path.write_text(json.dumps(saved))
+        back = TraceSummary.load(path)
+        np.testing.assert_array_equal(back.gram, trace.gram)
+        certs_a, _ = standard_certificates(trace)
+        certs_b, _ = standard_certificates(back)
+        assert [c.to_dict() for c in certs_a] == [c.to_dict() for c in certs_b]

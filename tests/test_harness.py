@@ -163,6 +163,53 @@ class TestRunEpisode:
         )
         assert 0.0 < result.runtime_seconds <= result.total_seconds
 
+    @pytest.mark.parametrize(
+        "setting, algorithm",
+        [("noncontextual", "corectron_l"), ("linear", "corectron_l"), ("kernel", "corectron_k")],
+    )
+    def test_trace_gram_matches_dense_reference(self, monkeypatch, setting, algorithm):
+        # the trace Gram, built through the learner's lift, against one
+        # lifted inner product per entry
+        from corectron.lifting import lift
+
+        config = tiny_config(setting=setting, algorithms=(algorithm,), horizon=40, diag_level="full")
+        build = harness.build_learner
+        learners, rounds = [], []
+
+        def recording(config, algorithm, params):
+            learner = build(config, algorithm, params)
+            update = learner.update
+
+            def update_and_record(z, g):
+                rounds.append((np.array(z, dtype=float), g.copy()))
+                return update(z, g)
+
+            learner.update = update_and_record
+            learners.append(learner)
+            return learner
+
+        monkeypatch.setattr(harness, "build_learner", recording)
+        params = resolve_hyperparameters(config, algorithm, 1.0)
+        result, trace = run_episode(
+            config, algorithm, 1.0, params, FeedbackModel.one_swap(0.4), 2
+        )
+        assert result.status == "ok" and trace.gram.shape == (40, 40)
+        spec = learners[0].lift_spec
+        if spec.kind == "kernel":
+            dense = [
+                [spec.kernel.value(zs, zt) * float(gs.dot(gt)) for zt, gt in rounds]
+                for zs, gs in rounds
+            ]
+        else:
+            lifted = [lift(spec, spec.check_context(z), g) for z, g in rounds]
+            dense = [[float(a.dot(b)) for b in lifted] for a in lifted]
+        assert np.any(trace.gram != 0.0)
+        np.testing.assert_allclose(trace.gram, dense, rtol=1e-12, atol=1e-14)
+        if algorithm == "corectron_k":
+            L = learners[0].gram_factor.L
+            ridged = trace.gram + learners[0].regularizer * np.eye(40)
+            np.testing.assert_allclose(L.dot(L.T), ridged, rtol=1e-12, atol=1e-12)
+
 
 class TestSweep:
     def test_row_count_is_full_product(self):

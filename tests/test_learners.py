@@ -5,7 +5,7 @@ from scipy.linalg import solve_triangular
 
 from corectron.environment import ActionSetSpec, top_m_oracle
 from corectron.learners import KONS, OGD, ONS, CoRectron, CoRectronK
-from corectron.lifting import KernelSpec, LiftSpec, RepresenterWeights, adjoint_apply
+from corectron.lifting import KernelSpec, LiftSpec
 from corectron.numkit import JITTER_REL
 
 
@@ -153,10 +153,9 @@ class TestCoRectronK:
             np.testing.assert_array_equal(asked.coefficients, silent.coefficients)
             w = asked.predict(z)
             np.testing.assert_array_equal(w, silent.predict(z))
-            weights = RepresenterWeights(
-                -asked.coefficients, asked._hist.contexts, asked._hist.residuals
-            )
-            np.testing.assert_array_equal(w, adjoint_apply(spec.map_for(z), weights))
+            # the representer sum with weights -coefficients
+            kcol = spec.context_column(asked._hist.contexts, z)
+            np.testing.assert_array_equal(w, (-asked.coefficients * kcol).dot(asked._hist.residuals))
 
 
 # Hostile kernel streams: per round, a fresh context or a near-duplicate
@@ -406,3 +405,29 @@ class TestKONS:
             d1 = explicit.update(z, g)
             d2 = rep.update(z, g)
             assert not d1.projected and not d2.projected
+
+
+CONTEXTUAL_LEARNERS = [
+    pytest.param(lambda: CoRectron(LiftSpec.linear(3, 2), 1.0), id="corectron_l"),
+    pytest.param(lambda: CoRectronK(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 1.0), id="corectron_k"),
+    pytest.param(lambda: OGD(LiftSpec.linear(3, 2), 0.1), id="ogd"),
+    pytest.param(lambda: ONS(LiftSpec.linear(3, 2), 1.0), id="ons"),
+    pytest.param(lambda: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 1.0), id="kons"),
+]
+
+
+@pytest.mark.parametrize("make", CONTEXTUAL_LEARNERS)
+@pytest.mark.parametrize(
+    "z", [np.array([5.0]), np.array([0.1, 0.1, 0.1]), np.array([2.0, 0.0])], ids=["short", "long", "outside"]
+)
+def test_every_entry_rejects_bad_context(make, z):
+    # a context of the wrong length or outside the unit ball is refused by
+    # predict and update alike, before any state changes
+    learner = make()
+    learner.update(np.array([0.6, 0.0]), np.array([1.0, 0.0, -1.0]))
+    before = learner.predict(np.array([0.0, 0.6])).copy()
+    with pytest.raises(ValueError):
+        learner.predict(z)
+    with pytest.raises(ValueError):
+        learner.update(z, np.array([0.0, 1.0, -1.0]))
+    np.testing.assert_array_equal(learner.predict(np.array([0.0, 0.6])), before)

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from corectron.lifting import (
-    ContextMap,
-    KernelSpec,
-    LiftSpec,
-    RepresenterWeights,
-    adjoint_apply,
-    gram_entry,
-    lift,
-)
+from corectron.lifting import KernelSpec, LiftSpec, adjoint_apply, lift
 
 
 class TestKernelSpec:
@@ -46,24 +38,43 @@ class TestKernelSpec:
 
 
 class TestContextMap:
+    """Context checks, lifts and adjoints at one round's context."""
+
     def test_identity_adjoint(self):
-        cmap = ContextMap.identity(2)
-        np.testing.assert_array_equal(adjoint_apply(cmap, [1.0, 2.0]), [1.0, 2.0])
+        spec = LiftSpec.identity(2)
+        np.testing.assert_array_equal(adjoint_apply(spec, None, [1.0, 2.0]), [1.0, 2.0])
 
     def test_linear_adjoint_example(self):
         # weight matrix I_2 flattened column-major applied to z = (3, 4)
-        cmap = ContextMap.linear_context(np.array([0.6, 0.8]), 2)
+        spec = LiftSpec.linear(2, 2)
         w = np.eye(2).flatten(order="F")
-        np.testing.assert_allclose(adjoint_apply(cmap, w), [0.6, 0.8])
+        np.testing.assert_allclose(adjoint_apply(spec, np.array([0.6, 0.8]), w), [0.6, 0.8])
 
     def test_kernel_adjoint_empty_history_is_zero(self):
-        cmap = ContextMap.kernel_feature(np.zeros(3), KernelSpec.rbf(1.0), 4)
-        w = RepresenterWeights(np.empty(0), np.empty((0, 3)), np.empty((0, 4)))
-        np.testing.assert_array_equal(adjoint_apply(cmap, w), np.zeros(4))
+        # the representer sum sum_s c_s kappa(z_s, z) g_s over no rounds
+        spec = LiftSpec.kernelized(4, 3, KernelSpec.rbf(1.0))
+        kcol = spec.context_column(np.empty((0, 3)), np.zeros(3))
+        np.testing.assert_array_equal((np.empty(0) * kcol).dot(np.empty((0, 4))), np.zeros(4))
+
+    def test_kernel_has_no_explicit_adjoint(self):
+        spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
+        with pytest.raises(ValueError):
+            adjoint_apply(spec, np.zeros(2), np.zeros(3))
 
     def test_context_outside_unit_ball_rejected(self):
-        with pytest.raises(ValueError):
-            ContextMap.linear_context(np.array([2.0, 0.0]), 2)
+        for spec in (LiftSpec.linear(2, 2), LiftSpec.kernelized(2, 2, KernelSpec.rbf(1.0))):
+            with pytest.raises(ValueError):
+                spec.check_context(np.array([2.0, 0.0]))
+
+    def test_context_of_wrong_length_rejected(self):
+        for spec in (LiftSpec.linear(2, 2), LiftSpec.kernelized(2, 2, KernelSpec.rbf(1.0))):
+            for z in (np.array([0.5]), np.array([0.1, 0.1, 0.1]), None):
+                with pytest.raises(ValueError):
+                    spec.check_context(z)
+
+    def test_identity_ignores_context(self):
+        assert LiftSpec.identity(3).check_context(None) is None
+        assert LiftSpec.identity(3).check_context(np.array([5.0])) is None
 
     def test_lifted_dims(self):
         assert LiftSpec.identity(5).dim == 5
@@ -80,82 +91,80 @@ class TestContextMap:
             z /= max(1.0, np.linalg.norm(z))
             x = rng.standard_normal(n)
             for spec in (LiftSpec.identity(n), LiftSpec.linear(n, p)):
-                cmap = spec.map_for(z)
+                zc = spec.check_context(z)
                 w = rng.standard_normal(spec.dim)
-                lhs = float(w.dot(lift(cmap, x)))
-                rhs = float(adjoint_apply(cmap, w).dot(x))
+                lhs = float(w.dot(lift(spec, zc, x)))
+                rhs = float(adjoint_apply(spec, zc, w).dot(x))
                 assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
 
     def test_kernel_lift_not_materializable(self):
-        cmap = ContextMap.kernel_feature(np.zeros(2), KernelSpec.rbf(1.0), 3)
+        spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
         with pytest.raises(ValueError):
-            lift(cmap, np.zeros(3))
+            lift(spec, np.zeros(2), np.zeros(3))
+
+
+def lifted_inner(spec, zs, gs, zt, gt):
+    """One lifted inner product through the Gram column of a one-row history."""
+    Z = np.zeros((1, spec.context_dim or 1)) if zs is None else np.asarray(zs)[None, :]
+    col, _ = spec.gram_column(Z, np.asarray(gs)[None, :], zt, np.asarray(gt))
+    return float(col[0])
 
 
 class TestGramEntry:
     def test_identity(self):
-        cmap = ContextMap.identity(2)
+        spec = LiftSpec.identity(2)
         g = np.array([1.0, 1.0])
-        assert gram_entry(cmap, g, cmap, g) == pytest.approx(2.0)
+        assert lifted_inner(spec, None, g, None, g) == pytest.approx(2.0)
+        assert spec.gram_column(np.zeros((0, 1)), np.zeros((0, 2)), None, g)[1] == 2.0
 
     def test_linear_same_unit_context(self):
         z = np.array([0.6, 0.8])
-        cmap = ContextMap.linear_context(z, 2)
+        spec = LiftSpec.linear(2, 2)
         g = np.array([1.0, 1.0])
-        assert gram_entry(cmap, g, cmap, g) == pytest.approx(2.0)
+        assert lifted_inner(spec, z, g, z, g) == pytest.approx(2.0)
+        assert spec.gram_column(np.zeros((0, 2)), np.zeros((0, 2)), z, g)[1] == pytest.approx(2.0)
 
     def test_rbf_orthogonal_residuals(self):
         z = np.zeros(2)
-        k = KernelSpec.rbf(1.0)
-        cmap = ContextMap.kernel_feature(z, k, 2)
-        val = gram_entry(cmap, np.array([1.0, 0.0]), cmap, np.array([0.0, 1.0]))
+        spec = LiftSpec.kernelized(2, 2, KernelSpec.rbf(1.0))
+        val = lifted_inner(spec, z, np.array([1.0, 0.0]), z, np.array([0.0, 1.0]))
         assert val == 0.0
-
-    def test_mixed_variants_rejected(self):
-        a = ContextMap.identity(2)
-        b = ContextMap.linear_context(np.array([1.0, 0.0]), 2)
-        with pytest.raises(ValueError):
-            gram_entry(a, np.ones(2), b, np.ones(2))
-
-    def test_mixed_kernels_rejected(self):
-        z = np.zeros(2)
-        a = ContextMap.kernel_feature(z, KernelSpec.rbf(1.0), 2)
-        b = ContextMap.kernel_feature(z, KernelSpec.rbf(2.0), 2)
-        with pytest.raises(ValueError):
-            gram_entry(a, np.ones(2), b, np.ones(2))
 
     def test_linear_kernel_equals_linear_context(self):
         # dot-product kernel entries coincide with outer-product lift entries
         rng = np.random.default_rng(4)
-        k = KernelSpec.linear_dot()
         for _ in range(20):
             n, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            zs, zt = rng.standard_normal((2, p))
-            zs /= max(1.0, np.linalg.norm(zs))
-            zt /= max(1.0, np.linalg.norm(zt))
-            gs, gt = rng.standard_normal((2, n))
-            via_kernel = gram_entry(
-                ContextMap.kernel_feature(zs, k, n), gs,
-                ContextMap.kernel_feature(zt, k, n), gt,
-            )
-            via_linear = gram_entry(
-                ContextMap.linear_context(zs, n), gs,
-                ContextMap.linear_context(zt, n), gt,
-            )
-            assert via_kernel == via_linear
+            via_kernel = LiftSpec.kernelized(n, p, KernelSpec.linear_dot())
+            via_linear = LiftSpec.linear(n, p)
+            t = int(rng.integers(0, 6))
+            Z = rng.standard_normal((t, p))
+            Z /= np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None]
+            G = rng.standard_normal((t, n))
+            z = rng.standard_normal(p)
+            z /= max(1.0, np.linalg.norm(z))
+            g = rng.standard_normal(n)
+            col_k, diag_k = via_kernel.gram_column(Z, G, z, g)
+            col_l, diag_l = via_linear.gram_column(Z, G, z, g)
+            np.testing.assert_array_equal(col_k, col_l)
+            assert diag_k == diag_l
 
     def test_matches_explicit_lift_inner_product(self):
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            n, p = 3, 4
-            zs, zt = rng.standard_normal((2, p))
-            zs /= max(1.0, np.linalg.norm(zs))
-            zt /= max(1.0, np.linalg.norm(zt))
-            gs, gt = rng.standard_normal((2, n))
-            ms = ContextMap.linear_context(zs, n)
-            mt = ContextMap.linear_context(zt, n)
-            direct = float(lift(ms, gs).dot(lift(mt, gt)))
-            assert gram_entry(ms, gs, mt, gt) == pytest.approx(direct, rel=1e-12)
+        for spec in (LiftSpec.identity(3), LiftSpec.linear(3, 4)):
+            for _ in range(10):
+                Z = rng.standard_normal((4, 4))
+                Z /= np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None]
+                G = rng.standard_normal((4, 3))
+                z, g = Z[-1], G[-1]
+                col, diag = spec.gram_column(Z[:-1], G[:-1], spec.check_context(z), g)
+                lz = lift(spec, spec.check_context(z), g)
+                direct = [
+                    float(lift(spec, spec.check_context(zs), gs).dot(lz))
+                    for zs, gs in zip(Z[:-1], G[:-1])
+                ]
+                np.testing.assert_allclose(col, direct, rtol=1e-12)
+                assert diag == pytest.approx(float(lz.dot(lz)), rel=1e-12)
 
 
 class TestLiftSpec:
@@ -165,9 +174,10 @@ class TestLiftSpec:
         with pytest.raises(ValueError):
             LiftSpec.kernelized(3, 5, KernelSpec.rbf(1.0)).dim
 
-    def test_map_factory(self):
-        z = np.array([0.1, 0.2])
-        assert LiftSpec.identity(3).map_for(None).kind == "identity"
-        assert LiftSpec.linear(3, 2).map_for(z).kind == "linear"
-        spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
-        assert spec.map_for(z).kernel == spec.kernel
+    def test_context_columns(self):
+        Z = np.array([[0.1, 0.2], [0.3, -0.4]])
+        z = np.array([0.5, 0.5])
+        np.testing.assert_array_equal(LiftSpec.identity(3).context_column(Z, None), [1.0, 1.0])
+        np.testing.assert_array_equal(LiftSpec.linear(3, 2).context_column(Z, z), Z.dot(z))
+        k = KernelSpec.rbf(1.0)
+        np.testing.assert_array_equal(LiftSpec.kernelized(3, 2, k).context_column(Z, z), k.column(Z, z))

@@ -23,7 +23,6 @@ from .harness import (
     default_config,
     emit,
     read_results_csv,
-    results_from_rows,
     sweep,
 )
 
@@ -193,7 +192,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_best(args) -> int:
-    rows = results_from_rows(read_results_csv(args.input))
+    rows = read_results_csv(args.input)
     pairs = sorted({(r.alpha, r.xi) for r in rows})
     for alpha, xi in pairs:
         best = best_coefficients(rows, alpha=alpha, xi=xi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import gram_eigenvalues
+from .numkit import effective_dimension, gram_eigenvalues, log_det_ratio
 
 __all__ = [
     "Certificate",
@@ -272,7 +272,7 @@ def check_cei(trace: TraceSummary) -> Certificate:
     return _cert("cumulative_potential_bound", lhs, rhs)
 
 
-def check_epl(trace: TraceSummary, ridge: float | None = None) -> list[Certificate]:
+def check_epl(trace: TraceSummary) -> list[Certificate]:
     """Summed leverages against the Gram log-determinant.
 
     Returns the elliptical-potential inequality plus the exact identity
@@ -284,10 +284,7 @@ def check_epl(trace: TraceSummary, ridge: float | None = None) -> list[Certifica
             Certificate("elliptical_potential", 0.0, 0.0, DEFAULT_REL_TOL),
             Certificate("logdet_product_identity", 0.0, 0.0, 1e-6),
         ]
-    lam = trace.regularizer if ridge is None else ridge
-    if lam <= 0:
-        raise ValueError("ridge must be positive")
-    h_eig = float(np.sum(np.log1p(trace.gram_eigenvalues() / lam)))
+    h_eig = log_det_ratio(trace.gram_eigenvalues(), trace.regularizer)
     lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
     ident_err = abs(trace.logdet_from_leverage() - h_eig)
     return [
@@ -377,8 +374,8 @@ def check_instantiated_bound(trace: TraceSummary) -> list[Certificate]:
         raise ValueError(f"unknown model kind: {trace.model_kind!r}") from None
     lam = trace.regularizer
     opnorm = float(evals[-1])
-    h_eig = float(np.sum(np.log1p(evals / lam)))
-    deff = float(np.sum(evals / (evals + lam)))
+    h_eig = log_det_ratio(evals, lam)
+    deff = effective_dimension(evals, lam)
     cap = trace.horizon * trace.diameter**2 * factor
     return [
         _cert("logdet_effective_dim", h_eig, deff * (1.0 + math.log1p(opnorm / lam))),

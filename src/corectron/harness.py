@@ -281,18 +281,17 @@ def run_episode(
     params: dict,
     feedback: FeedbackModel,
     seed: int,
-    diag_level: str | None = None,
 ) -> tuple[RunResult, TraceSummary | None]:
     """Play one full episode and collect metrics.
 
-    ``diag_level`` "full" records per-round recomputed diagnostics and
-    the Gram matrix (subject to the storage cap) so the entire
-    certificate battery can run; "light" keeps only the O(T) scalars and
-    the always-on certificates; "off" skips tracing entirely.  Episodes
-    that produce non-finite numbers are reported with status "failed"
-    instead of aborting the sweep.
+    The config's diagnostics level "full" records per-round recomputed
+    diagnostics and the Gram matrix (subject to the storage cap) so the
+    entire certificate battery can run; "light" keeps only the O(T)
+    scalars and the always-on certificates; "off" skips tracing entirely.
+    Episodes that produce non-finite numbers are reported with status
+    "failed" instead of aborting the sweep.
     """
-    level = diag_level or config.resolved_diag_level()
+    level = config.resolved_diag_level()
     env = make_environment(config, feedback, seed)
     learner = build_learner(config, algorithm, params)
     actions = env.actions
@@ -341,6 +340,10 @@ def run_episode(
                 potential_direct[t] = learner.potential_direct()
                 post_leverage[t] = learner.post_round_leverage()
             if gram is not None:
+                # Rebuilt from the environment's contexts and the residuals
+                # seen here, not taken from the learner, so that the log-det
+                # product identity checks the learner's stored history and
+                # factor against an independent input path.
                 gram.append(*learner.lift_spec.gram_column(env.contexts[:t], residuals[:t], z, g))
                 residuals[t] = g
         if not np.isfinite(regret.sum()):
@@ -408,17 +411,11 @@ def run_episode(
 
 
 def _run_cell(args) -> RunResult:
-    config, algorithm, coefficient, params, feedback, seed, level = args
-    result, _ = run_episode(config, algorithm, coefficient, params, feedback, seed, level)
+    result, _ = run_episode(*args)
     return result
 
 
-def sweep(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    diag_level: str | None = None,
-    trace_hook=None,
-) -> list[RunResult]:
+def sweep(config: ExperimentConfig, jobs: int = 1, trace_hook=None) -> list[RunResult]:
     """Cartesian product over algorithms x coefficients x feedback x seeds.
 
     Cells are independent; with ``jobs > 1`` they run in worker processes
@@ -427,22 +424,19 @@ def sweep(
     e.g. to persist traces.  Failed cells are kept (status "failed") and
     the sweep continues.
     """
-    level = diag_level or config.resolved_diag_level()
     tasks = []
     for algorithm in config.algorithms:
         for coefficient in config.coef_grid:
             params = resolve_hyperparameters(config, algorithm, coefficient)
             for feedback in config.feedback_models:
                 for seed in config.seeds:
-                    tasks.append(
-                        (config, algorithm, coefficient, params, feedback, seed, level)
-                    )
+                    tasks.append((config, algorithm, coefficient, params, feedback, seed))
     if jobs > 1 and trace_hook is None and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_cell, tasks, chunksize=1))
     results = []
     for task in tasks:
-        result, trace = run_episode(*task[:6], diag_level=task[6])
+        result, trace = run_episode(*task)
         if trace_hook is not None:
             trace_hook(result, trace)
         results.append(result)
@@ -582,55 +576,26 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return d
 
 
-def read_results_csv(path) -> list[dict]:
-    """Parse an emitted CSV back into typed rows."""
-    if hasattr(path, "read"):
-        fh = path
-        close = False
-    else:
-        fh = open(path, newline="")
-        close = True
-    try:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(
-                {
-                    "setting": rec["setting"],
-                    "algorithm": rec["algorithm"],
-                    "coefficient": float(rec["coefficient"]),
-                    "seed": int(rec["seed"]),
-                    "alpha": float(rec["alpha"]),
-                    "xi": float(rec["xi"]),
-                    "T": int(rec["T"]),
-                    "final_regret": float(rec["final_regret"]),
-                    "runtime_seconds": float(rec["runtime_seconds"]),
-                    "projection_count": int(rec["projection_count"]),
-                }
-            )
-        return rows
-    finally:
-        if close:
-            fh.close()
+def read_results_csv(path) -> list[RunResult]:
+    """Parse an emitted CSV back into RunResults.
 
-
-def results_from_rows(rows: list[dict]) -> list[RunResult]:
-    """Reconstruct minimal RunResults from parsed CSV rows."""
-    out = []
-    for rec in rows:
-        out.append(
+    The CSV carries no loop-total time, so ``total_seconds`` is the
+    learner time.
+    """
+    with open(path, newline="") as fh:
+        return [
             RunResult(
                 setting=rec["setting"],
                 algorithm=rec["algorithm"],
-                coefficient=rec["coefficient"],
-                seed=rec["seed"],
-                alpha=rec["alpha"],
-                xi=rec["xi"],
-                horizon=rec["T"],
-                final_regret=rec["final_regret"],
-                runtime_seconds=rec["runtime_seconds"],
-                total_seconds=rec["runtime_seconds"],
-                projection_count=rec["projection_count"],
+                coefficient=float(rec["coefficient"]),
+                seed=int(rec["seed"]),
+                alpha=float(rec["alpha"]),
+                xi=float(rec["xi"]),
+                horizon=int(rec["T"]),
+                final_regret=float(rec["final_regret"]),
+                runtime_seconds=float(rec["runtime_seconds"]),
+                total_seconds=float(rec["runtime_seconds"]),
+                projection_count=int(rec["projection_count"]),
             )
-        )
-    return out
+            for rec in csv.DictReader(fh)
+        ]

@@ -73,12 +73,19 @@ def _potential_increment(lev: float, align: float) -> float:
 
 
 class _History:
-    """Growable store of (context, base residual) pairs."""
+    """Growable store of (context, base residual) pairs.
 
-    def __init__(self, context_dim: int, base_dim: int, capacity: int = 64):
-        self._Z = np.zeros((capacity, context_dim))
-        self._G = np.zeros((capacity, base_dim))
+    Also keeps the context column of the last context it was asked about,
+    so a kernel learner's ``predict`` and ``update`` at one context compute
+    it once; ``append`` drops it.
+    """
+
+    def __init__(self, lift_spec: LiftSpec, capacity: int = 64):
+        self._spec = lift_spec
+        self._Z = np.zeros((capacity, lift_spec.context_dim))
+        self._G = np.zeros((capacity, lift_spec.base_dim))
         self.size = 0
+        self._kcol: tuple[np.ndarray, np.ndarray] | None = None  # (z, column at z)
 
     @property
     def contexts(self) -> np.ndarray:
@@ -95,6 +102,13 @@ class _History:
         self._Z[self.size] = z
         self._G[self.size] = g
         self.size += 1
+        self._kcol = None
+
+    def context_column(self, z: np.ndarray) -> np.ndarray:
+        """The context factors of the stored contexts at ``z``."""
+        if self._kcol is None or not np.array_equal(self._kcol[0], z):
+            self._kcol = (z.copy(), self._spec.context_column(self.contexts, z))
+        return self._kcol[1]
 
 
 class CoRectron:
@@ -117,15 +131,10 @@ class CoRectron:
         self._inv = SpdInverse.from_ridge(d, regularizer)
         self._cum = np.zeros(d)
         self._potential = 0.0
-        self._rounds = 0
         self._last_lifted: np.ndarray | None = None
         # inv . cum, computed by predict and reused by update; None once
         # either factor has changed.
         self._pre: np.ndarray | None = None
-
-    @property
-    def rounds(self) -> int:
-        return self._rounds
 
     @property
     def cumulative_residual(self) -> np.ndarray:
@@ -136,13 +145,10 @@ class CoRectron:
             self._pre = self._inv.apply(self._cum)
         return self._pre
 
-    def predict_lifted(self) -> np.ndarray:
-        """Lifted prediction: minus the preconditioned cumulative residual."""
-        return -self._preconditioned_cum()
-
     def predict(self, z=None) -> np.ndarray:
+        # The lifted prediction is minus the preconditioned cumulative residual.
         z = self.lift_spec.check_context(z)
-        return adjoint_apply(self.lift_spec, z, self.predict_lifted())
+        return adjoint_apply(self.lift_spec, z, -self._preconditioned_cum())
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
@@ -153,7 +159,6 @@ class CoRectron:
         self._pre = None
         self._cum += g
         self._potential += _potential_increment(lev, align)
-        self._rounds += 1
         self._last_lifted = g
         return RoundDiagnostics(lev, align, self._potential, scale, False)
 
@@ -191,54 +196,30 @@ class CoRectronK:
         self._fwd_ones = np.empty(0)  # L^{-1} 1
         self._coef = np.empty(0)
         self._pivot = 0.0  # last diagonal entry of L
-        self._hist = _History(lift_spec.context_dim, lift_spec.base_dim)
-        # (z, context column of the history at z) from predict, reused by
-        # update at the same z; None once the history has changed.
-        self._kcol: tuple[np.ndarray, np.ndarray] | None = None
+        self._hist = _History(lift_spec)
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
         self._potential = 0.0
-        self._rounds = 0
-
-    @property
-    def rounds(self) -> int:
-        return self._rounds
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coef
-
-    @property
-    def gram_factor(self) -> CholFactor:
-        return self._chol
-
-    def _kernel_column(self, z: np.ndarray) -> np.ndarray:
-        """The history's context column at z, computed once per history and z."""
-        if self._kcol is None or not np.array_equal(self._kcol[0], z):
-            self._kcol = (z.copy(), self.lift_spec.context_column(self._hist.contexts, z))
-        return self._kcol[1]
 
     def predict(self, z) -> np.ndarray:
-        # The representer sum with weights -coefficients, keeping the
-        # kernel column for update.
+        # The representer sum with weights -coefficients; the history keeps
+        # the kernel column for update.
         z = self.lift_spec.check_context(z)
-        if self._rounds == 0:
+        if self._hist.size == 0:
             return np.zeros(self.lift_spec.base_dim)
-        return (-self._coef * self._kernel_column(z)).dot(self._hist.residuals)
+        return (-self._coef * self._hist.context_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
         col, rho = self.lift_spec.gram_column(
-            self._hist.contexts, self._hist.residuals, z, g, kcol=self._kernel_column(z)
+            self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
         )
         y, self._pivot = self._chol.extend(col, rho + self.regularizer)
         lev = (rho - float(y.dot(y))) / self.regularizer
-        align = float(self._coef.dot(col)) if self._rounds else 0.0
+        align = float(self._coef.dot(col)) if self._hist.size else 0.0
         scale = 1.0 + math.sqrt(max(rho, 0.0)) * math.sqrt(max(self._gram_total, 0.0))
         self._gram_total += 2.0 * float(col.sum()) + rho
         self._hist.append(z, g)
-        self._kcol = None
-        self._rounds += 1
         # The new row [y^T, pivot] of L extends L v = 1 by one entry.
         v_new = (1.0 - float(y.dot(self._fwd_ones))) / self._pivot
         self._fwd_ones = np.append(self._fwd_ones, v_new)
@@ -252,7 +233,7 @@ class CoRectronK:
         Follows from pairing the ridged system solved by the coefficient
         vector with the all-ones vector.
         """
-        return self._rounds - self.regularizer * float(self._coef.sum())
+        return self._hist.size - self.regularizer * float(self._coef.sum())
 
     def post_round_leverage(self) -> float:
         """Last diagonal entry of ``K (K + ridge I)^{-1}`` from the factor.
@@ -261,7 +242,7 @@ class CoRectronK:
         last entry of ``(L L^T)^{-1} e_t`` is ``(1 / pivot) / pivot``, the
         value the two dense triangular solves produce.
         """
-        if self._rounds == 0:
+        if self._hist.size == 0:
             raise RuntimeError("no update has been applied yet")
         return 1.0 - self.regularizer * ((1.0 / self._pivot) / self._pivot)
 
@@ -277,10 +258,6 @@ class OGD:
         self.lift_spec = lift_spec
         self.step_size = float(step_size)
         self._w = np.zeros(lift_spec.dim)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._w
 
     def predict(self, z=None) -> np.ndarray:
         z = self.lift_spec.check_context(z)
@@ -329,10 +306,6 @@ class ONS:
         self._inv = SpdInverse.from_ridge(d, ridge)
         self._w = np.zeros(d)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self._w
-
     def predict(self, z=None) -> np.ndarray:
         z = self.lift_spec.check_context(z)
         return adjoint_apply(self.lift_spec, z, self._w)
@@ -377,40 +350,30 @@ class KONS:
         self._scaled = GramMatrix()  # surrogate_scale^2 * gram + ridge * I
         self._chol = CholFactor()
         self._coef = np.empty(0)
-        self._hist = _History(lift_spec.context_dim, lift_spec.base_dim)
-        self._rounds = 0
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coef
+        self._hist = _History(lift_spec)
 
     def predict(self, z) -> np.ndarray:
-        # The representer sum with weights coefficients.
+        # The representer sum with weights coefficients; the history keeps
+        # the kernel column for update.
         z = self.lift_spec.check_context(z)
-        if self._rounds == 0:
+        if self._hist.size == 0:
             return np.zeros(self.lift_spec.base_dim)
-        kcol = self.lift_spec.context_column(self._hist.contexts, z)
-        return (self._coef * kcol).dot(self._hist.residuals)
-
-    def rkhs_norm_sq(self) -> float:
-        if self._rounds == 0:
-            return 0.0
-        c = self._coef
-        return float(c.dot(self._gram.entries[: c.size, : c.size].dot(c)))
+        return (self._coef * self._hist.context_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
-        col, rho = self.lift_spec.gram_column(self._hist.contexts, self._hist.residuals, z, g)
+        col, rho = self.lift_spec.gram_column(
+            self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
+        )
         s2 = self.surrogate_scale**2
         self._gram.append(col, rho)
         self._scaled.append(s2 * col, s2 * rho + self.ridge)
         _, pivot = self._chol.extend(s2 * col, s2 * rho + self.ridge)
         self._hist.append(z, g)
-        self._rounds += 1
         # (L L^T)^{-1} e_t, with L^{-1} e_t = e_t / pivot as L is lower
         # triangular.
-        e = np.zeros(self._rounds)
+        e = np.zeros(self._hist.size)
         e[-1] = 1.0 / pivot
         q = self._chol.backward(e)
         target = np.append(self._coef, 0.0) - (self.surrogate_scale / self.step_coeff) * q

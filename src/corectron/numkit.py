@@ -1,10 +1,12 @@
 """Dense symmetric linear-algebra primitives shared by all learners.
 
 Covers maintenance of a positive-definite inverse under rank-one updates,
-incremental Cholesky factorisation of a ridged Gram matrix, triangular
-solves, projections onto norm balls in a Mahalanobis metric, and the
-log-determinant / effective-dimension functionals used by the
-diagnostics layer.
+a packed incremental Cholesky factor of a ridged Gram matrix with its
+BLAS triangular solves, projections onto a Mahalanobis-weighted ball
+(one symmetric eigendecomposition) and onto an ellipsoid (one
+generalized symmetric eigendecomposition), and the clamped Gram
+eigenvalues with the log-determinant / effective-dimension functionals
+of them that the diagnostics layer certifies.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, eigh, solve_triangular
+from scipy.linalg import blas, eigh
 
 __all__ = [
     "DegenerateGramError",
@@ -251,12 +253,6 @@ class GramMatrix:
     def entries(self) -> np.ndarray:
         return self._buf[: self.size, : self.size]
 
-    def copy(self) -> "GramMatrix":
-        out = GramMatrix(self._buf.shape[0])
-        out._buf = self._buf.copy()
-        out.size = self.size
-        return out
-
     def append(self, col: np.ndarray, diag: float) -> None:
         """Add one point given its inner products with the existing ones."""
         col = _as_vector(col, self.size)
@@ -375,12 +371,12 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
 
     ``metric`` must be positive definite and ``shape`` positive
     semidefinite.  The optimum satisfies ``metric (c - point) +
-    theta * shape c = 0``; substituting the Cholesky factor ``metric =
-    L L^T`` turns the stationarity condition into a diagonal problem in
-    the eigenbasis of ``L^{-1} shape L^{-T}``, on which the multiplier is
-    found by the same safeguarded root-finding as the ball projection.
-    With ``shape = I`` this reduces exactly to
-    :func:`project_ball_mahalanobis`.
+    theta * shape c = 0``.  One generalized symmetric eigendecomposition
+    ``shape V = metric V diag(s)``, normalised so that ``V^T metric V =
+    I``, makes that condition diagonal: with ``b = V^T metric point`` the
+    optimum is ``V (b / (1 + theta * s))``, and the multiplier is found by
+    the same safeguarded root-finding as the ball projection.  With
+    ``shape = I`` this reduces exactly to :func:`project_ball_mahalanobis`.
     """
     point = _as_vector(point)
     if radius <= 0:
@@ -396,52 +392,37 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     if metric.shape != shape.shape:
         raise ValueError("metric and shape dimensions disagree")
     try:
-        L = np.linalg.cholesky(metric)
+        s, V = eigh(shape, metric, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError("metric must be positive definite") from exc
-    # M = L^{-1} shape L^{-T}, assembled with two triangular block solves.
-    W = solve_triangular(L, shape, lower=True, check_finite=False)
-    M = solve_triangular(L, W.T, lower=True, check_finite=False)
-    M = 0.5 * (M + M.T)
-    s, Q = np.linalg.eigh(M)
     s = np.clip(s, 0.0, None)
-    b = L.T.dot(point)
-    bt = Q.T.dot(b)
-    num = s * bt * bt
-    theta = _radius_multiplier(num, 1.0, s, radius, 1.0)
-    v = Q.dot(bt / (1.0 + theta * s))
-    c = solve_triangular(L, v, lower=True, trans=1, check_finite=False)
+    b = V.T.dot(metric.dot(point))
+    theta = _radius_multiplier(s * b * b, 1.0, s, radius, 1.0)
+    c = V.dot(b / (1.0 + theta * s))
     return ProjectionResult(c, theta, False)
 
 
-def _gram_entries(gram) -> np.ndarray:
-    if isinstance(gram, GramMatrix):
-        return gram.entries
-    return _as_square(gram)
-
-
 def gram_eigenvalues(gram) -> np.ndarray:
-    """Ascending eigenvalues of a positive-semidefinite ``K``.
+    """Ascending eigenvalues of a positive-semidefinite matrix ``K``.
 
     Eigenvalues that dip slightly negative (near-duplicate residuals) are
     clamped to zero.
     """
-    K = _require_symmetric(_gram_entries(gram), "gram matrix")
+    K = _require_symmetric(_as_square(gram), "gram matrix")
     if K.size == 0:
         return np.empty(0)
     return np.clip(np.linalg.eigvalsh(K), 0.0, None)
 
 
-def log_det_ratio(gram, ridge: float) -> float:
-    """``log det(I + K / ridge)`` for a positive-semidefinite ``K``."""
+def log_det_ratio(evals: np.ndarray, ridge: float) -> float:
+    """``log det(I + K / ridge)`` from the clamped eigenvalues of ``K``."""
     if ridge <= 0:
         raise ValueError("ridge must be positive")
-    return float(np.sum(np.log1p(gram_eigenvalues(gram) / ridge)))
+    return float(np.sum(np.log1p(evals / ridge)))
 
 
-def effective_dimension(gram, ridge: float) -> float:
-    """``trace(K (K + ridge I)^{-1})`` via the eigenvalues of ``K``."""
+def effective_dimension(evals: np.ndarray, ridge: float) -> float:
+    """``trace(K (K + ridge I)^{-1})`` from the clamped eigenvalues of ``K``."""
     if ridge <= 0:
         raise ValueError("ridge must be positive")
-    evals = gram_eigenvalues(gram)
     return float(np.sum(evals / (evals + ridge)))

@@ -19,7 +19,7 @@ from corectron.diagnostics import (
 )
 from corectron.environment import FeedbackModel
 from corectron.harness import default_config, resolve_hyperparameters, run_episode
-from corectron.numkit import effective_dimension, log_det_ratio
+from corectron.numkit import effective_dimension, gram_eigenvalues, log_det_ratio
 
 
 def run_trace(setting="linear", algorithm="corectron_l", T=120, coefficient=1.0,
@@ -184,8 +184,9 @@ class TestOnRealRuns:
         _, trace = run_trace(setting="kernel", algorithm="corectron_k", T=60)
         trace = TraceSummary.from_dict(trace.to_dict())
         lam = trace.regularizer
-        h_eig = log_det_ratio(trace.gram, lam)
-        deff = effective_dimension(trace.gram, lam)
+        evals = gram_eigenvalues(trace.gram)
+        h_eig = log_det_ratio(evals, lam)
+        deff = effective_dimension(evals, lam)
         opnorm = float(np.clip(np.linalg.eigvalsh(trace.gram), 0.0, None)[-1])
         eigvalsh = np.linalg.eigvalsh
         calls = []

@@ -206,7 +206,7 @@ class TestRunEpisode:
         assert np.any(trace.gram != 0.0)
         np.testing.assert_allclose(trace.gram, dense, rtol=1e-12, atol=1e-14)
         if algorithm == "corectron_k":
-            L = learners[0].gram_factor.L
+            L = learners[0]._chol.L
             ridged = trace.gram + learners[0].regularizer * np.eye(40)
             np.testing.assert_allclose(L.dot(L.T), ridged, rtol=1e-12, atol=1e-12)
 
@@ -331,9 +331,9 @@ class TestEmit:
         parsed = read_results_csv(paths["csv"])
         assert len(parsed) == len(rows)
         for rec, row in zip(parsed, rows):
-            assert rec["final_regret"] == row.final_regret  # full precision
-            assert rec["coefficient"] == row.coefficient
-            assert rec["projection_count"] == row.projection_count
+            assert rec.final_regret == row.final_regret  # full precision
+            assert rec.coefficient == row.coefficient
+            assert rec.projection_count == row.projection_count
 
     def test_report_embeds_certificates(self, tmp_path):
         config = tiny_config(horizon=20, algorithms=("corectron_l",),

@@ -14,20 +14,56 @@ def unit_context(rng, p):
     return z / max(1.0, np.linalg.norm(z))
 
 
+def rkhs_norm_sq(learner: KONS) -> float:
+    c = learner._coef
+    return float(c.dot(learner._gram.entries.dot(c)))
+
+
+def check_kernel_column_reuse(monkeypatch, make, sign):
+    """``update`` after ``predict`` at an equal context reuses its kernel
+    column, and its result is the same as without the ``predict``.
+
+    ``sign`` is the sign of the representer weights: the prediction is
+    ``(sign * coefficients * kcol) . residuals``.
+    """
+    rng = np.random.default_rng(14)
+    spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
+    asked, silent = make(spec), make(spec)
+    column = KernelSpec.column
+    calls = []
+    monkeypatch.setattr(KernelSpec, "column", lambda self, Z, z: calls.append(z) or column(self, Z, z))
+    for t in range(30):
+        z, g = unit_context(rng, 2), rng.standard_normal(3)
+        calls.clear()
+        if t % 3 == 1:
+            asked.predict(z)
+        elif t % 3 == 2:
+            asked.predict(unit_context(rng, 2))  # another context: no reuse
+        diag = asked.update(z, g)
+        if t % 3 == 1:
+            assert len(calls) == 1  # one kernel column for predict and update
+        np.testing.assert_equal(diag, silent.update(z, g))  # NaN-filled for KONS
+        np.testing.assert_array_equal(asked._coef, silent._coef)
+        w = asked.predict(z)
+        np.testing.assert_array_equal(w, silent.predict(z))
+        kcol = spec.context_column(asked._hist.contexts, z)
+        np.testing.assert_array_equal(w, (sign * asked._coef * kcol).dot(asked._hist.residuals))
+
+
 class TestCoRectron:
     def test_fresh_prediction_is_zero(self):
         learner = CoRectron(LiftSpec.identity(3), 1.0)
-        np.testing.assert_array_equal(learner.predict_lifted(), np.zeros(3))
+        np.testing.assert_array_equal(learner.predict(), np.zeros(3))
 
     def test_prediction_after_one_residual(self):
         learner = CoRectron(LiftSpec.identity(2), 1.0)
         learner.update(None, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(learner.predict_lifted(), [-0.5, 0.0], atol=1e-14)
+        np.testing.assert_allclose(learner.predict(), [-0.5, 0.0], atol=1e-14)
 
     def test_prediction_after_one_residual_ridge_two(self):
         learner = CoRectron(LiftSpec.identity(2), 2.0)
         learner.update(None, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(learner.predict_lifted(), [-0.25, -0.25], atol=1e-14)
+        np.testing.assert_allclose(learner.predict(), [-0.25, -0.25], atol=1e-14)
 
     def test_first_round_diagnostics(self):
         learner = CoRectron(LiftSpec.identity(2), 1.0)
@@ -39,13 +75,13 @@ class TestCoRectron:
     def test_zero_residual_is_noop(self):
         learner = CoRectron(LiftSpec.identity(2), 1.0)
         learner.update(None, np.array([1.0, 0.5]))
-        before = learner.predict_lifted().copy()
+        before = learner.predict().copy()
         pot = learner.update(None, np.zeros(2)).potential
         diag = learner.update(None, np.zeros(2))
         assert diag.leverage == 0.0
         assert diag.alignment == 0.0
         assert diag.potential == pot
-        np.testing.assert_array_equal(learner.predict_lifted(), before)
+        np.testing.assert_array_equal(learner.predict(), before)
 
     def test_rejects_kernel_lift(self):
         with pytest.raises(ValueError):
@@ -113,8 +149,8 @@ class TestCoRectronK:
         pot = learner.potential_direct()
         diag = learner.update(z, np.zeros(3))
         assert diag.leverage == 0.0
-        assert learner.gram_factor.L[-1, -1] == pytest.approx(np.sqrt(lam))
-        assert learner.coefficients[-1] == pytest.approx(1.0 / lam)
+        assert learner._chol.L[-1, -1] == pytest.approx(np.sqrt(lam))
+        assert learner._coef[-1] == pytest.approx(1.0 / lam)
         np.testing.assert_allclose(learner.predict(z), before, atol=1e-12)
         assert learner.potential_direct() == pytest.approx(pot, abs=1e-12)
 
@@ -136,26 +172,11 @@ class TestCoRectronK:
             ]
         )
         c = np.linalg.solve(K + 0.9 * np.eye(len(hist)), np.ones(len(hist)))
-        np.testing.assert_allclose(learner.coefficients, c, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(learner._coef, c, rtol=1e-8, atol=1e-10)
 
-    def test_update_same_with_or_without_predict(self):
+    def test_update_same_with_or_without_predict(self, monkeypatch):
         # update reuses the kernel column predict computed at the same context
-        rng = np.random.default_rng(14)
-        spec = self.kernel_spec()
-        asked, silent = CoRectronK(spec, 0.5), CoRectronK(spec, 0.5)
-        for t in range(30):
-            z, g = unit_context(rng, 2), rng.standard_normal(3)
-            if t % 3 == 1:
-                asked.predict(z)
-            elif t % 3 == 2:
-                asked.predict(unit_context(rng, 2))  # another context: no reuse
-            assert asked.update(z, g) == silent.update(z, g)
-            np.testing.assert_array_equal(asked.coefficients, silent.coefficients)
-            w = asked.predict(z)
-            np.testing.assert_array_equal(w, silent.predict(z))
-            # the representer sum with weights -coefficients
-            kcol = spec.context_column(asked._hist.contexts, z)
-            np.testing.assert_array_equal(w, (-asked.coefficients * kcol).dot(asked._hist.residuals))
+        check_kernel_column_reuse(monkeypatch, lambda spec: CoRectronK(spec, 0.5), -1.0)
 
 
 # Hostile kernel streams: per round, a fresh context or a near-duplicate
@@ -196,7 +217,7 @@ def run_kernel_stream(stream, check):
         learner.update(z, g)
         hist.append((z.copy(), g.copy()))
         K = np.array([[spec.kernel.value(zs, zt) * gs.dot(gt) for zt, gt in hist] for zs, gs in hist])
-        L = learner.gram_factor.L
+        L = learner._chol.L
         y, pivot = L[t, :t], L[t, t]
         diag = K[t, t] + lam
         took = abs(pivot * pivot + y.dot(y) - diag) > 0.5 * JITTER_REL * diag
@@ -219,7 +240,7 @@ class TestPackedFactorInLearners:
 
         def check(learner, M):
             n = M.shape[0]
-            L = learner.gram_factor.L
+            L = learner._chol.L
             cond = np.linalg.cond(M)
             ref = np.linalg.cholesky(M)
             assert np.abs(L - ref).max() <= 1e-12 * cond * np.abs(ref).max()
@@ -227,7 +248,7 @@ class TestPackedFactorInLearners:
             v = learner._fwd_ones
             assert np.abs(v - fresh).max() <= 1e-12 * np.linalg.cond(L) * np.abs(fresh).max()
             c = np.linalg.solve(M, np.ones(n))
-            assert np.abs(learner.coefficients - c).max() <= 1e-12 * cond * np.abs(c).max()
+            assert np.abs(learner._coef - c).max() <= 1e-12 * cond * np.abs(c).max()
             post = 1.0 - lam * np.linalg.inv(M)[-1, -1]
             assert abs(learner.post_round_leverage() - post) <= 1e-12 * cond
 
@@ -309,38 +330,38 @@ class TestOGD:
     def test_zero_gradient_noop(self):
         learner = OGD(LiftSpec.identity(2), 0.5)
         learner.update(None, np.zeros(2))
-        np.testing.assert_array_equal(learner.weights, np.zeros(2))
+        np.testing.assert_array_equal(learner._w, np.zeros(2))
 
     def test_interior_step(self):
         learner = OGD(LiftSpec.identity(2), 0.5)
         learner.update(None, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(learner.weights, [-0.5, 0.0])
+        np.testing.assert_allclose(learner._w, [-0.5, 0.0])
 
     def test_clipped_to_boundary(self):
         learner = OGD(LiftSpec.identity(2), 1.0)
         learner._w = np.array([0.9, 0.0])
         learner.update(None, np.array([-1.0, 0.0]))
-        np.testing.assert_allclose(learner.weights, [1.0, 0.0])
+        np.testing.assert_allclose(learner._w, [1.0, 0.0])
 
     def test_norm_invariant(self):
         rng = np.random.default_rng(9)
         learner = OGD(LiftSpec.identity(4), 2.0)
         for _ in range(100):
             learner.update(None, rng.standard_normal(4))
-            assert np.linalg.norm(learner.weights) <= 1.0 + 1e-12
+            assert np.linalg.norm(learner._w) <= 1.0 + 1e-12
 
 
 class TestONS:
     def test_zero_gradient_noop(self):
         learner = ONS(LiftSpec.identity(2), ridge=1.0)
         diag = learner.update(None, np.zeros(2))
-        np.testing.assert_array_equal(learner.weights, np.zeros(2))
+        np.testing.assert_array_equal(learner._w, np.zeros(2))
         assert not diag.projected
 
     def test_scalar_example(self):
         learner = ONS(LiftSpec.identity(1), ridge=1.0, surrogate_scale=1.0, step_coeff=0.5)
         diag = learner.update(None, np.array([0.1]))
-        assert learner.weights[0] == pytest.approx(-0.2 / 1.01)
+        assert learner._w[0] == pytest.approx(-0.2 / 1.01)
         assert not diag.projected
 
     def test_forced_projection_hits_boundary(self):
@@ -350,14 +371,14 @@ class TestONS:
             diag = learner.update(None, np.array([1.0, 0.0]))
             projected = projected or diag.projected
         assert projected
-        assert np.linalg.norm(learner.weights) <= 1.0 + 1e-9
+        assert np.linalg.norm(learner._w) <= 1.0 + 1e-9
 
     def test_norm_invariant(self):
         rng = np.random.default_rng(10)
         learner = ONS(LiftSpec.identity(3), ridge=0.5)
         for _ in range(150):
             learner.update(None, rng.standard_normal(3) * 0.6)
-            assert np.linalg.norm(learner.weights) <= 1.0 + 1e-9
+            assert np.linalg.norm(learner._w) <= 1.0 + 1e-9
 
 
 class TestKONS:
@@ -369,7 +390,7 @@ class TestKONS:
         diag = learner.update(np.zeros(2), np.zeros(3))
         assert not diag.projected
         np.testing.assert_array_equal(learner.predict(np.zeros(2)), np.zeros(3))
-        assert learner.rkhs_norm_sq() == 0.0
+        assert rkhs_norm_sq(learner) == 0.0
 
     def test_feasible_step_not_flagged(self):
         rng = np.random.default_rng(11)
@@ -385,8 +406,12 @@ class TestKONS:
             z = unit_context(rng, 2)
             diag = learner.update(z, rng.standard_normal(3))
             saw_projection = saw_projection or diag.projected
-            assert learner.rkhs_norm_sq() <= 1.0 + 1e-9
+            assert rkhs_norm_sq(learner) <= 1.0 + 1e-9
         assert saw_projection
+
+    def test_update_same_with_or_without_predict(self, monkeypatch):
+        # the history's kernel-column cache, shared with CoRectronK
+        check_kernel_column_reuse(monkeypatch, lambda spec: KONS(spec, ridge=0.05, surrogate_scale=1.0), 1.0)
 
     def test_matches_explicit_ons_on_dot_kernel(self):
         # agreement holds on streams where the ball constraint never binds

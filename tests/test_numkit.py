@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from corectron.learners import ONS
 from corectron.lifting import LiftSpec
 from corectron.numkit import (
     CholFactor,
     JITTER_REL,
+    TRIVIAL_SLACK,
     DegenerateGramError,
     GramMatrix,
     SpdInverse,
+    _radius_multiplier,
     effective_dimension,
+    gram_eigenvalues,
     log_det_ratio,
     project_ball_mahalanobis,
     project_ellipsoid_coeff,
@@ -497,7 +501,68 @@ def pgd_oracle_ellipsoid(metric, shape, point, radius, steps=60_000):
     return c
 
 
+def reference_project_ellipsoid(metric, shape, point, radius):
+    """Dense reference for :func:`project_ellipsoid_coeff` through the
+    Cholesky factor ``metric = L L^T``: two triangular block solves give
+    ``M = L^{-1} shape L^{-T}``, its eigenbasis makes the stationarity
+    condition diagonal, and a back-solve maps the optimum back.  It shares
+    only the multiplier root-finder with the library."""
+    if np.sqrt(max(float(point.dot(shape.dot(point))), 0.0)) <= radius * (1.0 + TRIVIAL_SLACK):
+        return point.copy()
+    L = np.linalg.cholesky(metric)
+    W = solve_triangular(L, shape, lower=True)
+    M = solve_triangular(L, W.T, lower=True)
+    s, Q = np.linalg.eigh(0.5 * (M + M.T))
+    s = np.clip(s, 0.0, None)
+    bt = Q.T.dot(L.T.dot(point))
+    theta = _radius_multiplier(s * bt * bt, 1.0, s, radius, 1.0)
+    return solve_triangular(L, Q.dot(bt / (1.0 + theta * s)), lower=True, trans=1)
+
+
+# (size, rank of shape, point's shape-norm over the radius, seed): shapes
+# full-rank and rank-deficient, points inside and outside the ellipsoid.
+ellipsoid_cases = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, n),
+        st.sampled_from([0.3, 0.999, 1.001, 2.0, 50.0]),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
 class TestProjectEllipsoid:
+    @settings(deadline=None, max_examples=60)
+    @given(ellipsoid_cases)
+    def test_matches_cholesky_reference(self, case):
+        n, rank, ratio, seed = case
+        rng = np.random.default_rng(seed)
+        metric = random_spd(rng, n, spread=float(rng.uniform(0.1, 30.0)))
+        feats = rng.standard_normal((n, rank)) * rng.uniform(0.1, 3.0)
+        shape = feats.dot(feats.T)
+        radius = float(rng.uniform(0.3, 2.0))
+        point = rng.standard_normal(n)
+        norm = np.sqrt(float(point.dot(shape.dot(point))))
+        if norm > 0.0:
+            point *= ratio * radius / norm
+            norm = np.sqrt(float(point.dot(shape.dot(point))))
+        out = project_ellipsoid_coeff(metric, shape, point, radius)
+        ref = reference_project_ellipsoid(metric, shape, point, radius)
+        assert np.abs(out.point - ref).max() <= 1e-9 * np.abs(ref).max()
+        val = np.sqrt(max(float(out.point.dot(shape.dot(out.point))), 0.0))
+        assert val <= radius * (1.0 + 1e-9)
+        assert out.trivial == (norm <= radius * (1.0 + TRIVIAL_SLACK))
+        if out.trivial:
+            np.testing.assert_array_equal(out.point, point)
+        else:
+            assert val == pytest.approx(radius, rel=1e-9)
+            assert out.multiplier > 0.0
+
+    def test_non_spd_metric_rejected(self):
+        bad = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError):
+            project_ellipsoid_coeff(bad, np.eye(2), np.array([3.0, 3.0]), 1.0)
+
     def test_feasible_point_is_trivial(self):
         shape = np.diag([1.0, 4.0])
         out = project_ellipsoid_coeff(np.eye(2), shape, np.array([0.1, 0.1]), 1.0)
@@ -547,21 +612,22 @@ class TestProjectEllipsoid:
 
 class TestSpectralFunctionals:
     def test_zero_matrix(self):
-        assert log_det_ratio(np.zeros((4, 4)), 2.0) == 0.0
-        assert effective_dimension(np.zeros((4, 4)), 2.0) == 0.0
+        evals = gram_eigenvalues(np.zeros((4, 4)))
+        assert log_det_ratio(evals, 2.0) == 0.0
+        assert effective_dimension(evals, 2.0) == 0.0
 
     def test_single_eigenvalue_equal_to_ridge(self):
-        assert log_det_ratio(np.array([[2.5]]), 2.5) == pytest.approx(np.log(2.0))
+        assert log_det_ratio(gram_eigenvalues(np.array([[2.5]])), 2.5) == pytest.approx(np.log(2.0))
 
     def test_diagonal_closed_form(self):
         sig = np.array([0.3, 1.0, 4.2, 9.9])
         lam = 1.7
         expect = float(np.sum(np.log1p(sig / lam)))
-        assert log_det_ratio(np.diag(sig), lam) == pytest.approx(expect, rel=1e-12)
+        assert log_det_ratio(gram_eigenvalues(np.diag(sig)), lam) == pytest.approx(expect, rel=1e-12)
 
     def test_effective_dimension_ridge_identity(self):
         T = 6
-        assert effective_dimension(np.eye(T) * 3.0, 3.0) == pytest.approx(T / 2.0)
+        assert effective_dimension(gram_eigenvalues(np.eye(T) * 3.0), 3.0) == pytest.approx(T / 2.0)
 
     def test_effective_dimension_direct_solve(self):
         rng = np.random.default_rng(10)
@@ -569,18 +635,18 @@ class TestSpectralFunctionals:
         K = vecs.dot(vecs.T)
         lam = 0.9
         direct = float(np.trace(K.dot(np.linalg.inv(K + lam * np.eye(8)))))
-        assert effective_dimension(K, lam) == pytest.approx(direct, abs=1e-10)
+        assert effective_dimension(gram_eigenvalues(K), lam) == pytest.approx(direct, abs=1e-10)
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
-            log_det_ratio(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
+            gram_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_gram_matrix_container(self):
         g = GramMatrix()
         g.append(np.empty(0), 2.0)
         g.append(np.array([1.0]), 3.0)
         np.testing.assert_allclose(g.entries, [[2.0, 1.0], [1.0, 3.0]])
-        assert log_det_ratio(g, 1.0) > 0
+        assert log_det_ratio(gram_eigenvalues(g.entries), 1.0) > 0
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -590,9 +656,10 @@ class TestSpectralFunctionals:
         vecs = rng.standard_normal((t, rank))
         K = vecs.dot(vecs.T)
         lam = float(rng.uniform(0.1, 5.0))
-        lhs = log_det_ratio(K, lam)
+        evals = gram_eigenvalues(K)
+        lhs = log_det_ratio(evals, lam)
         opnorm = float(np.clip(np.linalg.eigvalsh(K), 0, None)[-1])
-        rhs = effective_dimension(K, lam) * (1.0 + np.log1p(opnorm / lam))
+        rhs = effective_dimension(evals, lam) * (1.0 + np.log1p(opnorm / lam))
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
@@ -606,5 +673,5 @@ def test_leverage_product_matches_gram_determinant():
     for g in vecs:
         log_prod += np.log1p(state.rank_one_update(g))
     K = vecs.dot(vecs.T)
-    logdet = log_det_ratio(K, ridge)
+    logdet = log_det_ratio(gram_eigenvalues(K), ridge)
     assert abs(log_prod - logdet) < 1e-6

@@ -38,9 +38,7 @@ from .numkit import (
     GramMatrix,
     ProjectionResult,
     SpdInverse,
-    effective_dimension,
     gram_eigenvalues,
-    log_det_ratio,
     project_ball_mahalanobis,
     project_ellipsoid_coeff,
 )

@@ -144,7 +144,7 @@ def _cmd_run(args) -> int:
     traces = {}
 
     def hook(result, trace):
-        if args.save_traces and trace is not None:
+        if trace is not None:
             key = (
                 f"{result.algorithm}_c{result.coefficient:g}_s{result.seed}"
                 f"_a{result.alpha:g}_x{result.xi:g}"
@@ -155,7 +155,7 @@ def _cmd_run(args) -> int:
         rows = sweep(
             config,
             jobs=args.jobs,
-            trace_hook=hook if (args.save_traces or args.jobs == 1) else None,
+            trace_hook=hook if args.save_traces else None,
         )
     paths = emit(rows, args.out, config=config, traces=traces if traces else None)
 

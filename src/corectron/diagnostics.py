@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numkit import effective_dimension, gram_eigenvalues, log_det_ratio
+from .numkit import gram_eigenvalues
 
 __all__ = [
     "Certificate",
@@ -25,11 +25,10 @@ __all__ = [
     "check_increment_identity",
     "check_post_leverage_identity",
     "check_cei",
-    "check_epl",
+    "check_gram_spectrum",
     "check_main_bound",
     "check_self_bounding",
     "check_robust_bound",
-    "check_instantiated_bound",
     "check_potential_crosscheck",
     "standard_certificates",
 ]
@@ -110,8 +109,6 @@ class TraceSummary:
     # lifted space (reference runs under model mismatch); the
     # comparator-dependent bounds are then not applicable.
     comparator_in_span: bool = True
-    # (gram, its clamped eigenvalues), shared by the spectral checks.
-    _gram_evals: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- derived quantities -------------------------------------------------
 
@@ -125,17 +122,6 @@ class TraceSummary:
         """Log-determinant of the ridged Gram system via the exact
         product identity over per-round leverages."""
         return float(np.sum(np.log1p(self.leverage)))
-
-    def gram_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the stored Gram matrix, clamped at zero.
-
-        Computed once per Gram array and shared by the spectral checks.
-        """
-        if self.gram is None:
-            raise ValueError("trace has no stored Gram matrix")
-        if self._gram_evals is None or self._gram_evals[0] is not self.gram:
-            self._gram_evals = (self.gram, gram_eigenvalues(self.gram))
-        return self._gram_evals[1]
 
     def comparator_metric_norm(self) -> float:
         """Norm of the hidden utility under the final preconditioner.
@@ -151,69 +137,28 @@ class TraceSummary:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
-        return {
-            "algorithm": self.algorithm,
-            "model_kind": self.model_kind,
-            "regularizer": self.regularizer,
-            "horizon": self.horizon,
-            "base_dim": self.base_dim,
-            "context_dim": self.context_dim,
-            "bound_payoff": self.bound_payoff,
-            "diameter": self.diameter,
-            "context_bound": self.context_bound,
-            "kernel_bound": self.kernel_bound,
-            "comparator_norm": self.comparator_norm,
-            "leverage": arr(self.leverage),
-            "alignment": arr(self.alignment),
-            "alignment_scale": arr(self.alignment_scale),
-            "potential": arr(self.potential),
-            "regret": arr(self.regret),
-            "subopt": arr(self.subopt),
-            "projected": arr(self.projected.astype(int)),
-            "final_potential_direct": self.final_potential_direct,
-            "potential_direct": arr(self.potential_direct),
-            "post_leverage": arr(self.post_leverage),
-            "gram": arr(self.gram),
-            "gram_capped": self.gram_capped,
-            "residual_regret": self.residual_regret,
-            "comparator_in_span": self.comparator_in_span,
-        }
+        """JSON-ready fields; arrays as lists, ``projected`` as 0/1."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = (value.astype(int) if value.dtype == bool else value).tolist()
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceSummary":
-        def arr(x):
-            return None if x is None else np.asarray(x, dtype=float)
-
-        return cls(
-            algorithm=d["algorithm"],
-            model_kind=d["model_kind"],
-            regularizer=d["regularizer"],
-            horizon=d["horizon"],
-            base_dim=d["base_dim"],
-            context_dim=d["context_dim"],
-            bound_payoff=d["bound_payoff"],
-            diameter=d["diameter"],
-            context_bound=d["context_bound"],
-            kernel_bound=d["kernel_bound"],
-            comparator_norm=d["comparator_norm"],
-            leverage=arr(d["leverage"]),
-            alignment=arr(d["alignment"]),
-            alignment_scale=arr(d["alignment_scale"]),
-            potential=arr(d["potential"]),
-            regret=arr(d["regret"]),
-            subopt=arr(d["subopt"]),
-            projected=np.asarray(d["projected"], dtype=bool),
-            final_potential_direct=d["final_potential_direct"],
-            potential_direct=arr(d.get("potential_direct")),
-            post_leverage=arr(d.get("post_leverage")),
-            gram=arr(d.get("gram")),
-            gram_capped=d.get("gram_capped", False),
-            residual_regret=d.get("residual_regret"),
-            comparator_in_span=d.get("comparator_in_span", True),
-        )
+        """Inverse of :meth:`to_dict`.  Absent optional keys take their
+        field defaults; unknown keys (such as the retired ``extras``) are
+        ignored."""
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d:
+                value = d[f.name]
+                if isinstance(value, list):
+                    value = np.asarray(value, dtype=bool if f.name == "projected" else float)
+                kwargs[f.name] = value
+        return cls(**kwargs)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -270,27 +215,6 @@ def check_cei(trace: TraceSummary) -> Certificate:
     rhs = float(np.sum(trace.leverage / (1.0 + trace.leverage))) if trace.horizon else 0.0
     lhs = trace.final_potential_direct if trace.horizon else 0.0
     return _cert("cumulative_potential_bound", lhs, rhs)
-
-
-def check_epl(trace: TraceSummary) -> list[Certificate]:
-    """Summed leverages against the Gram log-determinant.
-
-    Returns the elliptical-potential inequality plus the exact identity
-    tying the per-round leverage product to the determinant of the
-    ridged Gram matrix, evaluated in the log domain.
-    """
-    if trace.horizon == 0:
-        return [
-            Certificate("elliptical_potential", 0.0, 0.0, DEFAULT_REL_TOL),
-            Certificate("logdet_product_identity", 0.0, 0.0, 1e-6),
-        ]
-    h_eig = log_det_ratio(trace.gram_eigenvalues(), trace.regularizer)
-    lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
-    ident_err = abs(trace.logdet_from_leverage() - h_eig)
-    return [
-        _cert("elliptical_potential", lhs, h_eig),
-        Certificate("logdet_product_identity", ident_err, 0.0, 1e-6),
-    ]
 
 
 def check_main_bound(trace: TraceSummary) -> Certificate:
@@ -354,30 +278,43 @@ _MODEL_FACTORS = {
 }
 
 
-def check_instantiated_bound(trace: TraceSummary) -> list[Certificate]:
-    """Model-specific control of the log-determinant.
+def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:
+    """Certificates of the stored Gram matrix, from one eigendecomposition.
 
-    Certifies that the log-determinant is bounded by the effective
-    dimension times one plus the log of one plus the Gram operator norm
-    over the ridge, and that the operator norm itself respects the
-    horizon-times-squared-diameter envelope of the active model.
+    With ``H = log det(I + K / ridge)``: the elliptical-potential
+    inequality (summed post-update leverages at most ``H``); the exact
+    identity tying the per-round leverage product to ``H``, in the log
+    domain; ``H`` at most the effective dimension times one plus the log
+    of one plus the Gram operator norm over the ridge; and the operator
+    norm within the horizon-times-squared-diameter envelope of the
+    active model.
     """
     if trace.horizon == 0:
         return [
+            Certificate("elliptical_potential", 0.0, 0.0, DEFAULT_REL_TOL),
+            Certificate("logdet_product_identity", 0.0, 0.0, 1e-6),
             Certificate("logdet_effective_dim", 0.0, 0.0, DEFAULT_REL_TOL),
             Certificate("gram_operator_norm", 0.0, 0.0, DEFAULT_REL_TOL),
         ]
-    evals = trace.gram_eigenvalues()
+    if trace.gram is None:
+        raise ValueError("trace has no stored Gram matrix")
+    lam = trace.regularizer
+    if lam <= 0:
+        raise ValueError("regularizer must be positive")
     try:
         factor = _MODEL_FACTORS[trace.model_kind](trace)
     except KeyError:
         raise ValueError(f"unknown model kind: {trace.model_kind!r}") from None
-    lam = trace.regularizer
+    evals = gram_eigenvalues(trace.gram)
+    h_eig = float(np.sum(np.log1p(evals / lam)))
+    deff = float(np.sum(evals / (evals + lam)))
     opnorm = float(evals[-1])
-    h_eig = log_det_ratio(evals, lam)
-    deff = effective_dimension(evals, lam)
+    lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
+    ident_err = abs(trace.logdet_from_leverage() - h_eig)
     cap = trace.horizon * trace.diameter**2 * factor
     return [
+        _cert("elliptical_potential", lhs, h_eig),
+        Certificate("logdet_product_identity", ident_err, 0.0, 1e-6),
         _cert("logdet_effective_dim", h_eig, deff * (1.0 + math.log1p(opnorm / lam))),
         _cert("gram_operator_norm", opnorm, cap),
     ]
@@ -412,8 +349,7 @@ def standard_certificates(trace: TraceSummary) -> tuple[list[Certificate], list[
         skipped.append("leverage_update_identity")
     certs.append(check_cei(trace))
     if trace.gram is not None or trace.horizon == 0:
-        certs.extend(check_epl(trace))
-        certs.extend(check_instantiated_bound(trace))
+        certs.extend(check_gram_spectrum(trace))
     else:
         skipped.extend(
             ["elliptical_potential", "logdet_product_identity",

@@ -17,7 +17,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -533,7 +533,7 @@ def emit(
             writer.writerow(r.csv_row())
 
     report = {
-        "config": _config_dict(config) if config is not None else None,
+        "config": asdict(config) if config is not None else None,
         "summary": aggregate_results(rows) if rows else [],
         "results": [r.to_dict() for r in rows],
         "certificates_failed": sum(
@@ -553,27 +553,6 @@ def emit(
             trace.save(path)
         paths["traces"] = trace_dir
     return paths
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    d = {
-        "setting": config.setting,
-        "algorithms": list(config.algorithms),
-        "items": config.items,
-        "pick": config.pick,
-        "context_dim": config.context_dim,
-        "horizon": config.horizon,
-        "centers": config.centers,
-        "bandwidth": config.bandwidth,
-        "seeds": list(config.seeds),
-        "coef_grid": list(config.coef_grid),
-        "feedback_models": [
-            {"kind": f.kind, "alpha": f.alpha, "xi": f.xi} for f in config.feedback_models
-        ],
-        "diag_cap": config.diag_cap,
-        "diag_level": config.diag_level,
-    }
-    return d
 
 
 def read_results_csv(path) -> list[RunResult]:

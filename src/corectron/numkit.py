@@ -5,8 +5,8 @@ a packed incremental Cholesky factor of a ridged Gram matrix with its
 BLAS triangular solves, projections onto a Mahalanobis-weighted ball
 (one symmetric eigendecomposition) and onto an ellipsoid (one
 generalized symmetric eigendecomposition), and the clamped Gram
-eigenvalues with the log-determinant / effective-dimension functionals
-of them that the diagnostics layer certifies.
+eigenvalues from which the diagnostics layer certifies the
+log-determinant, effective dimension and operator norm.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "project_ball_mahalanobis",
     "project_ellipsoid_coeff",
     "gram_eigenvalues",
-    "log_det_ratio",
-    "effective_dimension",
 ]
 
 # Feasible inputs within this multiplicative slack are returned unchanged
@@ -288,6 +286,10 @@ def _radius_multiplier(num, off, slope, radius, hi):
     at theta = 0 (callers dispatch the feasible case beforehand), and the
     bracket ``[0, hi]`` is widened by doubling until it straddles the
     root.  Safeguarded bisection with Newton steps near the root.
+
+    The returned theta lies on the feasible side of the root (the point it
+    yields satisfies the constraint), so a projected point passes the
+    trivial-feasibility test of the next projection.
     """
     target = radius * radius
 
@@ -304,7 +306,7 @@ def _radius_multiplier(num, off, slope, radius, hi):
         q = off + theta * slope
         f = float(np.sum(num / (q * q)))
         err = np.sqrt(f) - radius
-        if abs(err) <= RADIUS_TOL * radius:
+        if -RADIUS_TOL * radius <= err <= 0.0:
             return theta
         if err > 0.0:
             lo = theta
@@ -319,8 +321,8 @@ def _radius_multiplier(num, off, slope, radius, hi):
             step_ok = lo < cand < hi
         theta = cand if step_ok else 0.5 * (lo + hi)
         if hi - lo <= 1e-17 * max(1.0, hi):
-            return theta
-    return theta
+            return hi
+    return hi
 
 
 def project_ball_mahalanobis(metric, point, radius: float) -> ProjectionResult:
@@ -412,17 +414,3 @@ def gram_eigenvalues(gram) -> np.ndarray:
     if K.size == 0:
         return np.empty(0)
     return np.clip(np.linalg.eigvalsh(K), 0.0, None)
-
-
-def log_det_ratio(evals: np.ndarray, ridge: float) -> float:
-    """``log det(I + K / ridge)`` from the clamped eigenvalues of ``K``."""
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    return float(np.sum(np.log1p(evals / ridge)))
-
-
-def effective_dimension(evals: np.ndarray, ridge: float) -> float:
-    """``trace(K (K + ridge I)^{-1})`` from the clamped eigenvalues of ``K``."""
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    return float(np.sum(evals / (evals + ridge)))

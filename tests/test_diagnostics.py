@@ -8,9 +8,8 @@ from corectron.diagnostics import (
     Certificate,
     TraceSummary,
     check_cei,
-    check_epl,
+    check_gram_spectrum,
     check_increment_identity,
-    check_instantiated_bound,
     check_main_bound,
     check_potential_crosscheck,
     check_robust_bound,
@@ -19,7 +18,7 @@ from corectron.diagnostics import (
 )
 from corectron.environment import FeedbackModel
 from corectron.harness import default_config, resolve_hyperparameters, run_episode
-from corectron.numkit import effective_dimension, gram_eigenvalues, log_det_ratio
+from corectron.numkit import gram_eigenvalues
 
 
 def run_trace(setting="linear", algorithm="corectron_l", T=120, coefficient=1.0,
@@ -60,10 +59,14 @@ class TestEmptyTraces:
         tr = empty_trace()
         assert check_sign_condition(tr).holds
         assert check_cei(tr).holds
-        assert all(c.holds for c in check_epl(tr))
+        spectral = check_gram_spectrum(tr)
+        assert [c.name for c in spectral] == [
+            "elliptical_potential", "logdet_product_identity",
+            "logdet_effective_dim", "gram_operator_norm",
+        ]
+        assert all(c.holds for c in spectral)
         assert check_main_bound(tr).holds
         assert all(c.holds for c in check_robust_bound(tr))
-        assert all(c.holds for c in check_instantiated_bound(tr))
         certs, skipped = standard_certificates(tr)
         assert all(c.holds for c in certs)
         assert not skipped
@@ -175,18 +178,24 @@ class TestOnRealRuns:
         _, trace = run_trace(T=10)
         trace.model_kind = "mystery"
         with pytest.raises(ValueError):
-            check_instantiated_bound(trace)
+            check_gram_spectrum(trace)
+
+    def test_spectral_checks_need_stored_gram(self):
+        _, trace = run_trace(T=10)
+        trace.gram = None
+        with pytest.raises(ValueError, match="no stored Gram"):
+            check_gram_spectrum(trace)
 
 
     def test_spectral_checks_share_one_eigendecomposition(self, monkeypatch):
-        # one eigvalsh of the stored Gram matrix per trace, and the same
-        # certificate values as separate decompositions, bit for bit
+        # one eigvalsh of the stored Gram matrix per battery, and the
+        # certificate values of the spectral expressions, bit for bit
         _, trace = run_trace(setting="kernel", algorithm="corectron_k", T=60)
         trace = TraceSummary.from_dict(trace.to_dict())
         lam = trace.regularizer
         evals = gram_eigenvalues(trace.gram)
-        h_eig = log_det_ratio(evals, lam)
-        deff = effective_dimension(evals, lam)
+        h_eig = float(np.sum(np.log1p(evals / lam)))
+        deff = float(np.sum(evals / (evals + lam)))
         opnorm = float(np.clip(np.linalg.eigvalsh(trace.gram), 0.0, None)[-1])
         eigvalsh = np.linalg.eigvalsh
         calls = []
@@ -200,7 +209,7 @@ class TestOnRealRuns:
         assert certs["gram_operator_norm"].lhs == opnorm
         trace.gram = trace.gram.copy()
         standard_certificates(trace)
-        assert len(calls) == 2  # a new Gram array is decomposed again
+        assert len(calls) == 2  # each battery decomposes once
 
 
 class TestTraceSerialization:
@@ -212,13 +221,37 @@ class TestTraceSerialization:
         np.testing.assert_array_equal(back.leverage, trace.leverage)
         np.testing.assert_array_equal(back.gram, trace.gram)
         np.testing.assert_array_equal(back.projected, trace.projected)
+        assert back.projected.dtype == bool
         assert back.regularizer == trace.regularizer
+        assert back.to_dict() == trace.to_dict()
         certs_a, _ = standard_certificates(trace)
         certs_b, _ = standard_certificates(back)
         for ca, cb in zip(certs_a, certs_b):
             assert ca.name == cb.name
             assert ca.lhs == pytest.approx(cb.lhs)
             assert ca.holds == cb.holds
+
+    def test_missing_optional_keys_take_defaults(self):
+        # trace files written before these fields existed lack their keys
+        _, trace = run_trace(T=30)
+        saved = trace.to_dict()
+        for key in ("gram_capped", "residual_regret", "comparator_in_span"):
+            del saved[key]
+        back = TraceSummary.from_dict(saved)
+        assert back.gram_capped is False
+        assert back.residual_regret is None
+        assert back.comparator_in_span is True
+        np.testing.assert_array_equal(back.gram, trace.gram)
+
+    @pytest.mark.parametrize("regularizer", [0.0, -1.0])
+    def test_nonpositive_regularizer_rejected(self, tmp_path, regularizer):
+        _, trace = run_trace(T=30)
+        saved = trace.to_dict()
+        saved["regularizer"] = regularizer
+        path = tmp_path / "bad_trace.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match="regularizer"):
+            standard_certificates(TraceSummary.load(path))
 
     def test_loads_trace_with_extras_key(self, tmp_path):
         # trace files written before the field was removed carry "extras"

@@ -345,7 +345,21 @@ class TestEmit:
         certs = report["results"][0]["certificates"]
         assert certs and all(c["holds"] for c in certs)
         assert report["certificates_failed"] == 0
-        assert report["config"]["setting"] == "linear"
+        assert report["config"] == {
+            "setting": "linear",
+            "algorithms": ["corectron_l"],
+            "items": 4,
+            "pick": 2,
+            "context_dim": 3,
+            "horizon": 20,
+            "centers": 16,
+            "bandwidth": 1.0,
+            "seeds": [0],
+            "coef_grid": [1.0],
+            "feedback_models": [{"kind": "optimal", "alpha": 0.0, "xi": 0.0}],
+            "diag_cap": 2000,
+            "diag_level": "full",
+        }
 
 
 class TestCli:
@@ -370,6 +384,25 @@ class TestCli:
         code = cli_main(["best", "--in", str(out / "results.csv")])
         assert code == 0
         assert "corectron_l" in capsys.readouterr().out
+
+    def test_certify_fails_tampered_trace(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main([
+            "run", "--setting", "linear", "--algos", "corectron-l",
+            "--T", "30", "--seeds", "1", "--coef-grid", "1",
+            "--n", "4", "--m", "2", "--p", "3",
+            "--out", str(out), "--save-traces", "--diag-level", "full",
+        ])
+        assert code == 0
+        (path,) = (out / "traces").iterdir()
+        saved = json.loads(path.read_text())
+        saved["regret"] = [r + 10.0 for r in saved["regret"]]
+        path.write_text(json.dumps(saved))
+        capsys.readouterr()
+        code = cli_main(["certify", "--trace", str(path)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("main_regret_bound") and "FAIL" in line for line in lines)
 
     def test_run_rejects_conflicting_noise(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
+from corectron.diagnostics import TraceSummary, check_gram_spectrum
 from corectron.learners import ONS
 from corectron.lifting import LiftSpec
 from corectron.numkit import (
@@ -13,9 +14,7 @@ from corectron.numkit import (
     GramMatrix,
     SpdInverse,
     _radius_multiplier,
-    effective_dimension,
     gram_eigenvalues,
-    log_det_ratio,
     project_ball_mahalanobis,
     project_ellipsoid_coeff,
 )
@@ -465,6 +464,22 @@ class TestProjectBall:
         scale = 1.0 + np.abs(metric).max() * np.linalg.norm(point)
         assert np.linalg.norm(stat) <= 1e-7 * scale
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_projected_point_is_not_projected_again(self, d, seed):
+        # the root-finder stops on the feasible side of the sphere, so a
+        # projected point passes the trivial test of the next projection
+        rng = np.random.default_rng(seed)
+        metric = random_spd(rng, d, spread=float(rng.uniform(0.1, 300.0)))
+        radius = float(rng.uniform(0.2, 2.0))
+        point = rng.standard_normal(d)
+        point *= radius * float(rng.uniform(1.0001, 50.0)) / np.linalg.norm(point)
+        out = project_ball_mahalanobis(metric, point, radius)
+        assert not out.trivial
+        again = project_ball_mahalanobis(metric, out.point, radius)
+        assert again.trivial
+        assert np.linalg.norm(out.point) == pytest.approx(radius, rel=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # ellipsoid-constrained projection in coefficient space
@@ -558,6 +573,25 @@ class TestProjectEllipsoid:
             assert val == pytest.approx(radius, rel=1e-9)
             assert out.multiplier > 0.0
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_projected_point_is_not_projected_again(self, n, seed):
+        # KONS's case: shape K = F F^T and metric s^2 K + lam I
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        shape = feats.dot(feats.T)
+        scale = float(rng.uniform(0.05, 1.0))
+        metric = scale * scale * shape + float(rng.uniform(1e-3, 10.0)) * np.eye(n)
+        radius = float(rng.uniform(0.3, 2.0))
+        point = rng.standard_normal(n)
+        point *= radius * float(rng.uniform(1.0001, 50.0)) / np.sqrt(point.dot(shape.dot(point)))
+        out = project_ellipsoid_coeff(metric, shape, point, radius)
+        assert not out.trivial
+        again = project_ellipsoid_coeff(metric, shape, out.point, radius)
+        assert again.trivial
+        val = np.sqrt(max(float(out.point.dot(shape.dot(out.point))), 0.0))
+        assert val == pytest.approx(radius, rel=1e-9)
+
     def test_non_spd_metric_rejected(self):
         bad = np.diag([1.0, -1.0])
         with pytest.raises(ValueError):
@@ -607,27 +641,47 @@ class TestProjectEllipsoid:
 
 
 # ---------------------------------------------------------------------------
-# spectral functionals
+# spectral functionals, read back from the Gram-spectrum certificates
+
+
+def spectral(K, lam):
+    """``(log det(I + K/lam), tr(K (K + lam I)^{-1}), ||K||)`` as
+    :func:`check_gram_spectrum` computes them for a trace storing ``K``."""
+    t = K.shape[0]
+    z = np.zeros(t)
+    trace = TraceSummary(
+        algorithm="corectron_l", model_kind="noncontextual", regularizer=lam,
+        horizon=t, base_dim=1, context_dim=1, bound_payoff=1.0, diameter=1.0,
+        context_bound=1.0, kernel_bound=1.0, comparator_norm=1.0,
+        leverage=z, alignment=z, alignment_scale=z, potential=z, regret=z,
+        subopt=z, projected=np.zeros(t, dtype=bool), final_potential_direct=0.0,
+        gram=K,
+    )
+    certs = {c.name: c for c in check_gram_spectrum(trace)}
+    logdet = certs["elliptical_potential"].rhs
+    opnorm = certs["gram_operator_norm"].lhs
+    deff = certs["logdet_effective_dim"].rhs / (1.0 + np.log1p(opnorm / lam))
+    return logdet, deff, opnorm
 
 
 class TestSpectralFunctionals:
     def test_zero_matrix(self):
-        evals = gram_eigenvalues(np.zeros((4, 4)))
-        assert log_det_ratio(evals, 2.0) == 0.0
-        assert effective_dimension(evals, 2.0) == 0.0
+        logdet, deff, _ = spectral(np.zeros((4, 4)), 2.0)
+        assert logdet == 0.0
+        assert deff == 0.0
 
     def test_single_eigenvalue_equal_to_ridge(self):
-        assert log_det_ratio(gram_eigenvalues(np.array([[2.5]])), 2.5) == pytest.approx(np.log(2.0))
+        assert spectral(np.array([[2.5]]), 2.5)[0] == pytest.approx(np.log(2.0))
 
     def test_diagonal_closed_form(self):
         sig = np.array([0.3, 1.0, 4.2, 9.9])
         lam = 1.7
         expect = float(np.sum(np.log1p(sig / lam)))
-        assert log_det_ratio(gram_eigenvalues(np.diag(sig)), lam) == pytest.approx(expect, rel=1e-12)
+        assert spectral(np.diag(sig), lam)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_effective_dimension_ridge_identity(self):
         T = 6
-        assert effective_dimension(gram_eigenvalues(np.eye(T) * 3.0), 3.0) == pytest.approx(T / 2.0)
+        assert spectral(np.eye(T) * 3.0, 3.0)[1] == pytest.approx(T / 2.0)
 
     def test_effective_dimension_direct_solve(self):
         rng = np.random.default_rng(10)
@@ -635,18 +689,20 @@ class TestSpectralFunctionals:
         K = vecs.dot(vecs.T)
         lam = 0.9
         direct = float(np.trace(K.dot(np.linalg.inv(K + lam * np.eye(8)))))
-        assert effective_dimension(gram_eigenvalues(K), lam) == pytest.approx(direct, abs=1e-10)
+        assert spectral(K, lam)[1] == pytest.approx(direct, abs=1e-10)
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             gram_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            spectral(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
 
     def test_gram_matrix_container(self):
         g = GramMatrix()
         g.append(np.empty(0), 2.0)
         g.append(np.array([1.0]), 3.0)
         np.testing.assert_allclose(g.entries, [[2.0, 1.0], [1.0, 3.0]])
-        assert log_det_ratio(gram_eigenvalues(g.entries), 1.0) > 0
+        assert spectral(g.entries, 1.0)[0] > 0
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -656,10 +712,9 @@ class TestSpectralFunctionals:
         vecs = rng.standard_normal((t, rank))
         K = vecs.dot(vecs.T)
         lam = float(rng.uniform(0.1, 5.0))
-        evals = gram_eigenvalues(K)
-        lhs = log_det_ratio(evals, lam)
-        opnorm = float(np.clip(np.linalg.eigvalsh(K), 0, None)[-1])
-        rhs = effective_dimension(evals, lam) * (1.0 + np.log1p(opnorm / lam))
+        lhs, deff, opnorm = spectral(K, lam)
+        assert opnorm == float(np.clip(np.linalg.eigvalsh(K), 0, None)[-1])
+        rhs = deff * (1.0 + np.log1p(opnorm / lam))
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
@@ -673,5 +728,5 @@ def test_leverage_product_matches_gram_determinant():
     for g in vecs:
         log_prod += np.log1p(state.rank_one_update(g))
     K = vecs.dot(vecs.T)
-    logdet = log_det_ratio(gram_eigenvalues(K), ridge)
+    logdet = spectral(K, ridge)[0]
     assert abs(log_prod - logdet) < 1e-6

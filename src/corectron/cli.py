@@ -5,7 +5,8 @@ Subcommands:
   certify  re-run the certificate battery on a saved trace file
   best     print per-algorithm best coefficients from an emitted CSV
 
-``run`` exits nonzero iff any certificate fails.
+``run`` and ``certify`` exit 1 when a certificate fails, and 2 with one
+line on stderr when the arguments or the trace file cannot be used.
 """
 
 from __future__ import annotations
@@ -138,8 +139,12 @@ def _cmd_run(args) -> int:
     if args.diag_level is not None:
         overrides["diag_level"] = args.diag_level
     overrides["bandwidth"] = args.bandwidth
-    overrides["feedback_models"] = (_feedback_from_args(args),)
-    config = default_config(args.setting, full_scale=args.full_scale, **overrides)
+    try:
+        overrides["feedback_models"] = (_feedback_from_args(args),)
+        config = default_config(args.setting, full_scale=args.full_scale, **overrides)
+    except ValueError as exc:
+        print(f"corectron run: {exc}", file=sys.stderr)
+        return 2
 
     traces = {}
 
@@ -178,7 +183,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    trace = TraceSummary.load(args.trace)
+    try:
+        trace = TraceSummary.load(args.trace)
+    except (OSError, ValueError) as exc:
+        print(f"corectron certify: cannot read trace {args.trace}: {exc}", file=sys.stderr)
+        return 2
     certs, skipped = standard_certificates(trace)
     width = max(len(c.name) for c in certs)
     ok = True

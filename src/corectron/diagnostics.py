@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class TraceSummary:
     learner; ``potential_direct`` and ``post_leverage`` are optional
     recomputations captured outside the learner's hot path.  ``gram`` is
     the residual Gram matrix when the horizon fits under the storage cap.
+    ``algorithm``, ``base_dim``, ``context_dim`` and ``gram_capped`` are
+    file metadata that no certificate reads; every other field feeds one.
     """
 
     algorithm: str
@@ -98,17 +100,19 @@ class TraceSummary:
     potential: np.ndarray
     regret: np.ndarray
     subopt: np.ndarray
-    projected: np.ndarray
     final_potential_direct: float
     potential_direct: np.ndarray | None = None
     post_leverage: np.ndarray | None = None
     gram: np.ndarray | None = None
     gram_capped: bool = False
-    residual_regret: float | None = None
     # False when the hidden utility is not representable in the learner's
     # lifted space (reference runs under model mismatch); the
     # comparator-dependent bounds are then not applicable.
     comparator_in_span: bool = True
+
+    def __post_init__(self):
+        if self.regularizer <= 0:
+            raise ValueError("regularizer must be positive")
 
     # -- derived quantities -------------------------------------------------
 
@@ -137,27 +141,27 @@ class TraceSummary:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-ready fields; arrays as lists, ``projected`` as 0/1."""
+        """JSON-ready fields; arrays as lists."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = (value.astype(int) if value.dtype == bool else value).tolist()
-            out[f.name] = value
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceSummary":
         """Inverse of :meth:`to_dict`.  Absent optional keys take their
-        field defaults; unknown keys (such as the retired ``extras``) are
-        ignored."""
+        field defaults; unknown keys (such as the retired ``extras``,
+        ``projected`` and ``residual_regret``) are ignored.  Raises
+        ``ValueError`` naming any absent required key."""
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"trace lacks required keys: {', '.join(missing)}")
         kwargs = {}
         for f in fields(cls):
             if f.name in d:
                 value = d[f.name]
-                if isinstance(value, list):
-                    value = np.asarray(value, dtype=bool if f.name == "projected" else float)
-                kwargs[f.name] = value
+                kwargs[f.name] = np.asarray(value, dtype=float) if isinstance(value, list) else value
         return cls(**kwargs)
 
     def save(self, path) -> None:
@@ -271,6 +275,14 @@ def check_robust_bound(trace: TraceSummary) -> list[Certificate]:
     ]
 
 
+# The certificates of check_gram_spectrum, in the order it returns them.
+_SPECTRAL_CHECKS = (
+    "elliptical_potential",
+    "logdet_product_identity",
+    "logdet_effective_dim",
+    "gram_operator_norm",
+)
+
 _MODEL_FACTORS = {
     "noncontextual": lambda tr: 1.0,
     "linear": lambda tr: tr.context_bound**2,
@@ -290,17 +302,10 @@ def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:
     active model.
     """
     if trace.horizon == 0:
-        return [
-            Certificate("elliptical_potential", 0.0, 0.0, DEFAULT_REL_TOL),
-            Certificate("logdet_product_identity", 0.0, 0.0, 1e-6),
-            Certificate("logdet_effective_dim", 0.0, 0.0, DEFAULT_REL_TOL),
-            Certificate("gram_operator_norm", 0.0, 0.0, DEFAULT_REL_TOL),
-        ]
+        return [Certificate(name, 0.0, 0.0, DEFAULT_REL_TOL) for name in _SPECTRAL_CHECKS]
     if trace.gram is None:
         raise ValueError("trace has no stored Gram matrix")
     lam = trace.regularizer
-    if lam <= 0:
-        raise ValueError("regularizer must be positive")
     try:
         factor = _MODEL_FACTORS[trace.model_kind](trace)
     except KeyError:
@@ -351,10 +356,7 @@ def standard_certificates(trace: TraceSummary) -> tuple[list[Certificate], list[
     if trace.gram is not None or trace.horizon == 0:
         certs.extend(check_gram_spectrum(trace))
     else:
-        skipped.extend(
-            ["elliptical_potential", "logdet_product_identity",
-             "logdet_effective_dim", "gram_operator_norm"]
-        )
+        skipped.extend(_SPECTRAL_CHECKS)
     if trace.comparator_in_span:
         certs.append(check_main_bound(trace))
         certs.extend(check_robust_bound(trace))

@@ -6,6 +6,10 @@ rows differ only through the learners.  Learner compute is timed on its
 own, excluding the argmax oracle and the environment; both the
 learner-only and loop-total times are reported, with the learner-only
 figure as the headline ``runtime_seconds``.
+
+A :class:`RunResult`'s schema is stated once, in ``_CSV_SCHEMA``: it
+gives the CSV header, the CSV row, the CSV parser, and the one field
+(``horizon``) whose column and report key differ from its name (``T``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +57,14 @@ __all__ = [
 ]
 
 SETTINGS = ("linear", "kernel", "noncontextual")
-ALGORITHMS = ("corectron_l", "corectron_k", "ogd", "ons", "kons")
+_LEARNERS = {
+    "corectron_l": CoRectron,
+    "corectron_k": CoRectronK,
+    "ogd": OGD,
+    "ons": ONS,
+    "kons": KONS,
+}
+ALGORITHMS = tuple(_LEARNERS)
 EXPLICIT_ALGOS = ("corectron_l", "ogd", "ons")
 KERNEL_ONLY_ALGOS = ("corectron_k", "kons")
 DEFAULT_COEF_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
@@ -62,10 +73,23 @@ SURROGATE_SCALE = 0.1
 STEP_COEFF = 0.5
 BOUND_PAYOFF = 1.0
 
-CSV_HEADER = (
-    "setting,algorithm,coefficient,seed,alpha,xi,T,"
-    "final_regret,runtime_seconds,projection_count"
+# (results.csv column, RunResult field, parser), in column order.
+_CSV_SCHEMA = (
+    ("setting", "setting", str),
+    ("algorithm", "algorithm", str),
+    ("coefficient", "coefficient", float),
+    ("seed", "seed", int),
+    ("alpha", "alpha", float),
+    ("xi", "xi", float),
+    ("T", "horizon", int),
+    ("final_regret", "final_regret", float),
+    ("runtime_seconds", "runtime_seconds", float),
+    ("projection_count", "projection_count", int),
 )
+CSV_HEADER = ",".join(column for column, _, _ in _CSV_SCHEMA)
+# The CSV column, which is also the report key, of each field stored under
+# another name.
+_KEY_OF = {name: column for column, name, _ in _CSV_SCHEMA if column != name}
 
 
 @dataclass(frozen=True)
@@ -102,6 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown diag level: {self.diag_level!r}")
         if not (0 < self.pick <= self.items):
             raise ValueError("need 0 < pick <= items")
+        if self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
 
     @property
     def explicit_dim(self) -> int:
@@ -122,9 +148,6 @@ def default_config(setting: str, full_scale: bool = False, **overrides) -> Exper
     if setting == "kernel":
         horizon = 1000 if full_scale else 500
         algos = ALGORITHMS
-    elif setting == "linear":
-        horizon = 10000 if full_scale else 2000
-        algos = EXPLICIT_ALGOS
     else:
         horizon = 10000 if full_scale else 2000
         algos = EXPLICIT_ALGOS
@@ -154,37 +177,18 @@ class RunResult:
     skipped_checks: tuple = ()
 
     def csv_row(self) -> list[str]:
-        return [
-            self.setting,
-            self.algorithm,
-            repr(self.coefficient),
-            str(self.seed),
-            repr(self.alpha),
-            repr(self.xi),
-            str(self.horizon),
-            repr(self.final_regret),
-            repr(self.runtime_seconds),
-            str(self.projection_count),
-        ]
+        return [str(getattr(self, name)) for _, name, _ in _CSV_SCHEMA]
 
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "algorithm": self.algorithm,
-            "coefficient": self.coefficient,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "xi": self.xi,
-            "T": self.horizon,
-            "final_regret": self.final_regret,
-            "runtime_seconds": self.runtime_seconds,
-            "total_seconds": self.total_seconds,
-            "projection_count": self.projection_count,
-            "status": self.status,
-            "message": self.message,
-            "certificates": [c.to_dict() for c in self.certificates],
-            "skipped_checks": list(self.skipped_checks),
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "certificates":
+                value = [c.to_dict() for c in value]
+            elif f.name == "skipped_checks":
+                value = list(value)
+            out[_KEY_OF.get(f.name, f.name)] = value
+        return out
 
 
 def resolve_hyperparameters(config: ExperimentConfig, algorithm: str, coefficient: float) -> dict:
@@ -222,18 +226,9 @@ def _lift_for(config: ExperimentConfig, algorithm: str) -> LiftSpec:
 
 
 def build_learner(config: ExperimentConfig, algorithm: str, params: dict):
-    spec = _lift_for(config, algorithm)
-    if algorithm == "corectron_l":
-        return CoRectron(spec, **params)
-    if algorithm == "corectron_k":
-        return CoRectronK(spec, **params)
-    if algorithm == "ogd":
-        return OGD(spec, **params)
-    if algorithm == "ons":
-        return ONS(spec, **params)
-    if algorithm == "kons":
-        return KONS(spec, **params)
-    raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if algorithm not in _LEARNERS:
+        raise ValueError(f"unknown algorithm: {algorithm!r}")
+    return _LEARNERS[algorithm](_lift_for(config, algorithm), **params)
 
 
 def make_environment(config: ExperimentConfig, feedback: FeedbackModel, seed: int) -> Environment:
@@ -252,22 +247,11 @@ def make_environment(config: ExperimentConfig, feedback: FeedbackModel, seed: in
     return Environment(actions, utility, feedback, config.horizon, seed)
 
 
-# The hidden-utility model that each lift kind represents exactly.
+# The hidden-utility model that each lift kind represents exactly (with
+# unit norm in the lifted space).  A learner whose lift does not match the
+# environment's model, e.g. the linear-lift learner facing RBF utilities,
+# has no comparator in its span.
 _MODEL_OF_LIFT = {"identity": "noncontextual", "linear": "linear", "kernel": "kernel"}
-
-
-def _comparator(spec: LiftSpec, env: Environment) -> tuple[bool, np.ndarray | None]:
-    """Whether the hidden utility lies in the learner's lifted space
-    (with unit norm there), and its explicit coordinates when the lift is
-    explicit.  Not in the span for reference runs under model mismatch,
-    e.g. the linear-lift learner facing RBF utilities."""
-    if env.model_kind != _MODEL_OF_LIFT[spec.kind]:
-        return False, None
-    if spec.kind == "identity":
-        return True, env.model.vector
-    if spec.kind == "linear":
-        return True, env.model.weights.flatten(order="F")
-    return True, None
 
 
 _CORECTRON_ALGOS = ("corectron_l", "corectron_k")
@@ -306,7 +290,7 @@ def run_episode(
     potential = np.zeros(T)
     regret = np.zeros(T)
     subopt = np.zeros(T)
-    projected = np.zeros(T, dtype=bool)
+    projection_count = 0
     potential_direct = np.zeros(T) if want_full else None
     post_leverage = np.zeros(T) if want_full else None
     # Lifted-residual Gram matrix of the episode and the residuals so far.
@@ -333,7 +317,7 @@ def run_episode(
             alignment[t] = diag.alignment
             alignment_scale[t] = diag.alignment_scale
             potential[t] = diag.potential
-            projected[t] = diag.projected
+            projection_count += diag.projected
             regret[t] = float(u.dot(x - xhat))
             subopt[t] = delta
             if want_full:
@@ -364,19 +348,13 @@ def run_episode(
         final_regret=final_regret,
         runtime_seconds=learner_time,
         total_seconds=total_time,
-        projection_count=int(projected.sum()),
+        projection_count=projection_count,
         status=status,
         message=message,
     )
 
     trace = None
     if level != "off" and status == "ok" and is_corectron:
-        consts = env.trace_constants()
-        final_direct = learner.potential_direct() if T else 0.0
-        in_span, comparator = _comparator(learner.lift_spec, env)
-        residual_regret = None
-        if comparator is not None:
-            residual_regret = -float(comparator.dot(learner.cumulative_residual))
         trace = TraceSummary(
             algorithm=algorithm,
             model_kind=env.model_kind,
@@ -384,25 +362,19 @@ def run_episode(
             horizon=T,
             base_dim=config.items,
             context_dim=config.context_dim,
-            bound_payoff=consts["bound_payoff"],
-            diameter=consts["diameter"],
-            context_bound=consts["context_bound"],
-            kernel_bound=consts["kernel_bound"],
-            comparator_norm=consts["comparator_norm"],
+            **env.trace_constants(),
             leverage=leverage,
             alignment=alignment,
             alignment_scale=alignment_scale,
             potential=potential,
             regret=regret,
             subopt=subopt,
-            projected=projected,
-            final_potential_direct=final_direct,
+            final_potential_direct=learner.potential_direct() if T else 0.0,
             potential_direct=potential_direct,
             post_leverage=post_leverage,
             gram=None if gram is None else gram.entries,
             gram_capped=want_full and not with_gram,
-            residual_regret=residual_regret,
-            comparator_in_span=in_span,
+            comparator_in_span=env.model_kind == _MODEL_OF_LIFT[learner.lift_spec.kind],
         )
         certs, skipped = standard_certificates(trace)
         result.certificates = certs
@@ -443,6 +415,18 @@ def sweep(config: ExperimentConfig, jobs: int = 1, trace_hook=None) -> list[RunR
     return results
 
 
+# The RunResult fields that identify an aggregate cell; the seed varies within one.
+_CELL_FIELDS = ("setting", "algorithm", "coefficient", "alpha", "xi", "horizon")
+
+
+def _mean_std(vals) -> tuple[float, float]:
+    if not vals:
+        return float("nan"), float("nan")
+    arr = np.asarray(vals, dtype=float)
+    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return float(arr.mean()), std
+
+
 def aggregate_results(rows: list[RunResult]) -> list[dict]:
     """Mean and sample standard deviation per cell across seeds.
 
@@ -451,10 +435,10 @@ def aggregate_results(rows: list[RunResult]) -> list[dict]:
     """
     cells: dict[tuple, list[RunResult]] = {}
     for r in rows:
-        key = (r.setting, r.algorithm, r.coefficient, r.alpha, r.xi, r.horizon)
+        key = tuple(getattr(r, name) for name in _CELL_FIELDS)
         cells.setdefault(key, []).append(r)
     out = []
-    for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3], k[4], k[5])):
+    for key in sorted(cells):
         group = cells[key]
         ok = [r for r in group if r.status == "ok"]
         failed = len(group) - len(ok)
@@ -462,33 +446,20 @@ def aggregate_results(rows: list[RunResult]) -> list[dict]:
             warnings.warn(
                 f"{failed} failed episode(s) excluded from cell {key}", stacklevel=2
             )
-        def mean_std(vals):
-            if not vals:
-                return float("nan"), float("nan")
-            arr = np.asarray(vals, dtype=float)
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            return float(arr.mean()), std
-
-        regret_m, regret_s = mean_std([r.final_regret for r in ok])
-        runtime_m, runtime_s = mean_std([r.runtime_seconds for r in ok])
-        proj_m, _ = mean_std([r.projection_count for r in ok])
-        out.append(
-            {
-                "setting": key[0],
-                "algorithm": key[1],
-                "coefficient": key[2],
-                "alpha": key[3],
-                "xi": key[4],
-                "T": key[5],
-                "mean_regret": regret_m,
-                "std_regret": regret_s,
-                "mean_runtime": runtime_m,
-                "std_runtime": runtime_s,
-                "mean_projections": proj_m,
-                "n_seeds": len(ok),
-                "n_failed": failed,
-            }
+        regret_m, regret_s = _mean_std([r.final_regret for r in ok])
+        runtime_m, runtime_s = _mean_std([r.runtime_seconds for r in ok])
+        proj_m, _ = _mean_std([r.projection_count for r in ok])
+        cell = {_KEY_OF.get(name, name): value for name, value in zip(_CELL_FIELDS, key)}
+        cell.update(
+            mean_regret=regret_m,
+            std_regret=regret_s,
+            mean_runtime=runtime_m,
+            std_runtime=runtime_s,
+            mean_projections=proj_m,
+            n_seeds=len(ok),
+            n_failed=failed,
         )
+        out.append(cell)
     return out
 
 
@@ -520,9 +491,9 @@ def emit(
 ) -> dict:
     """Write results.csv, report.json, and optional trace files.
 
-    The CSV carries the fixed ten-column schema in full-precision
-    decimal; the JSON report embeds everything else, including per-run
-    certificates and status.
+    The CSV carries the ten columns of ``_CSV_SCHEMA``, each value as its
+    ``str`` (full-precision decimal for floats); the JSON report embeds
+    everything else, including per-run certificates and status.
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -561,20 +532,9 @@ def read_results_csv(path) -> list[RunResult]:
     The CSV carries no loop-total time, so ``total_seconds`` is the
     learner time.
     """
+    rows = []
     with open(path, newline="") as fh:
-        return [
-            RunResult(
-                setting=rec["setting"],
-                algorithm=rec["algorithm"],
-                coefficient=float(rec["coefficient"]),
-                seed=int(rec["seed"]),
-                alpha=float(rec["alpha"]),
-                xi=float(rec["xi"]),
-                horizon=int(rec["T"]),
-                final_regret=float(rec["final_regret"]),
-                runtime_seconds=float(rec["runtime_seconds"]),
-                total_seconds=float(rec["runtime_seconds"]),
-                projection_count=int(rec["projection_count"]),
-            )
-            for rec in csv.DictReader(fh)
-        ]
+        for rec in csv.DictReader(fh):
+            values = {name: parse(rec[column]) for column, name, parse in _CSV_SCHEMA}
+            rows.append(RunResult(total_seconds=values["runtime_seconds"], **values))
+    return rows

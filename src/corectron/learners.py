@@ -136,10 +136,6 @@ class CoRectron:
         # either factor has changed.
         self._pre: np.ndarray | None = None
 
-    @property
-    def cumulative_residual(self) -> np.ndarray:
-        return self._cum
-
     def _preconditioned_cum(self) -> np.ndarray:
         if self._pre is None:
             self._pre = self._inv.apply(self._cum)

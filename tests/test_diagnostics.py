@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def empty_trace():
         base_dim=3, context_dim=2, bound_payoff=1.0, diameter=1.0,
         context_bound=1.0, kernel_bound=1.0, comparator_norm=1.0,
         leverage=z, alignment=z, alignment_scale=z, potential=z, regret=z,
-        subopt=z, projected=np.empty(0, dtype=bool), final_potential_direct=0.0,
+        subopt=z, final_potential_direct=0.0,
         potential_direct=z, post_leverage=z, gram=np.empty((0, 0)),
     )
 
@@ -132,12 +133,22 @@ class TestOnRealRuns:
         expect = float(np.sum(np.log1p(np.diag(K) / lam)))
         assert log_prod == pytest.approx(expect, rel=1e-12)
 
-    def test_residual_route_matches_per_round_regret(self):
+    def test_residual_route_matches_per_round_regret(self, monkeypatch):
+        # each lifted residual's inner product with the hidden utility is
+        # minus that round's regret, so -<u*, sum lift(z_t, g_t)> is the
+        # total regret
+        from corectron import harness
+
+        built = {}
+        for name in ("build_learner", "make_environment"):
+            make = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda *a, make=make, name=name: built.setdefault(name, make(*a))
+            )
         _, trace = run_trace(T=150)
-        assert trace.residual_regret is not None
-        assert trace.residual_regret == pytest.approx(
-            trace.total_regret(), rel=1e-8, abs=1e-10
-        )
+        comparator = built["make_environment"].model.weights.flatten(order="F")
+        residual_regret = -float(comparator.dot(built["build_learner"]._cum))
+        assert residual_regret == pytest.approx(trace.total_regret(), rel=1e-8, abs=1e-10)
 
     def test_potential_crosscheck_tight(self):
         _, trace = run_trace(T=400, coefficient=0.001)
@@ -180,6 +191,27 @@ class TestOnRealRuns:
         with pytest.raises(ValueError):
             check_gram_spectrum(trace)
 
+    def test_certificates_read_every_field_but_file_metadata(self):
+        # a field no certificate reads is either file metadata or dead
+        read = set()
+
+        class RecordingTrace(TraceSummary):
+            def __getattribute__(self, name):
+                read.add(name)
+                return object.__getattribute__(self, name)
+
+        names = {f.name for f in fields(TraceSummary)}
+        traces = []
+        for setting, algorithm in [("linear", "corectron_l"), ("kernel", "corectron_k"),
+                                   ("noncontextual", "corectron_l")]:
+            _, trace = run_trace(setting=setting, algorithm=algorithm, T=40)
+            traces.append(RecordingTrace(**{n: getattr(trace, n) for n in names}))
+        read.clear()
+        for trace in traces:
+            _, skipped = standard_certificates(trace)
+            assert not skipped
+        assert names - read == {"algorithm", "base_dim", "context_dim", "gram_capped"}
+
     def test_spectral_checks_need_stored_gram(self):
         _, trace = run_trace(T=10)
         trace.gram = None
@@ -220,8 +252,6 @@ class TestTraceSerialization:
         back = TraceSummary.load(path)
         np.testing.assert_array_equal(back.leverage, trace.leverage)
         np.testing.assert_array_equal(back.gram, trace.gram)
-        np.testing.assert_array_equal(back.projected, trace.projected)
-        assert back.projected.dtype == bool
         assert back.regularizer == trace.regularizer
         assert back.to_dict() == trace.to_dict()
         certs_a, _ = standard_certificates(trace)
@@ -235,13 +265,21 @@ class TestTraceSerialization:
         # trace files written before these fields existed lack their keys
         _, trace = run_trace(T=30)
         saved = trace.to_dict()
-        for key in ("gram_capped", "residual_regret", "comparator_in_span"):
+        for key in ("gram_capped", "comparator_in_span"):
             del saved[key]
         back = TraceSummary.from_dict(saved)
         assert back.gram_capped is False
-        assert back.residual_regret is None
         assert back.comparator_in_span is True
         np.testing.assert_array_equal(back.gram, trace.gram)
+
+    def test_missing_required_key_named(self, tmp_path):
+        _, trace = run_trace(T=30)
+        saved = trace.to_dict()
+        del saved["leverage"]
+        path = tmp_path / "short_trace.json"
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ValueError, match="required keys: leverage$"):
+            TraceSummary.load(path)
 
     @pytest.mark.parametrize("regularizer", [0.0, -1.0])
     def test_nonpositive_regularizer_rejected(self, tmp_path, regularizer):
@@ -254,11 +292,13 @@ class TestTraceSerialization:
             standard_certificates(TraceSummary.load(path))
 
     def test_loads_trace_with_extras_key(self, tmp_path):
-        # trace files written before the field was removed carry "extras"
+        # trace files written before these fields were removed carry
+        # "extras", "projected" and "residual_regret"
         _, trace = run_trace(T=30)
         saved = trace.to_dict()
-        assert "extras" not in saved
-        saved["extras"] = {}
+        retired = {"extras": {}, "projected": [0] * 30, "residual_regret": trace.total_regret()}
+        assert not retired.keys() & saved.keys()
+        saved.update(retired)
         path = tmp_path / "old_trace.json"
         path.write_text(json.dumps(saved))
         back = TraceSummary.load(path)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -104,6 +105,10 @@ class TestConfigValidation:
             ExperimentConfig(algorithms=("mystery",))
         with pytest.raises(ValueError):
             ExperimentConfig(setting="cubic")
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            ExperimentConfig(horizon=-1)
 
 
 class TestRunEpisode:
@@ -335,6 +340,26 @@ class TestEmit:
             assert rec.coefficient == row.coefficient
             assert rec.projection_count == row.projection_count
 
+    def test_every_csv_column_round_trips(self, tmp_path):
+        # a feedback model built with a numpy scalar still writes plain
+        # decimals that read back
+        feedback = FeedbackModel("one_swap", alpha=np.float64(0.5))
+        config = tiny_config(feedback_models=(feedback,), seeds=(0,), coef_grid=(0.01,))
+        rows = sweep(config)
+        assert any(r.projection_count > 0 for r in rows)
+        paths = emit(rows, tmp_path, config=config)
+        with open(paths["csv"], newline="") as fh:
+            assert {rec["alpha"] for rec in csv.DictReader(fh)} == {"0.5"}
+        columns = ("setting", "algorithm", "coefficient", "seed", "alpha", "xi",
+                   "horizon", "final_regret", "runtime_seconds", "projection_count")
+        parsed = read_results_csv(paths["csv"])
+        assert len(parsed) == len(rows)
+        for back, row in zip(parsed, rows):
+            for name in columns:
+                assert getattr(back, name) == getattr(row, name), name
+            assert back.csv_row() == row.csv_row()
+            assert back.total_seconds == row.runtime_seconds
+
     def test_report_embeds_certificates(self, tmp_path):
         config = tiny_config(horizon=20, algorithms=("corectron_l",),
                              coef_grid=(1.0,), seeds=(0,), diag_level="full")
@@ -403,6 +428,43 @@ class TestCli:
         assert code == 1
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("main_regret_bound") and "FAIL" in line for line in lines)
+
+    @pytest.mark.parametrize("damage", ["missing_file", "bad_json", "missing_key",
+                                        "zero_regularizer"])
+    def test_certify_rejects_unreadable_trace(self, tmp_path, capsys, damage):
+        config = tiny_config(horizon=20, diag_level="full")
+        params = resolve_hyperparameters(config, "corectron_l", 1.0)
+        _, trace = run_episode(config, "corectron_l", 1.0, params, FeedbackModel.optimal(), 0)
+        saved = trace.to_dict()
+        path = tmp_path / "trace.json"
+        if damage == "bad_json":
+            path.write_text(json.dumps(saved)[:-1])
+        elif damage == "missing_key":
+            del saved["leverage"]
+            path.write_text(json.dumps(saved))
+        elif damage == "zero_regularizer":
+            saved["regularizer"] = 0.0
+            path.write_text(json.dumps(saved))
+        code = cli_main(["certify", "--trace", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"corectron certify: cannot read trace {path}: ")
+        if damage == "missing_key":
+            assert line.endswith("leverage")
+
+    @pytest.mark.parametrize("args", [["--n", "3", "--m", "5"], ["--alpha", "1.5"],
+                                      ["--T", "-1"]])
+    def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = cli_main(["run", *args, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("corectron run: ")
+        assert not out.exists()
 
     def test_run_rejects_conflicting_noise(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -654,7 +654,7 @@ def spectral(K, lam):
         horizon=t, base_dim=1, context_dim=1, bound_payoff=1.0, diameter=1.0,
         context_bound=1.0, kernel_bound=1.0, comparator_norm=1.0,
         leverage=z, alignment=z, alignment_scale=z, potential=z, regret=z,
-        subopt=z, projected=np.zeros(t, dtype=bool), final_potential_direct=0.0,
+        subopt=z, final_potential_direct=0.0,
         gram=K,
     )
     certs = {c.name: c for c in check_gram_spectrum(trace)}

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _feedback_from_args(args) -> FeedbackModel:
     if args.alpha > 0.0 and args.xi > 0.0:
-        raise SystemExit("choose either --alpha or --xi, not both")
+        raise ValueError("choose either --alpha or --xi, not both")
     if args.alpha > 0.0:
         return FeedbackModel.one_swap(args.alpha)
     if args.xi > 0.0:

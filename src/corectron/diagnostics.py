@@ -36,6 +36,13 @@ __all__ = [
 # Default relative tolerance of inequality certificates, scaled by 1+|rhs|.
 DEFAULT_REL_TOL = 1e-6
 
+# Per model kind, the factor of the Gram operator-norm envelope.
+_MODEL_FACTORS = {
+    "noncontextual": lambda tr: 1.0,
+    "linear": lambda tr: tr.context_bound**2,
+    "kernel": lambda tr: tr.kernel_bound**2,
+}
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -113,6 +120,8 @@ class TraceSummary:
     def __post_init__(self):
         if self.regularizer <= 0:
             raise ValueError("regularizer must be positive")
+        if self.model_kind not in _MODEL_FACTORS:
+            raise ValueError(f"unknown model kind: {self.model_kind!r}")
 
     # -- derived quantities -------------------------------------------------
 
@@ -216,7 +225,7 @@ def check_post_leverage_identity(trace: TraceSummary) -> Certificate:
 
 def check_cei(trace: TraceSummary) -> Certificate:
     """Final potential is at most the summed post-update leverages."""
-    rhs = float(np.sum(trace.leverage / (1.0 + trace.leverage))) if trace.horizon else 0.0
+    rhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
     lhs = trace.final_potential_direct if trace.horizon else 0.0
     return _cert("cumulative_potential_bound", lhs, rhs)
 
@@ -228,8 +237,6 @@ def check_main_bound(trace: TraceSummary) -> Certificate:
     the exact leverage-product identity so the check runs without the
     stored Gram matrix.
     """
-    if trace.horizon == 0:
-        return Certificate("main_regret_bound", 0.0, 0.0, DEFAULT_REL_TOL)
     rhs = trace.comparator_metric_norm() * math.sqrt(trace.logdet_from_leverage())
     return _cert("main_regret_bound", trace.total_regret(), rhs)
 
@@ -240,8 +247,6 @@ def check_self_bounding(trace: TraceSummary) -> Certificate:
     Purely base-space quantities; holds whether or not the hidden
     utility is representable in the learner's lift.
     """
-    if trace.horizon == 0:
-        return Certificate("squared_regret_self_bound", 0.0, 0.0, DEFAULT_REL_TOL)
     B = trace.bound_payoff
     rhs = B * trace.total_regret() + 2.0 * B * trace.total_subopt()
     return _cert("squared_regret_self_bound", float(np.sum(trace.regret**2)), rhs)
@@ -255,11 +260,6 @@ def check_robust_bound(trace: TraceSummary) -> list[Certificate]:
     the square root of twice the payoff bound times cumulative
     suboptimality times log-det.
     """
-    if trace.horizon == 0:
-        return [
-            Certificate("robust_regret_bound", 0.0, 0.0, DEFAULT_REL_TOL),
-            check_self_bounding(trace),
-        ]
     B = trace.bound_payoff
     H = trace.logdet_from_leverage()
     lam = trace.regularizer
@@ -282,12 +282,6 @@ _SPECTRAL_CHECKS = (
     "logdet_effective_dim",
     "gram_operator_norm",
 )
-
-_MODEL_FACTORS = {
-    "noncontextual": lambda tr: 1.0,
-    "linear": lambda tr: tr.context_bound**2,
-    "kernel": lambda tr: tr.kernel_bound**2,
-}
 
 
 def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:

@@ -21,16 +21,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas
 
 from .lifting import KERNEL, LiftSpec, adjoint_apply, lift
-from .numkit import (
-    CholFactor,
-    GramMatrix,
-    SpdInverse,
-    project_ball_mahalanobis,
-    project_ellipsoid_coeff,
-)
+from .numkit import CholFactor, GramMatrix, SpdInverse, project_ellipsoid_coeff
 
 __all__ = ["RoundDiagnostics", "CoRectron", "CoRectronK", "OGD", "ONS", "KONS"]
 
@@ -273,10 +266,10 @@ class ONS:
     """Online Newton step on surrogate gradients, unit-ball domain.
 
     Gradients are scaled by ``surrogate_scale`` before entering the
-    preconditioner; the Newton step uses the post-update preconditioner
-    and its metric also weighs the Mahalanobis projection back onto the
-    ball.  Rounds whose unconstrained step already lands inside the ball
-    skip the projection and are not counted as projected.
+    preconditioner, of which only the inverse is stored; the Newton step
+    and the Mahalanobis projection back onto the ball both read it after
+    the update.  Rounds whose unconstrained step already lands inside the
+    ball skip the projection and are not counted as projected.
     """
 
     def __init__(
@@ -295,12 +288,8 @@ class ONS:
         self.ridge = float(ridge)
         self.surrogate_scale = float(surrogate_scale)
         self.step_coeff = float(step_coeff)
-        d = lift_spec.dim
-        # Fortran order, so the BLAS rank-one update below works in place.
-        self._metric = np.zeros((d, d), order="F")
-        np.fill_diagonal(self._metric, self.ridge)
-        self._inv = SpdInverse.from_ridge(d, ridge)
-        self._w = np.zeros(d)
+        self._inv = SpdInverse.from_ridge(lift_spec.dim, ridge)
+        self._w = np.zeros(lift_spec.dim)
 
     def predict(self, z=None) -> np.ndarray:
         z = self.lift_spec.check_context(z)
@@ -309,10 +298,9 @@ class ONS:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = self.surrogate_scale * lift(self.lift_spec, z, g_base)
-        self._metric = blas.dger(1.0, g, g, a=self._metric, overwrite_a=1)
         self._inv.rank_one_update(g)
         target = self._w - self._inv.apply(g) / self.step_coeff
-        proj = project_ball_mahalanobis(self._metric, target, 1.0)
+        proj = self._inv.project_ball(target, 1.0)
         self._w = proj.point
         return _baseline_diag(not proj.trivial)
 

@@ -3,8 +3,8 @@
 Covers maintenance of a positive-definite inverse under rank-one updates,
 a packed incremental Cholesky factor of a ridged Gram matrix with its
 BLAS triangular solves, projections onto a Mahalanobis-weighted ball
-(one symmetric eigendecomposition) and onto an ellipsoid (one
-generalized symmetric eigendecomposition), and the clamped Gram
+(one eigendecomposition of the inverse metric) and onto an ellipsoid
+(one generalized symmetric eigendecomposition), and the clamped Gram
 eigenvalues from which the diagnostics layer certifies the
 log-determinant, effective dimension and operator norm.
 """
@@ -131,6 +131,11 @@ class SpdInverse:
     def quad(self, v: np.ndarray) -> float:
         """Quadratic form ``v^T A^{-1} v``."""
         return float(v.dot(self._inv.dot(v)))
+
+    def project_ball(self, point: np.ndarray, radius: float) -> "ProjectionResult":
+        """:func:`project_ball_mahalanobis` in the metric ``A``, from the
+        stored inverse itself (no copy)."""
+        return project_ball_mahalanobis(self._inv, point, radius)
 
     def rank_one_update(self, g: np.ndarray) -> float:
         """In place, absorb ``g g^T`` into ``A``; returns ``g^T A^{-1} g``.
@@ -279,8 +284,8 @@ class ProjectionResult:
     trivial: bool
 
 
-def _radius_multiplier(num, off, slope, radius, hi):
-    """Solve ``sum(num / (off + theta * slope)^2) = radius^2`` for theta >= 0.
+def _radius_multiplier(num, slope, radius, hi):
+    """Solve ``sum(num / (1 + theta * slope)^2) = radius^2`` for theta >= 0.
 
     The left-hand side is strictly decreasing in theta, exceeds radius^2
     at theta = 0 (callers dispatch the feasible case beforehand), and the
@@ -294,7 +299,7 @@ def _radius_multiplier(num, off, slope, radius, hi):
     target = radius * radius
 
     def value(theta):
-        q = off + theta * slope
+        q = 1.0 + theta * slope
         return float(np.sum(num / (q * q)))
 
     lo = 0.0
@@ -303,7 +308,7 @@ def _radius_multiplier(num, off, slope, radius, hi):
         hi *= 2.0
     theta = 0.5 * (lo + hi)
     for _ in range(300):
-        q = off + theta * slope
+        q = 1.0 + theta * slope
         f = float(np.sum(num / (q * q)))
         err = np.sqrt(f) - radius
         if -RADIUS_TOL * radius <= err <= 0.0:
@@ -325,19 +330,21 @@ def _radius_multiplier(num, off, slope, radius, hi):
     return hi
 
 
-def project_ball_mahalanobis(metric, point, radius: float) -> ProjectionResult:
-    """Minimise ``(w - point)^T metric (w - point)`` over ``||w||_2 <= radius``.
+def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResult:
+    """Minimise ``(w - point)^T M (w - point)`` over ``||w||_2 <= radius``.
 
+    ``M`` is given by its inverse ``P``, which second-order learners store.
     Any already-feasible ``point`` (within a tiny multiplicative slack) is
     returned unchanged and flagged trivial.  Otherwise the optimum lies on
-    the sphere and satisfies ``metric (w - point) + theta * w = 0`` for a
-    unique multiplier ``theta > 0``, located by safeguarded root-finding
-    on ``||w(theta)||`` after one eigendecomposition of ``metric``.
+    the sphere and satisfies ``M (w - point) + theta * w = 0``, that is
+    ``(I + theta P) w = point``, for a unique multiplier ``theta > 0``,
+    located by safeguarded root-finding on ``||w(theta)||`` after one
+    eigendecomposition of ``P``.
 
     Parameters
     ----------
-    metric : ndarray, shape (d, d)
-        Symmetric positive-definite weighting matrix.
+    inv_metric : ndarray, shape (d, d)
+        Symmetric positive-definite inverse ``P`` of the weighting matrix.
     point : ndarray, shape (d,)
         Point to project.
     radius : float
@@ -350,21 +357,16 @@ def project_ball_mahalanobis(metric, point, radius: float) -> ProjectionResult:
     if nrm <= radius * (1.0 + TRIVIAL_SLACK):
         return ProjectionResult(point.copy(), 0.0, True)
 
-    metric = _require_symmetric(_as_square(metric), "metric")
-    if metric.shape[0] != point.shape[0]:
-        raise ValueError("metric and point dimensions disagree")
-    # scipy's LAPACK, like the BLAS that grows ONS's metric: numpy and
-    # scipy wheels each bundle an OpenBLAS with its own thread pool, and
-    # alternating between the two pools made projecting ONS rounds ~5x
-    # slower with BLAS threads unpinned on two cores.
-    evals, vecs = eigh(metric, driver="evd", check_finite=False)
-    if evals[0] <= 0:
-        raise ValueError("metric must be positive definite")
-    yt = vecs.T.dot(point)
-    num = (evals * yt) ** 2
-    hi = float(evals[-1]) * nrm / radius
-    theta = _radius_multiplier(num, evals, 1.0, radius, hi)
-    w = vecs.dot(evals * yt / (evals + theta))
+    inv_metric = _require_symmetric(_as_square(inv_metric), "inverse metric")
+    if inv_metric.shape[0] != point.shape[0]:
+        raise ValueError("inverse metric and point dimensions disagree")
+    mu, V = eigh(inv_metric, driver="evd", check_finite=False)
+    if mu[0] <= 0:
+        raise ValueError("inverse metric must be positive definite")
+    b = V.T.dot(point)
+    # ||w(theta)|| <= nrm / (1 + theta * mu[0]) < radius at this bracket end.
+    theta = _radius_multiplier(b * b, mu, radius, nrm / (radius * float(mu[0])))
+    w = V.dot(b / (1.0 + theta * mu))
     return ProjectionResult(w, theta, False)
 
 
@@ -378,7 +380,8 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     I``, makes that condition diagonal: with ``b = V^T metric point`` the
     optimum is ``V (b / (1 + theta * s))``, and the multiplier is found by
     the same safeguarded root-finding as the ball projection.  With
-    ``shape = I`` this reduces exactly to :func:`project_ball_mahalanobis`.
+    ``shape = I`` this is :func:`project_ball_mahalanobis` given ``metric``'s
+    inverse.
     """
     point = _as_vector(point)
     if radius <= 0:
@@ -399,7 +402,7 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
         raise ValueError("metric must be positive definite") from exc
     s = np.clip(s, 0.0, None)
     b = V.T.dot(metric.dot(point))
-    theta = _radius_multiplier(s * b * b, 1.0, s, radius, 1.0)
+    theta = _radius_multiplier(s * b * b, s, radius, 1.0)
     c = V.dot(b / (1.0 + theta * s))
     return ProjectionResult(c, theta, False)
 

@@ -157,16 +157,17 @@ def test_criterion_2c_representer_matches_explicit():
 def test_criterion_2d_projections_vs_brute_force():
     rng = np.random.default_rng(3)
     worst = 0.0
-    # ball metric: 2-d angular grid oracle
+    # ball metric: 2-d angular grid oracle; the projection takes the
+    # inverse metric, the oracles the metric
     metric = np.diag([4.0, 1.0])
     point = np.array([2.0, 2.0])
-    got = project_ball_mahalanobis(metric, point, 1.0).point
+    got = project_ball_mahalanobis(np.diag([0.25, 1.0]), point, 1.0).point
     worst = max(worst, float(np.abs(got - grid_oracle_ball_2d(metric, point, 1.0)).max()))
     # ball metric in dimension 4: projected-gradient oracle
     for _ in range(3):
         metric = random_spd(rng, 4)
         point = rng.standard_normal(4) * 3.0
-        got = project_ball_mahalanobis(metric, point, 1.0).point
+        got = project_ball_mahalanobis(np.linalg.inv(metric), point, 1.0).point
         worst = max(worst, float(np.abs(got - pgd_oracle_ball(metric, point, 1.0)).max()))
     # coefficient-space ellipsoid constraint in dimension 4
     for _ in range(3):

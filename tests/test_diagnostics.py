@@ -68,6 +68,13 @@ class TestEmptyTraces:
         assert all(c.holds for c in spectral)
         assert check_main_bound(tr).holds
         assert all(c.holds for c in check_robust_bound(tr))
+        # the general formulas, with no horizon-0 branch, give these exactly
+        general = [check_cei(tr), check_main_bound(tr), *check_robust_bound(tr)]
+        assert [c.name for c in general] == [
+            "cumulative_potential_bound", "main_regret_bound",
+            "robust_regret_bound", "squared_regret_self_bound",
+        ]
+        assert all((c.lhs, c.rhs, c.tolerance) == (0.0, 0.0, 1e-6) for c in general)
         certs, skipped = standard_certificates(tr)
         assert all(c.holds for c in certs)
         assert not skipped

@@ -430,7 +430,7 @@ class TestCli:
         assert any(line.startswith("main_regret_bound") and "FAIL" in line for line in lines)
 
     @pytest.mark.parametrize("damage", ["missing_file", "bad_json", "missing_key",
-                                        "zero_regularizer"])
+                                        "zero_regularizer", "bad_model_kind"])
     def test_certify_rejects_unreadable_trace(self, tmp_path, capsys, damage):
         config = tiny_config(horizon=20, diag_level="full")
         params = resolve_hyperparameters(config, "corectron_l", 1.0)
@@ -445,6 +445,9 @@ class TestCli:
         elif damage == "zero_regularizer":
             saved["regularizer"] = 0.0
             path.write_text(json.dumps(saved))
+        elif damage == "bad_model_kind":
+            saved["model_kind"] = "mystery"
+            path.write_text(json.dumps(saved))
         code = cli_main(["certify", "--trace", str(path)])
         assert code == 2
         captured = capsys.readouterr()
@@ -455,7 +458,7 @@ class TestCli:
             assert line.endswith("leverage")
 
     @pytest.mark.parametrize("args", [["--n", "3", "--m", "5"], ["--alpha", "1.5"],
-                                      ["--T", "-1"]])
+                                      ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"]])
     def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = cli_main(["run", *args, "--out", str(out)])
@@ -467,10 +470,10 @@ class TestCli:
         assert not out.exists()
 
     def test_run_rejects_conflicting_noise(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main([
-                "run", "--alpha", "0.5", "--xi", "0.5", "--out", str(tmp_path)
-            ])
+        code = cli_main([
+            "run", "--alpha", "0.5", "--xi", "0.5", "--out", str(tmp_path)
+        ])
+        assert code == 2
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):

@@ -380,6 +380,19 @@ class TestONS:
             learner.update(None, rng.standard_normal(3) * 0.6)
             assert np.linalg.norm(learner._w) <= 1.0 + 1e-9
 
+    def test_holds_one_square_matrix(self):
+        # the stored inverse serves both the Newton step and the projection
+        d = 200
+        learner = ONS(LiftSpec.identity(d), ridge=0.5)
+        learner.update(None, np.ones(d))
+        held = sum(
+            v.nbytes
+            for owner in (learner, learner._inv)
+            for v in vars(owner).values()
+            if isinstance(v, np.ndarray)
+        )
+        assert held < 2 * 8 * d * d
+
 
 class TestKONS:
     def kernel_spec(self):

@@ -173,13 +173,15 @@ class TestBlockedInverseUpdate:
     @given(hostile_streams)
     def test_ons_metric_matches_dense_sum(self, stream):
         d, ridge, kinds, seed = stream
+        # ONS keeps only the inverse of its metric; the projection reads it too
         ons = ONS(LiftSpec.identity(d), ridge)
         metric = ridge * np.eye(d)
         for g in residual_stream(d, kinds, seed):
             ons.update(None, g)
             metric += np.outer(ons.surrogate_scale * g, ons.surrogate_scale * g)
-        np.testing.assert_array_equal(ons._metric, ons._metric.T)
-        assert np.abs(ons._metric - metric).max() <= 1e-14 * np.abs(metric).max()
+        inv = ons._inv.inv
+        np.testing.assert_array_equal(inv, inv.T)
+        assert np.abs(inv.dot(metric) - np.eye(d)).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +420,52 @@ def pgd_oracle_ball(metric, point, radius, steps=60_000):
     return w
 
 
+def reference_project_ball(inv_metric, point, radius):
+    """Dense reference for :func:`project_ball_mahalanobis` from the same
+    inverse metric ``P``: brentq finds the multiplier on
+    ``||solve(I + theta P, point)|| = radius``, with no eigendecomposition
+    and without the library's root-finder."""
+    from scipy.optimize import brentq
+
+    if np.linalg.norm(point) <= radius * (1.0 + TRIVIAL_SLACK):
+        return point.copy()
+    eye = np.eye(point.shape[0])
+
+    def gap(theta):
+        return float(np.linalg.norm(np.linalg.solve(eye + theta * inv_metric, point))) - radius
+
+    hi = 1.0
+    while gap(hi) > 0.0:
+        hi *= 2.0
+    theta = brentq(gap, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return np.linalg.solve(eye + theta * inv_metric, point)
+
+
 class TestProjectBall:
+    """``project_ball_mahalanobis`` takes the inverse metric; the oracles
+    take the metric (the identity and diag(1, -1) are their own inverses)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 30), st.floats(0.0, 6.0), st.floats(-3.0, 3.0),
+           st.sampled_from([0.3, 1.0001, 1.01, 2.0, 50.0]), st.integers(0, 2**32 - 1))
+    def test_matches_same_inverse_reference(self, d, log_cond, log_scale, ratio, seed):
+        # random SPD inverse metrics up to condition number 1e6
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        mu = 10.0 ** (log_scale + rng.uniform(0.0, log_cond, d))
+        mu[0], mu[-1] = 10.0**log_scale, 10.0 ** (log_scale + log_cond)
+        inv_metric = (q * mu).dot(q.T)
+        inv_metric = 0.5 * (inv_metric + inv_metric.T)
+        radius = float(rng.uniform(0.2, 2.0))
+        point = rng.standard_normal(d)
+        point *= ratio * radius / np.linalg.norm(point)
+        out = project_ball_mahalanobis(inv_metric, point, radius)
+        ref = reference_project_ball(inv_metric, point, radius)
+        assert np.abs(out.point - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert np.linalg.norm(out.point) <= radius * (1.0 + 1e-9)
+        assert out.trivial == (ratio < 1.0)
+        assert project_ball_mahalanobis(inv_metric, out.point, radius).trivial
+
     def test_feasible_point_is_trivial(self):
         out = project_ball_mahalanobis(np.eye(3), np.array([0.1, 0.2, 0.1]), 1.0)
         assert out.trivial
@@ -433,7 +480,7 @@ class TestProjectBall:
     def test_against_angular_grid(self):
         metric = np.diag([4.0, 1.0])
         point = np.array([2.0, 2.0])
-        out = project_ball_mahalanobis(metric, point, 1.0)
+        out = project_ball_mahalanobis(np.diag([0.25, 1.0]), point, 1.0)
         oracle = grid_oracle_ball_2d(metric, point, 1.0)
         assert np.abs(out.point - oracle).max() < 1e-4
 
@@ -441,7 +488,7 @@ class TestProjectBall:
         rng = np.random.default_rng(6)
         metric = random_spd(rng, 4)
         point = rng.standard_normal(4) * 3.0
-        out = project_ball_mahalanobis(metric, point, 1.0)
+        out = project_ball_mahalanobis(np.linalg.inv(metric), point, 1.0)
         oracle = pgd_oracle_ball(metric, point, 1.0)
         assert np.abs(out.point - oracle).max() < 1e-4
 
@@ -457,7 +504,7 @@ class TestProjectBall:
         metric = random_spd(rng, d)
         point = rng.standard_normal(d) * rng.uniform(0.1, 5.0)
         radius = float(rng.uniform(0.2, 2.0))
-        out = project_ball_mahalanobis(metric, point, radius)
+        out = project_ball_mahalanobis(np.linalg.inv(metric), point, radius)
         assert np.linalg.norm(out.point) <= radius * (1.0 + 1e-9)
         assert out.multiplier >= 0.0
         stat = metric.dot(out.point - point) + out.multiplier * out.point
@@ -474,9 +521,10 @@ class TestProjectBall:
         radius = float(rng.uniform(0.2, 2.0))
         point = rng.standard_normal(d)
         point *= radius * float(rng.uniform(1.0001, 50.0)) / np.linalg.norm(point)
-        out = project_ball_mahalanobis(metric, point, radius)
+        inv_metric = np.linalg.inv(metric)
+        out = project_ball_mahalanobis(inv_metric, point, radius)
         assert not out.trivial
-        again = project_ball_mahalanobis(metric, out.point, radius)
+        again = project_ball_mahalanobis(inv_metric, out.point, radius)
         assert again.trivial
         assert np.linalg.norm(out.point) == pytest.approx(radius, rel=1e-9)
 
@@ -530,7 +578,7 @@ def reference_project_ellipsoid(metric, shape, point, radius):
     s, Q = np.linalg.eigh(0.5 * (M + M.T))
     s = np.clip(s, 0.0, None)
     bt = Q.T.dot(L.T.dot(point))
-    theta = _radius_multiplier(s * bt * bt, 1.0, s, radius, 1.0)
+    theta = _radius_multiplier(s * bt * bt, s, radius, 1.0)
     return solve_triangular(L, Q.dot(bt / (1.0 + theta * s)), lower=True, trans=1)
 
 
@@ -607,7 +655,7 @@ class TestProjectEllipsoid:
         for _ in range(5):
             metric = random_spd(rng, 3)
             point = rng.standard_normal(3) * 2.0
-            ball = project_ball_mahalanobis(metric, point, 1.0)
+            ball = project_ball_mahalanobis(np.linalg.inv(metric), point, 1.0)
             ell = project_ellipsoid_coeff(metric, np.eye(3), point, 1.0)
             assert np.abs(ball.point - ell.point).max() < 1e-8
 

@@ -13,6 +13,13 @@ over the action set is the next recommendation.
 * :class:`OGD`, :class:`ONS`, :class:`KONS` - first- and second-order
   baselines constrained to the unit ball, requiring Euclidean or
   Mahalanobis projections.
+
+A round whose residual (lifted, for the explicit learners) is exactly
+zero, one without a mistake, leaves every learner's state and prediction
+unchanged, so ``update`` returns at once: no inverse update, no history
+row, no solve, no projection.  Its diagnostics are those the full update
+would give: leverage and alignment 0, the potential unchanged,
+``alignment_scale`` 1, not projected.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ class RoundDiagnostics(NamedTuple):
 def _baseline_diag(projected: bool) -> RoundDiagnostics:
     nan = float("nan")
     return RoundDiagnostics(nan, nan, nan, nan, projected)
+
+
+def _zero_round_diag(potential: float) -> RoundDiagnostics:
+    return RoundDiagnostics(0.0, 0.0, potential, 1.0, False)
 
 
 def _potential_increment(lev: float, align: float) -> float:
@@ -142,13 +153,15 @@ class CoRectron:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = lift(self.lift_spec, z, g_base)
+        self._last_lifted = g
+        if not g.any():
+            return _zero_round_diag(self._potential)
         align = float(g.dot(self._preconditioned_cum()))
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(self._cum))
         lev = self._inv.rank_one_update(g)
         self._pre = None
         self._cum += g
         self._potential += _potential_increment(lev, align)
-        self._last_lifted = g
         return RoundDiagnostics(lev, align, self._potential, scale, False)
 
     def potential_direct(self) -> float:
@@ -169,9 +182,11 @@ class CoRectronK:
     and the coefficient vector solving it against the all-ones
     right-hand side; the prediction is the negated coefficient
     combination of past residual features evaluated at the current
-    context.  ``L^{-1} 1`` is kept incrementally, so each round costs one
-    forward solve (inside :meth:`CholFactor.extend`) and one backward
-    solve.
+    context.  ``L^{-1} 1`` is kept incrementally, so each round with a
+    nonzero residual costs one forward solve (inside
+    :meth:`CholFactor.extend`) and one backward solve.  Only those rounds
+    are stored: a zero residual's row would be decoupled from the rest and
+    weighted by nothing in the prediction.
     """
 
     def __init__(self, lift_spec: LiftSpec, regularizer: float):
@@ -184,10 +199,10 @@ class CoRectronK:
         self._chol = CholFactor()
         self._fwd_ones = np.empty(0)  # L^{-1} 1
         self._coef = np.empty(0)
-        self._pivot = 0.0  # last diagonal entry of L
         self._hist = _History(lift_spec)
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
         self._potential = 0.0
+        self._post_leverage: float | None = None  # of the last round
 
     def predict(self, z) -> np.ndarray:
         # The representer sum with weights -coefficients; the history keeps
@@ -200,19 +215,26 @@ class CoRectronK:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
+        if not g.any():
+            self._post_leverage = 0.0
+            return _zero_round_diag(self._potential)
         col, rho = self.lift_spec.gram_column(
             self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
         )
-        y, self._pivot = self._chol.extend(col, rho + self.regularizer)
+        y, pivot = self._chol.extend(col, rho + self.regularizer)
         lev = (rho - float(y.dot(y))) / self.regularizer
         align = float(self._coef.dot(col)) if self._hist.size else 0.0
         scale = 1.0 + math.sqrt(max(rho, 0.0)) * math.sqrt(max(self._gram_total, 0.0))
         self._gram_total += 2.0 * float(col.sum()) + rho
         self._hist.append(z, g)
         # The new row [y^T, pivot] of L extends L v = 1 by one entry.
-        v_new = (1.0 - float(y.dot(self._fwd_ones))) / self._pivot
+        v_new = (1.0 - float(y.dot(self._fwd_ones))) / pivot
         self._fwd_ones = np.append(self._fwd_ones, v_new)
         self._coef = self._chol.backward(self._fwd_ones)
+        # Last diagonal entry of K (K + ridge I)^{-1}: L is lower triangular,
+        # so L^{-1} e_t = e_t / pivot and the last entry of (L L^T)^{-1} e_t
+        # is (1 / pivot) / pivot, the value two dense triangular solves give.
+        self._post_leverage = 1.0 - self.regularizer * ((1.0 / pivot) / pivot)
         self._potential += _potential_increment(lev, align)
         return RoundDiagnostics(lev, align, self._potential, scale, False)
 
@@ -220,20 +242,18 @@ class CoRectronK:
         """Potential from the Gram solve: ``t - ridge * sum(coefficients)``.
 
         Follows from pairing the ridged system solved by the coefficient
-        vector with the all-ones vector.
+        vector with the all-ones vector.  ``t`` counts the stored
+        (nonzero) residuals: a zero residual's row would be decoupled, with
+        coefficient ``1 / ridge``, and add ``1 - ridge / ridge = 0``.
         """
         return self._hist.size - self.regularizer * float(self._coef.sum())
 
     def post_round_leverage(self) -> float:
-        """Last diagonal entry of ``K (K + ridge I)^{-1}`` from the factor.
-
-        ``L`` is lower triangular, so ``L^{-1} e_t = e_t / pivot`` and the
-        last entry of ``(L L^T)^{-1} e_t`` is ``(1 / pivot) / pivot``, the
-        value the two dense triangular solves produce.
-        """
-        if self._hist.size == 0:
+        """The last round's diagonal entry of ``K (K + ridge I)^{-1}``,
+        from the new pivot of the factor; 0 after a zero residual."""
+        if self._post_leverage is None:
             raise RuntimeError("no update has been applied yet")
-        return 1.0 - self.regularizer * ((1.0 / self._pivot) / self._pivot)
+        return self._post_leverage
 
 
 class OGD:
@@ -255,6 +275,8 @@ class OGD:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = lift(self.lift_spec, z, g_base)
+        if not g.any():
+            return _baseline_diag(False)
         self._w -= self.step_size * g
         nrm = float(np.linalg.norm(self._w))
         if nrm > 1.0:
@@ -298,6 +320,8 @@ class ONS:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = self.surrogate_scale * lift(self.lift_spec, z, g_base)
+        if not g.any():
+            return _baseline_diag(False)
         self._inv.rank_one_update(g)
         target = self._w - self._inv.apply(g) / self.step_coeff
         proj = self._inv.project_ball(target, 1.0)
@@ -347,6 +371,8 @@ class KONS:
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
+        if not g.any():
+            return _baseline_diag(False)
         col, rho = self.lift_spec.gram_column(
             self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
         )

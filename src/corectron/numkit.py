@@ -7,6 +7,11 @@ BLAS triangular solves, projections onto a Mahalanobis-weighted ball
 (one generalized symmetric eigendecomposition), and the clamped Gram
 eigenvalues from which the diagnostics layer certifies the
 log-determinant, effective dimension and operator norm.
+
+A zero residual is a no-op for the learners, and its all-zero row and
+column of a Gram matrix are not decomposed: they contribute a zero
+eigenvalue each.  Both projections return a point that satisfies the
+constraint as evaluated on that point, not only in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ JITTER_REL = 1e-10
 # Rows of the stored inverse updated per pass of SpdInverse.rank_one_update;
 # the scratch block (1 MB at dim 1000) stays in cache between its passes.
 UPDATE_BLOCK_ROWS = 128
+# Side of the square tiles in which _require_symmetric compares a matrix
+# with its transpose.
+SYMMETRY_TILE = 256
 
 
 class DegenerateGramError(RuntimeError):
@@ -62,8 +70,23 @@ def _as_square(m) -> np.ndarray:
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    scale = 1.0 + (np.abs(m).max() if m.size else 0.0)
-    if m.size and np.abs(m - m.T).max() > 1e-8 * scale:
+    """``m`` unless some ``|m[i, j] - m[j, i]|`` exceeds ``1e-8 * (1 + max|m|)``.
+
+    Compares ``SYMMETRY_TILE``-square tiles below the diagonal with their
+    mirror images, so no temporary grows with ``m``.
+    """
+    if not m.size:
+        return m
+    scale = 1.0 + max(m.max(), -m.min())
+    n = m.shape[0]
+    worst = 0.0
+    for r0 in range(0, n, SYMMETRY_TILE):
+        rows = slice(r0, r0 + SYMMETRY_TILE)
+        for c0 in range(0, r0 + 1, SYMMETRY_TILE):
+            cols = slice(c0, c0 + SYMMETRY_TILE)
+            # np.maximum, unlike max, carries a NaN on as one full max would.
+            worst = np.maximum(worst, np.abs(m[rows, cols] - m[cols, rows].T).max())
+    if worst > 1e-8 * scale:
         raise ValueError(f"{what} must be symmetric")
     return m
 
@@ -330,6 +353,29 @@ def _radius_multiplier(num, slope, radius, hi):
     return hi
 
 
+def _inside(point: np.ndarray, norm, radius: float) -> np.ndarray:
+    """``point``, scaled towards the origin until ``norm(point) <= radius``.
+
+    The root-finder's multiplier is feasible in the eigenbasis; the
+    back-transformed point can still overshoot by rounding, which a
+    scaling of a few ulps removes.
+    """
+    size = norm(point)
+    if not size > radius:  # NaN passes through to the caller's checks
+        return point
+    factor = radius / size
+    while True:
+        scaled = point * factor
+        if not norm(scaled) > radius:
+            return scaled
+        factor = np.nextafter(factor, 0.0)
+
+
+def _shape_norm(shape: np.ndarray, c: np.ndarray) -> float:
+    """``sqrt(c^T shape c)``, read as zero when rounding makes it negative."""
+    return float(np.sqrt(max(float(c.dot(shape.dot(c))), 0.0)))
+
+
 def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResult:
     """Minimise ``(w - point)^T M (w - point)`` over ``||w||_2 <= radius``.
 
@@ -366,7 +412,7 @@ def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResu
     b = V.T.dot(point)
     # ||w(theta)|| <= nrm / (1 + theta * mu[0]) < radius at this bracket end.
     theta = _radius_multiplier(b * b, mu, radius, nrm / (radius * float(mu[0])))
-    w = V.dot(b / (1.0 + theta * mu))
+    w = _inside(V.dot(b / (1.0 + theta * mu)), np.linalg.norm, radius)
     return ProjectionResult(w, theta, False)
 
 
@@ -389,8 +435,7 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     shape = _require_symmetric(_as_square(shape), "shape")
     if shape.shape[0] != point.shape[0]:
         raise ValueError("shape and point dimensions disagree")
-    gval = float(point.dot(shape.dot(point)))
-    if np.sqrt(max(gval, 0.0)) <= radius * (1.0 + TRIVIAL_SLACK):
+    if _shape_norm(shape, point) <= radius * (1.0 + TRIVIAL_SLACK):
         return ProjectionResult(point.copy(), 0.0, True)
 
     metric = _require_symmetric(_as_square(metric), "metric")
@@ -403,17 +448,22 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     s = np.clip(s, 0.0, None)
     b = V.T.dot(metric.dot(point))
     theta = _radius_multiplier(s * b * b, s, radius, 1.0)
-    c = V.dot(b / (1.0 + theta * s))
+    c = _inside(V.dot(b / (1.0 + theta * s)), lambda v: _shape_norm(shape, v), radius)
     return ProjectionResult(c, theta, False)
 
 
 def gram_eigenvalues(gram) -> np.ndarray:
     """Ascending eigenvalues of a positive-semidefinite matrix ``K``.
 
-    Eigenvalues that dip slightly negative (near-duplicate residuals) are
-    clamped to zero.
+    Only the block of rows and columns holding a nonzero entry is
+    decomposed: every other index (a zero residual's) contributes an
+    eigenvalue of exactly zero, placed first.  Eigenvalues that dip
+    slightly negative (near-duplicate residuals) are clamped to zero.
     """
     K = _require_symmetric(_as_square(gram), "gram matrix")
-    if K.size == 0:
-        return np.empty(0)
-    return np.clip(np.linalg.eigvalsh(K), 0.0, None)
+    kept = np.flatnonzero(K.any(axis=0) | K.any(axis=1))
+    zeros = np.zeros(K.shape[0] - kept.size)
+    if kept.size == 0:
+        return zeros
+    block = K if kept.size == K.shape[0] else K[np.ix_(kept, kept)]
+    return np.concatenate([zeros, np.clip(np.linalg.eigvalsh(block), 0.0, None)])

@@ -138,21 +138,23 @@ class TestCoRectronK:
         np.testing.assert_array_equal(learner.predict(np.zeros(2)), np.zeros(3))
 
     def test_zero_residual_round(self):
-        # a vanishing residual appends a decoupled row: pivot sqrt(ridge),
-        # coefficient 1/ridge, prediction and potential unchanged
+        # a vanishing residual stores nothing: factor and history keep
+        # their size, prediction and potential are unchanged bit for bit,
+        # and both leverages read 0
         lam = 2.0
         learner = CoRectronK(self.kernel_spec(), lam)
         rng = np.random.default_rng(3)
         z = unit_context(rng, 2)
-        learner.update(z, rng.standard_normal(3))
+        running = learner.update(z, rng.standard_normal(3)).potential
         before = learner.predict(z).copy()
         pot = learner.potential_direct()
+        assert learner.post_round_leverage() > 0.0
         diag = learner.update(z, np.zeros(3))
-        assert diag.leverage == 0.0
-        assert learner._chol.L[-1, -1] == pytest.approx(np.sqrt(lam))
-        assert learner._coef[-1] == pytest.approx(1.0 / lam)
-        np.testing.assert_allclose(learner.predict(z), before, atol=1e-12)
-        assert learner.potential_direct() == pytest.approx(pot, abs=1e-12)
+        assert diag == (0.0, 0.0, running, 1.0, False)
+        assert learner._chol.size == learner._hist.size == learner._coef.size == 1
+        np.testing.assert_array_equal(learner.predict(z), before)
+        assert learner.potential_direct() == pot
+        assert learner.post_round_leverage() == 0.0
 
     def test_coefficients_solve_ones_system(self):
         rng = np.random.default_rng(4)
@@ -181,9 +183,9 @@ class TestCoRectronK:
 
 # Hostile kernel streams: per round, a fresh context or a near-duplicate
 # of the previous one, and a fresh, zero or repeated residual.  A zero
-# residual appends a decoupled row; near-duplicate contexts with repeated
-# residuals under the 1e-13 regularizer push the new pivot under the
-# floor, so the factor takes the jitter retry.
+# residual is not stored; near-duplicate contexts with repeated residuals
+# under the 1e-13 regularizer push the new pivot under the floor, so the
+# factor takes the jitter retry.
 kernel_streams = st.tuples(
     st.sampled_from([1e-13, 1e-3, 0.1, 1.0, 10.0]),
     st.lists(
@@ -196,15 +198,17 @@ kernel_streams = st.tuples(
 
 def run_kernel_stream(stream, check):
     """Feed a stream to CoRectronK; after each round call ``check(learner,
-    M)`` with ``M = K + ridge * I`` plus the jitter the factor added.
-    Returns the number of jittered rounds."""
+    M, zero)`` with ``M = K + ridge * I`` plus the jitter the factor added,
+    ``K`` the Gram matrix of the rounds with a nonzero residual, and
+    ``zero`` whether this round's residual was zero.  Returns the number
+    of jittered rounds."""
     lam, kinds, seed = stream
     rng = np.random.default_rng(seed)
     spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
     learner = CoRectronK(spec, lam)
     z, g = unit_context(rng, 2), np.zeros(3)
     hist, jitter = [], []
-    for t, (zkind, gkind) in enumerate(kinds):
+    for zkind, gkind in kinds:
         if zkind == "fresh":
             z = unit_context(rng, 2)
         else:
@@ -215,14 +219,18 @@ def run_kernel_stream(stream, check):
         elif gkind == "zero":
             g = np.zeros(3)
         learner.update(z, g)
-        hist.append((z.copy(), g.copy()))
-        K = np.array([[spec.kernel.value(zs, zt) * gs.dot(gt) for zt, gt in hist] for zs, gs in hist])
-        L = learner._chol.L
-        y, pivot = L[t, :t], L[t, t]
-        diag = K[t, t] + lam
-        took = abs(pivot * pivot + y.dot(y) - diag) > 0.5 * JITTER_REL * diag
-        jitter.append(JITTER_REL * diag if took else 0.0)
-        check(learner, K + lam * np.eye(t + 1) + np.diag(jitter))
+        zero = not g.any()
+        if not zero:
+            hist.append((z.copy(), g.copy()))
+        n = len(hist)
+        K = np.array([[spec.kernel.value(zs, zt) * gs.dot(gt) for zt, gt in hist] for zs, gs in hist]).reshape(n, n)
+        if not zero:
+            L = learner._chol.L
+            y, pivot = L[n - 1, : n - 1], L[n - 1, n - 1]
+            diag = K[n - 1, n - 1] + lam
+            took = abs(pivot * pivot + y.dot(y) - diag) > 0.5 * JITTER_REL * diag
+            jitter.append(JITTER_REL * diag if took else 0.0)
+        check(learner, K + lam * np.eye(n) + np.diag(jitter), zero)
     return np.count_nonzero(jitter)
 
 
@@ -238,8 +246,13 @@ class TestPackedFactorInLearners:
     def test_gram_quantities_match_dense(self, stream):
         lam = stream[0]
 
-        def check(learner, M):
+        def check(learner, M, zero):
             n = M.shape[0]
+            assert learner._chol.size == learner._hist.size == n
+            if zero:
+                assert learner.post_round_leverage() == 0.0
+            if n == 0:
+                return
             L = learner._chol.L
             cond = np.linalg.cond(M)
             ref = np.linalg.cholesky(M)
@@ -249,15 +262,16 @@ class TestPackedFactorInLearners:
             assert np.abs(v - fresh).max() <= 1e-12 * np.linalg.cond(L) * np.abs(fresh).max()
             c = np.linalg.solve(M, np.ones(n))
             assert np.abs(learner._coef - c).max() <= 1e-12 * cond * np.abs(c).max()
-            post = 1.0 - lam * np.linalg.inv(M)[-1, -1]
-            assert abs(learner.post_round_leverage() - post) <= 1e-12 * cond
+            if not zero:
+                post = 1.0 - lam * np.linalg.inv(M)[-1, -1]
+                assert abs(learner.post_round_leverage() - post) <= 1e-12 * cond
 
         run_kernel_stream(stream, check)
 
     def test_near_duplicate_contexts_take_jitter(self):
         stream = (1e-13, [("fresh", "fresh"), ("near", "repeat"), ("near", "repeat")], 5)
         calls = []
-        jitters = run_kernel_stream(stream, lambda learner, M: calls.append(M))
+        jitters = run_kernel_stream(stream, lambda learner, M, zero: calls.append(M))
         assert jitters == 2 and len(calls) == 3
 
 
@@ -469,3 +483,54 @@ def test_every_entry_rejects_bad_context(make, z):
     with pytest.raises(ValueError):
         learner.update(z, np.array([0.0, 1.0, -1.0]))
     np.testing.assert_array_equal(learner.predict(np.array([0.0, 0.6])), before)
+
+
+ZERO_STREAM_LEARNERS = {
+    "corectron_l": lambda: CoRectron(LiftSpec.linear(3, 2), 0.5),
+    "corectron_k": lambda: CoRectronK(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 0.5),
+    "ogd": lambda: OGD(LiftSpec.linear(3, 2), 0.5),
+    "ons": lambda: ONS(LiftSpec.linear(3, 2), 0.05, surrogate_scale=1.0),
+    "kons": lambda: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 0.05, surrogate_scale=1.0),
+}
+
+
+def learner_state(learner) -> dict:
+    state = {name: getattr(learner, name) for name in ("_cum", "_w", "_coef", "_fwd_ones") if hasattr(learner, name)}
+    if hasattr(learner, "_inv"):
+        state["inv"] = learner._inv.inv
+    for name in ("_chol", "_hist", "_gram"):
+        if hasattr(learner, name):
+            state[name] = getattr(learner, name).size
+    if hasattr(learner, "_chol"):
+        state["L"] = learner._chol.L
+    return state
+
+
+@pytest.mark.parametrize("name", list(ZERO_STREAM_LEARNERS))
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.booleans(), max_size=25), st.integers(0, 2**32 - 1))
+def test_zero_residual_rounds_are_skipped(name, zeros, seed):
+    # every learner fed a stream with zero residuals stays, bit for bit,
+    # the twin that saw only the nonzero ones; the kernel learners store
+    # only the nonzero residuals
+    make = ZERO_STREAM_LEARNERS[name]
+    full, twin = make(), make()
+    second_order = name.startswith("corectron")
+    rng = np.random.default_rng(seed)
+    running = 0.0
+    for zero in zeros:
+        z = unit_context(rng, 2)
+        g = np.zeros(3) if zero else rng.standard_normal(3)
+        np.testing.assert_array_equal(full.predict(z), twin.predict(z))
+        diag = full.update(z, g)
+        if zero:
+            assert not diag.projected
+            if second_order:
+                assert diag == (0.0, 0.0, running, 1.0, False)
+                assert full.post_round_leverage() == 0.0
+        else:
+            np.testing.assert_equal(diag, twin.update(z, g))
+            running = diag.potential
+        np.testing.assert_equal(learner_state(full), learner_state(twin))
+    if name in ("corectron_k", "kons"):
+        assert full._chol.size == full._hist.size == zeros.count(False)

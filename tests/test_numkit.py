@@ -14,6 +14,7 @@ from corectron.numkit import (
     GramMatrix,
     SpdInverse,
     _radius_multiplier,
+    _require_symmetric,
     gram_eigenvalues,
     project_ball_mahalanobis,
     project_ellipsoid_coeff,
@@ -529,8 +530,58 @@ class TestProjectBall:
         assert np.linalg.norm(out.point) == pytest.approx(radius, rel=1e-9)
 
 
+def general_spd(rng, d):
+    """``A A^T + 0.1 I`` for a Gaussian ``A``: condition numbers into the
+    thousands, eigenvectors unrelated to any other matrix drawn."""
+    a = rng.standard_normal((d, d))
+    return a.dot(a.T) + 0.1 * np.eye(d)
+
+
+def outside_point(rng, d, norm, radius):
+    """A Gaussian point scaled to ``norm`` between 1.0001 and 50 radii."""
+    point = rng.standard_normal(d)
+    return point * (radius * float(rng.uniform(1.0001, 50.0)) / norm(point))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 29), st.integers(0, 2**32 - 1))
+def test_ball_projection_is_feasible_exactly(d, seed):
+    # the returned point, not only its eigenbasis image, lies in the ball,
+    # with no slack, so the next projection leaves it alone
+    rng = np.random.default_rng(seed)
+    inv_metric = general_spd(rng, d)
+    radius = float(rng.uniform(0.2, 2.0))
+    point = outside_point(rng, d, np.linalg.norm, radius)
+    out = project_ball_mahalanobis(inv_metric, point, radius)
+    assert not out.trivial
+    assert np.linalg.norm(out.point) <= radius
+    assert project_ball_mahalanobis(inv_metric, out.point, radius).trivial
+
+
 # ---------------------------------------------------------------------------
 # ellipsoid-constrained projection in coefficient space
+
+
+def shape_norm(shape, c):
+    return np.sqrt(max(float(c.dot(shape.dot(c))), 0.0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 29), st.integers(0, 2**32 - 1))
+def test_ellipsoid_projection_is_feasible_exactly(d, seed):
+    # a metric and a full-rank shape that do not commute: the returned
+    # point satisfies the constraint with no slack and is not projected
+    # again
+    rng = np.random.default_rng(seed)
+    metric = general_spd(rng, d)
+    feats = rng.standard_normal((d, d))
+    shape = feats.dot(feats.T)
+    radius = float(rng.uniform(0.3, 2.0))
+    point = outside_point(rng, d, lambda c: shape_norm(shape, c), radius)
+    out = project_ellipsoid_coeff(metric, shape, point, radius)
+    assert not out.trivial
+    assert shape_norm(shape, out.point) <= radius
+    assert project_ellipsoid_coeff(metric, shape, out.point, radius).trivial
 
 
 def _euclidean_ellipsoid_clip(shape, c, radius):
@@ -745,6 +796,25 @@ class TestSpectralFunctionals:
         with pytest.raises(ValueError):
             spectral(np.array([[1.0, 2.0], [0.0, 1.0]]), 1.0)
 
+    def test_zero_row_with_nonzero_column_rejected(self):
+        m = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            gram_eigenvalues(m)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 40), st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_zero_rows_match_full_eigendecomposition(self, t, rank, zero_share, seed):
+        # the eigenvalues of the nonzero block, padded with zeros, are
+        # those of the whole matrix
+        rng = np.random.default_rng(seed)
+        vecs = rng.standard_normal((t, rank))
+        vecs[rng.random(t) < zero_share] = 0.0
+        K = vecs.dot(vecs.T)
+        got = gram_eigenvalues(K)
+        want = np.clip(np.linalg.eigvalsh(K), 0.0, None)
+        assert got.shape == (t,) and np.all(np.diff(got) >= 0.0)
+        assert np.abs(got - want).max() <= 1e-12 * want[-1]
+
     def test_gram_matrix_container(self):
         g = GramMatrix()
         g.append(np.empty(0), 2.0)
@@ -764,6 +834,23 @@ class TestSpectralFunctionals:
         assert opnorm == float(np.clip(np.linalg.eigvalsh(K), 0, None)[-1])
         rhs = deff * (1.0 + np.log1p(opnorm / lam))
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 600), st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, 1e6]), st.integers(0, 2**32 - 1))
+def test_symmetry_check_by_tiles_keeps_full_rule(n, ratio, seed):
+    # one entry off its mirror by ratio times the tolerance, in any tile:
+    # rejected exactly when the full |m - m^T| rule rejects it
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    m = a + a.T
+    i, j = rng.integers(0, n, 2)
+    m[i, j] += ratio * 1e-8 * (1.0 + np.abs(m).max())
+    if np.abs(m - m.T).max() > 1e-8 * (1.0 + np.abs(m).max()):
+        with pytest.raises(ValueError, match="symmetric"):
+            _require_symmetric(m, "matrix")
+    else:
+        assert _require_symmetric(m, "matrix") is m
 
 
 def test_leverage_product_matches_gram_determinant():

@@ -85,9 +85,10 @@ class TraceSummary:
     the argmax.  The leverage/alignment/potential columns come from the
     learner; ``potential_direct`` and ``post_leverage`` are optional
     recomputations captured outside the learner's hot path.  ``gram`` is
-    the residual Gram matrix when the horizon fits under the storage cap.
-    ``algorithm``, ``base_dim``, ``context_dim`` and ``gram_capped`` are
-    file metadata that no certificate reads; every other field feeds one.
+    the Gram matrix of the rounds with a mistake (a nonzero residual) when
+    the horizon fits under the storage cap.  ``algorithm``, ``base_dim``
+    and ``context_dim`` are file metadata that no certificate reads; every
+    other field feeds one.
     """
 
     algorithm: str
@@ -111,7 +112,6 @@ class TraceSummary:
     potential_direct: np.ndarray | None = None
     post_leverage: np.ndarray | None = None
     gram: np.ndarray | None = None
-    gram_capped: bool = False
     # False when the hidden utility is not representable in the learner's
     # lifted space (reference runs under model mismatch); the
     # comparator-dependent bounds are then not applicable.
@@ -161,8 +161,8 @@ class TraceSummary:
     def from_dict(cls, d: dict) -> "TraceSummary":
         """Inverse of :meth:`to_dict`.  Absent optional keys take their
         field defaults; unknown keys (such as the retired ``extras``,
-        ``projected`` and ``residual_regret``) are ignored.  Raises
-        ``ValueError`` naming any absent required key."""
+        ``projected``, ``residual_regret`` and ``gram_capped``) are
+        ignored.  Raises ``ValueError`` naming any absent required key."""
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ValueError(f"trace lacks required keys: {', '.join(missing)}")
@@ -170,7 +170,12 @@ class TraceSummary:
         for f in fields(cls):
             if f.name in d:
                 value = d[f.name]
-                kwargs[f.name] = np.asarray(value, dtype=float) if isinstance(value, list) else value
+                if isinstance(value, list):
+                    value = np.asarray(value, dtype=float)
+                    if f.name == "gram" and not value.size:
+                        # to_dict writes a 0 x 0 Gram (no round with a mistake) as []
+                        value = value.reshape(0, 0)
+                kwargs[f.name] = value
         return cls(**kwargs)
 
     def save(self, path) -> None:
@@ -307,7 +312,7 @@ def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:
     evals = gram_eigenvalues(trace.gram)
     h_eig = float(np.sum(np.log1p(evals / lam)))
     deff = float(np.sum(evals / (evals + lam)))
-    opnorm = float(evals[-1])
+    opnorm = float(evals.max(initial=0.0))
     lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
     ident_err = abs(trace.logdet_from_leverage() - h_eig)
     cap = trace.horizon * trace.diameter**2 * factor

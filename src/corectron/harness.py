@@ -269,9 +269,10 @@ def run_episode(
     """Play one full episode and collect metrics.
 
     The config's diagnostics level "full" records per-round recomputed
-    diagnostics and the Gram matrix (subject to the storage cap) so the
-    entire certificate battery can run; "light" keeps only the O(T)
-    scalars and the always-on certificates; "off" skips tracing entirely.
+    diagnostics and, within ``diag_cap``, the residuals, whose Gram matrix
+    over the rounds with a mistake is built after the loop, so the entire
+    certificate battery can run; "light" keeps only the O(T) scalars and
+    the always-on certificates; "off" skips tracing entirely.
     Episodes that produce non-finite numbers are reported with status
     "failed" instead of aborting the sweep.
     """
@@ -282,7 +283,6 @@ def run_episode(
     T = config.horizon
     is_corectron = algorithm in _CORECTRON_ALGOS
     want_full = level == "full" and is_corectron
-    with_gram = want_full and T <= config.diag_cap
 
     leverage = np.zeros(T)
     alignment = np.zeros(T)
@@ -293,9 +293,7 @@ def run_episode(
     projection_count = 0
     potential_direct = np.zeros(T) if want_full else None
     post_leverage = np.zeros(T) if want_full else None
-    # Lifted-residual Gram matrix of the episode and the residuals so far.
-    gram = GramMatrix(T) if with_gram else None
-    residuals = np.zeros((T, config.items)) if with_gram else None
+    residuals = np.zeros((T, config.items)) if want_full and T <= config.diag_cap else None
 
     status, message = "ok", ""
     learner_time = 0.0
@@ -323,12 +321,7 @@ def run_episode(
             if want_full:
                 potential_direct[t] = learner.potential_direct()
                 post_leverage[t] = learner.post_round_leverage()
-            if gram is not None:
-                # Rebuilt from the environment's contexts and the residuals
-                # seen here, not taken from the learner, so that the log-det
-                # product identity checks the learner's stored history and
-                # factor against an independent input path.
-                gram.append(*learner.lift_spec.gram_column(env.contexts[:t], residuals[:t], z, g))
+            if residuals is not None:
                 residuals[t] = g
         if not np.isfinite(regret.sum()):
             raise FloatingPointError("non-finite regret")
@@ -355,6 +348,17 @@ def run_episode(
 
     trace = None
     if level != "off" and status == "ok" and is_corectron:
+        gram = None
+        if residuals is not None:
+            # Built from the environment's contexts and the residuals seen
+            # here, not taken from the learner, so that the log-det product
+            # identity checks the learner against an independent input path.
+            mistakes = np.flatnonzero(residuals.any(axis=1))
+            Z, G = env.contexts[mistakes], residuals[mistakes]
+            built = GramMatrix(mistakes.size)
+            for i in range(mistakes.size):
+                built.append(*learner.lift_spec.gram_column(Z[:i], G[:i], Z[i], G[i]))
+            gram = built.entries
         trace = TraceSummary(
             algorithm=algorithm,
             model_kind=env.model_kind,
@@ -372,8 +376,7 @@ def run_episode(
             final_potential_direct=learner.potential_direct() if T else 0.0,
             potential_direct=potential_direct,
             post_leverage=post_leverage,
-            gram=None if gram is None else gram.entries,
-            gram_capped=want_full and not with_gram,
+            gram=gram,
             comparator_in_span=env.model_kind == _MODEL_OF_LIFT[learner.lift_spec.kind],
         )
         certs, skipped = standard_certificates(trace)

@@ -8,10 +8,8 @@ BLAS triangular solves, projections onto a Mahalanobis-weighted ball
 eigenvalues from which the diagnostics layer certifies the
 log-determinant, effective dimension and operator norm.
 
-A zero residual is a no-op for the learners, and its all-zero row and
-column of a Gram matrix are not decomposed: they contribute a zero
-eigenvalue each.  Both projections return a point that satisfies the
-constraint as evaluated on that point, not only in the eigenbasis.
+Both projections return a point that satisfies the constraint as
+evaluated on that point, not only in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -455,15 +453,8 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
 def gram_eigenvalues(gram) -> np.ndarray:
     """Ascending eigenvalues of a positive-semidefinite matrix ``K``.
 
-    Only the block of rows and columns holding a nonzero entry is
-    decomposed: every other index (a zero residual's) contributes an
-    eigenvalue of exactly zero, placed first.  Eigenvalues that dip
-    slightly negative (near-duplicate residuals) are clamped to zero.
+    Eigenvalues that dip slightly negative (near-duplicate residuals) are
+    clamped to zero.
     """
     K = _require_symmetric(_as_square(gram), "gram matrix")
-    kept = np.flatnonzero(K.any(axis=0) | K.any(axis=1))
-    zeros = np.zeros(K.shape[0] - kept.size)
-    if kept.size == 0:
-        return zeros
-    block = K if kept.size == K.shape[0] else K[np.ix_(kept, kept)]
-    return np.concatenate([zeros, np.clip(np.linalg.eigvalsh(block), 0.0, None)])
+    return np.clip(np.linalg.eigvalsh(K), 0.0, None)

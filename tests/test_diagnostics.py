@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from corectron.cli import main as cli_main
 from corectron.diagnostics import (
     Certificate,
     TraceSummary,
@@ -175,8 +176,9 @@ class TestOnRealRuns:
 
     def test_gram_cap_skips_spectral_checks(self):
         result, trace = run_trace(T=60, diag_cap=10)
-        assert trace.gram is None and trace.gram_capped
+        assert trace.gram is None
         certs, skipped = standard_certificates(trace)
+        assert result.skipped_checks == tuple(skipped)
         assert "elliptical_potential" in skipped
         assert "logdet_product_identity" in skipped
         names = {c.name for c in certs}
@@ -216,7 +218,7 @@ class TestOnRealRuns:
         for trace in traces:
             _, skipped = standard_certificates(trace)
             assert not skipped
-        assert names - read == {"algorithm", "base_dim", "context_dim", "gram_capped"}
+        assert names - read == {"algorithm", "base_dim", "context_dim"}
 
     def test_spectral_checks_need_stored_gram(self):
         _, trace = run_trace(T=10)
@@ -226,14 +228,14 @@ class TestOnRealRuns:
 
 
     def test_spectral_checks_share_one_eigendecomposition(self, monkeypatch):
-        # one eigvalsh per battery, of the block of the rounds with a
-        # nonzero residual, and the certificate values of the spectral
-        # expressions on the full Gram matrix to 1e-12 relative
+        # one eigvalsh per battery, of the stored Gram matrix (the rounds
+        # with a mistake only), and the certificate values of the
+        # spectral expressions, bit for bit
         _, trace = run_trace(setting="kernel", algorithm="corectron_k", T=60)
         trace = TraceSummary.from_dict(trace.to_dict())
         lam = trace.regularizer
-        r = int(np.count_nonzero(trace.gram.any(axis=1)))
-        assert 0 < r < trace.horizon
+        r = int(np.count_nonzero(trace.leverage))
+        assert 0 < r < trace.horizon and trace.gram.shape == (r, r)
         evals = np.clip(np.linalg.eigvalsh(trace.gram), 0.0, None)
         h_eig = float(np.sum(np.log1p(evals / lam)))
         deff = float(np.sum(evals / (evals + lam)))
@@ -242,18 +244,12 @@ class TestOnRealRuns:
         calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda K: calls.append(K) or eigvalsh(K))
         certs = {c.name: c for c in standard_certificates(trace)[0]}
-        assert [K.shape for K in calls] == [(r, r)]
-
-        def close(got, want):
-            assert abs(got - want) <= 1e-12 * abs(want)
-
-        close(certs["elliptical_potential"].rhs, h_eig)
-        assert certs["logdet_product_identity"].lhs == pytest.approx(
-            abs(trace.logdet_from_leverage() - h_eig), rel=0.0, abs=1e-12 * h_eig
-        )
-        close(certs["logdet_effective_dim"].lhs, h_eig)
-        close(certs["logdet_effective_dim"].rhs, deff * (1.0 + math.log1p(opnorm / lam)))
-        close(certs["gram_operator_norm"].lhs, opnorm)
+        assert len(calls) == 1
+        assert certs["elliptical_potential"].rhs == h_eig
+        assert certs["logdet_product_identity"].lhs == abs(trace.logdet_from_leverage() - h_eig)
+        assert certs["logdet_effective_dim"].lhs == h_eig
+        assert certs["logdet_effective_dim"].rhs == deff * (1.0 + math.log1p(opnorm / lam))
+        assert certs["gram_operator_norm"].lhs == opnorm
         trace.gram = trace.gram.copy()
         standard_certificates(trace)
         assert len(calls) == 2  # each battery decomposes once
@@ -277,15 +273,51 @@ class TestTraceSerialization:
             assert ca.holds == cb.holds
 
     def test_missing_optional_keys_take_defaults(self):
-        # trace files written before these fields existed lack their keys
+        # trace files written before this field existed lack its key
         _, trace = run_trace(T=30)
         saved = trace.to_dict()
-        for key in ("gram_capped", "comparator_in_span"):
-            del saved[key]
+        del saved["comparator_in_span"]
         back = TraceSummary.from_dict(saved)
-        assert back.gram_capped is False
         assert back.comparator_in_span is True
         np.testing.assert_array_equal(back.gram, trace.gram)
+
+    def test_trace_without_mistake_certifies(self, tmp_path):
+        # every recommendation is the revealed action, so the Gram of the
+        # rounds with a mistake is 0 x 0, which the file holds as []
+        _, trace = run_trace(setting="noncontextual", T=20, items=2, pick=1)
+        assert not trace.leverage.any() and trace.gram.shape == (0, 0)
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        back = TraceSummary.load(path)
+        assert back.gram.shape == (0, 0)
+        certs, skipped = standard_certificates(back)
+        assert not skipped and all(c.holds for c in certs)
+        assert cli_main(["certify", "--trace", str(path)]) == 0
+
+    @pytest.mark.parametrize("setting, algorithm, coefficient", [
+        ("noncontextual", "corectron_l", 0.01),
+        ("linear", "corectron_l", 1.0),
+        ("kernel", "corectron_k", 0.01),
+    ])
+    def test_horizon_square_gram_certifies_the_same(self, setting, algorithm, coefficient):
+        # trace files written when the Gram had a row per round carry a
+        # T x T matrix, zero on the rounds without a mistake, and a
+        # gram_capped key
+        _, trace = run_trace(setting=setting, algorithm=algorithm, T=150,
+                             coefficient=coefficient, feedback=FeedbackModel.one_swap(0.5))
+        mistakes = np.flatnonzero(trace.leverage)
+        assert 0 < mistakes.size < trace.horizon and trace.gram.shape[0] == mistakes.size
+        padded = np.zeros((trace.horizon, trace.horizon))
+        padded[np.ix_(mistakes, mistakes)] = trace.gram
+        saved = trace.to_dict()
+        saved.update(gram=padded.tolist(), gram_capped=False)
+        old = standard_certificates(TraceSummary.from_dict(saved))[0]
+        new = standard_certificates(trace)[0]
+        assert [c.name for c in old] == [c.name for c in new]
+        for a, b in zip(old, new):
+            assert a.holds == b.holds
+            assert abs(a.lhs - b.lhs) <= 1e-12 * (1.0 + abs(b.lhs))
+            assert abs(a.rhs - b.rhs) <= 1e-12 * (1.0 + abs(b.rhs))
 
     def test_missing_required_key_named(self, tmp_path):
         _, trace = run_trace(T=30)

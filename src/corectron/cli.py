@@ -82,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--single-thread", action="store_true",
                      help="pin BLAS pools to one thread for timing runs")
     run.add_argument("--diag-cap", type=int, default=None,
-                     help="max horizon for Gram-matrix storage")
+                     help="max side of the stored trace Gram, min(mistakes, lift dim)")
     run.add_argument("--diag-level", choices=("full", "light", "off"), default=None,
-                     help="override the automatic diagnostics level")
+                     help="diagnostics level (default full: every certificate at any horizon)")
     run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     run.add_argument("--save-traces", action="store_true",
                      help="write per-cell trace JSON files next to the results")
@@ -184,11 +184,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_certify(args) -> int:
     try:
-        trace = TraceSummary.load(args.trace)
-    except (OSError, ValueError) as exc:
+        certs, skipped = standard_certificates(TraceSummary.load(args.trace))
+    except (OSError, ValueError, TypeError) as exc:
         print(f"corectron certify: cannot read trace {args.trace}: {exc}", file=sys.stderr)
         return 2
-    certs, skipped = standard_certificates(trace)
     width = max(len(c.name) for c in certs)
     ok = True
     for c in certs:

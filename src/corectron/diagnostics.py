@@ -76,6 +76,11 @@ def _cert(name: str, lhs: float, rhs: float, rel: float = DEFAULT_REL_TOL) -> Ce
     return Certificate(name, float(lhs), float(rhs), rel * (1.0 + abs(float(rhs))))
 
 
+# The TraceSummary fields that hold one entry per round.
+_PER_ROUND = ("leverage", "alignment", "alignment_scale", "potential", "regret", "subopt",
+              "potential_direct", "post_leverage")
+
+
 @dataclass
 class TraceSummary:
     """Per-round diagnostics and problem constants from one episode.
@@ -84,11 +89,12 @@ class TraceSummary:
     over the recommendation; ``subopt`` the revealed action's own gap to
     the argmax.  The leverage/alignment/potential columns come from the
     learner; ``potential_direct`` and ``post_leverage`` are optional
-    recomputations captured outside the learner's hot path.  ``gram`` is
-    the Gram matrix of the rounds with a mistake (a nonzero residual) when
-    the horizon fits under the storage cap.  ``algorithm``, ``base_dim``
-    and ``context_dim`` are file metadata that no certificate reads; every
-    other field feeds one.
+    recomputations captured outside the learner's hot path.  ``gram``
+    (when its side fits under the cap) has the nonzero spectrum of the
+    Gram of the rounds with a mistake: that r x r Gram for a kernel lift,
+    the smaller of ``Phi Phi^T`` and ``Phi^T Phi`` for an explicit one.
+    ``algorithm``, ``base_dim`` and ``context_dim`` are file metadata that
+    no certificate reads; every other field feeds one.
     """
 
     algorithm: str
@@ -122,6 +128,13 @@ class TraceSummary:
             raise ValueError("regularizer must be positive")
         if self.model_kind not in _MODEL_FACTORS:
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
+        for name in _PER_ROUND:
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (self.horizon,):
+                raise ValueError(f"{name} has shape {np.shape(value)}, not ({self.horizon!r},)")
+        shape = np.shape(self.gram)
+        if self.gram is not None and (len(shape) != 2 or shape[0] != shape[1]):
+            raise ValueError(f"gram has shape {shape}, not square")
 
     # -- derived quantities -------------------------------------------------
 

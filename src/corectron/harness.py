@@ -34,7 +34,7 @@ from .environment import (
     top_m_oracle,
 )
 from .learners import CoRectron, CoRectronK, KONS, OGD, ONS
-from .lifting import KernelSpec, LiftSpec
+from .lifting import KernelSpec, LiftSpec, lift
 from .numkit import DegenerateGramError, GramMatrix
 
 __all__ = [
@@ -108,7 +108,7 @@ class ExperimentConfig:
     coef_grid: tuple = DEFAULT_COEF_GRID
     feedback_models: tuple = (FeedbackModel.optimal(),)
     diag_cap: int = 2000
-    diag_level: str | None = None  # None = full for horizon <= 1000, else light
+    diag_level: str = "full"
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -122,8 +122,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{kernel_algos} require the kernel setting, got {self.setting!r}"
                 )
-        if self.diag_level not in (None, "full", "light", "off"):
+        if self.diag_level not in ("full", "light", "off"):
             raise ValueError(f"unknown diag level: {self.diag_level!r}")
+        if self.diag_cap < 0:
+            raise ValueError("diag_cap must be nonnegative")
         if not (0 < self.pick <= self.items):
             raise ValueError("need 0 < pick <= items")
         if self.horizon < 0:
@@ -135,11 +137,6 @@ class ExperimentConfig:
         if self.setting == "noncontextual":
             return self.items
         return self.items * self.context_dim
-
-    def resolved_diag_level(self) -> str:
-        if self.diag_level is not None:
-            return self.diag_level
-        return "full" if self.horizon <= 1000 else "light"
 
 
 def default_config(setting: str, full_scale: bool = False, **overrides) -> ExperimentConfig:
@@ -269,14 +266,16 @@ def run_episode(
     """Play one full episode and collect metrics.
 
     The config's diagnostics level "full" records per-round recomputed
-    diagnostics and, within ``diag_cap``, the residuals, whose Gram matrix
-    over the rounds with a mistake is built after the loop, so the entire
-    certificate battery can run; "light" keeps only the O(T) scalars and
-    the always-on certificates; "off" skips tracing entirely.
+    diagnostics and the residuals of the r rounds with a mistake, whose
+    Gram is built after the loop, so the entire certificate battery can
+    run: for an explicit lift, the smaller of ``Phi^T Phi`` (D x D) and
+    ``Phi Phi^T`` (r x r), which share their nonzero eigenvalues; stored
+    when its side is within ``diag_cap``.  "light" keeps only the O(T)
+    scalars and the always-on certificates; "off" skips tracing entirely.
     Episodes that produce non-finite numbers are reported with status
     "failed" instead of aborting the sweep.
     """
-    level = config.resolved_diag_level()
+    level = config.diag_level
     env = make_environment(config, feedback, seed)
     learner = build_learner(config, algorithm, params)
     actions = env.actions
@@ -293,7 +292,7 @@ def run_episode(
     projection_count = 0
     potential_direct = np.zeros(T) if want_full else None
     post_leverage = np.zeros(T) if want_full else None
-    residuals = np.zeros((T, config.items)) if want_full and T <= config.diag_cap else None
+    residuals = np.zeros((T, config.items)) if want_full else None
 
     status, message = "ok", ""
     learner_time = 0.0
@@ -321,7 +320,6 @@ def run_episode(
             if want_full:
                 potential_direct[t] = learner.potential_direct()
                 post_leverage[t] = learner.post_round_leverage()
-            if residuals is not None:
                 residuals[t] = g
         if not np.isfinite(regret.sum()):
             raise FloatingPointError("non-finite regret")
@@ -349,16 +347,20 @@ def run_episode(
     trace = None
     if level != "off" and status == "ok" and is_corectron:
         gram = None
-        if residuals is not None:
-            # Built from the environment's contexts and the residuals seen
-            # here, not taken from the learner, so that the log-det product
-            # identity checks the learner against an independent input path.
+        if want_full:
+            # From the environment's contexts and the residuals seen here, not
+            # the learner's, so the log-det product identity is independent.
             mistakes = np.flatnonzero(residuals.any(axis=1))
             Z, G = env.contexts[mistakes], residuals[mistakes]
-            built = GramMatrix(mistakes.size)
-            for i in range(mistakes.size):
-                built.append(*learner.lift_spec.gram_column(Z[:i], G[:i], Z[i], G[i]))
-            gram = built.entries
+            spec, r = learner.lift_spec, mistakes.size
+            if spec.kind != "kernel" and min(r, spec.dim) <= config.diag_cap:
+                phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)
+                gram = phi.T.dot(phi) if r > spec.dim else phi.dot(phi.T)
+            elif spec.kind == "kernel" and r <= config.diag_cap:
+                built = GramMatrix(r)
+                for i in range(r):
+                    built.append(*spec.gram_column(Z[:i], G[:i], Z[i], G[i]))
+                gram = built.entries
         trace = TraceSummary(
             algorithm=algorithm,
             model_kind=env.model_kind,

@@ -174,6 +174,21 @@ class TestOnRealRuns:
         assert "squared_regret_self_bound" in names
         assert all(c.holds for c in certs), [c.name for c in certs if not c.holds]
 
+    def test_default_linear_horizon_runs_every_certificate(self):
+        # the CLI's default linear run (T=2000) certifies in full: the
+        # 100-dimensional lift has more mistakes than dimensions, so it
+        # stores the 100 x 100 side of their Gram
+        config = default_config("linear", seeds=(0,))
+        assert config.horizon == 2000 and config.diag_level == "full"
+        params = resolve_hyperparameters(config, "corectron_l", 1.0)
+        result, trace = run_episode(config, "corectron_l", 1.0, params,
+                                    FeedbackModel.optimal(), 0)
+        assert result.status == "ok" and not result.skipped_checks
+        assert len(result.certificates) == 12
+        assert all(c.holds for c in result.certificates)
+        assert np.count_nonzero(trace.leverage) > 100
+        assert trace.gram.shape == (100, 100)
+
     def test_gram_cap_skips_spectral_checks(self):
         result, trace = run_trace(T=60, diag_cap=10)
         assert trace.gram is None
@@ -299,16 +314,47 @@ class TestTraceSerialization:
         ("linear", "corectron_l", 1.0),
         ("kernel", "corectron_k", 0.01),
     ])
-    def test_horizon_square_gram_certifies_the_same(self, setting, algorithm, coefficient):
+    def test_horizon_square_gram_certifies_the_same(self, monkeypatch, setting, algorithm,
+                                                   coefficient):
         # trace files written when the Gram had a row per round carry a
         # T x T matrix, zero on the rounds without a mistake, and a
         # gram_capped key
+        from corectron import harness
+        from corectron.lifting import lift
+
+        build = harness.build_learner
+        rounds, specs = [], []
+
+        def recording(config, algorithm, params):
+            learner = build(config, algorithm, params)
+            update = learner.update
+
+            def update_and_record(z, g):
+                if g.any():
+                    rounds.append((learner.lift_spec.check_context(z), g.copy()))
+                return update(z, g)
+
+            learner.update = update_and_record
+            specs.append(learner.lift_spec)
+            return learner
+
+        monkeypatch.setattr(harness, "build_learner", recording)
         _, trace = run_trace(setting=setting, algorithm=algorithm, T=150,
                              coefficient=coefficient, feedback=FeedbackModel.one_swap(0.5))
         mistakes = np.flatnonzero(trace.leverage)
-        assert 0 < mistakes.size < trace.horizon and trace.gram.shape[0] == mistakes.size
+        assert 0 < mistakes.size < trace.horizon and len(rounds) == mistakes.size
+        if algorithm == "corectron_k":
+            assert trace.gram.shape[0] == mistakes.size
+            dense = trace.gram
+        else:
+            # an explicit lift stores the smaller side; the old file held
+            # the r x r Gram of the lifted residuals
+            (spec,) = specs
+            assert trace.gram.shape[0] == min(mistakes.size, spec.dim)
+            lifted = np.array([lift(spec, z, g) for z, g in rounds])
+            dense = [[float(a.dot(b)) for b in lifted] for a in lifted]
         padded = np.zeros((trace.horizon, trace.horizon))
-        padded[np.ix_(mistakes, mistakes)] = trace.gram
+        padded[np.ix_(mistakes, mistakes)] = dense
         saved = trace.to_dict()
         saved.update(gram=padded.tolist(), gram_capped=False)
         old = standard_certificates(TraceSummary.from_dict(saved))[0]

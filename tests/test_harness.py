@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,10 +199,12 @@ class TestRunEpisode:
         result, trace = run_episode(
             config, algorithm, 1.0, params, FeedbackModel.one_swap(0.4), 2
         )
-        # the trace Gram holds only the rounds with a mistake
+        # the trace Gram holds only the rounds with a mistake; an explicit
+        # lift stores it from the smaller side, Phi Phi^T (r x r) or
+        # Phi^T Phi (D x D)
         rounds = [(z, g) for z, g in rounds if g.any()]
-        assert 0 < len(rounds) < 40
-        assert result.status == "ok" and trace.gram.shape == (len(rounds), len(rounds))
+        r = len(rounds)
+        assert 0 < r < 40 and result.status == "ok"
         spec = learners[0].lift_spec
         if spec.kind == "kernel":
             dense = [
@@ -210,13 +213,37 @@ class TestRunEpisode:
             ]
         else:
             lifted = [lift(spec, spec.check_context(z), g) for z, g in rounds]
-            dense = [[float(a.dot(b)) for b in lifted] for a in lifted]
+            if r > spec.dim:
+                dense = sum(np.outer(a, a) for a in lifted)
+            else:
+                dense = [[float(a.dot(b)) for b in lifted] for a in lifted]
+        assert trace.gram.shape == np.shape(dense)
         assert np.any(trace.gram != 0.0)
         np.testing.assert_allclose(trace.gram, dense, rtol=1e-12, atol=1e-14)
         if algorithm == "corectron_k":
             L = learners[0]._chol.L
             ridged = trace.gram + learners[0].regularizer * np.eye(len(rounds))
             np.testing.assert_allclose(L.dot(L.T), ridged, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("setting, algorithm", [("kernel", "corectron_k"),
+                                                    ("linear", "corectron_l")])
+    def test_cap_bounds_the_stored_side_not_the_horizon(self, setting, algorithm):
+        # the kernel Gram is r x r, the explicit one min(r, D) square, so an
+        # episode longer than the cap stores its Gram when that side fits
+        config = tiny_config(setting=setting, algorithms=(algorithm,), horizon=40,
+                             diag_level="full")
+        params = resolve_hyperparameters(config, algorithm, 1.0)
+        feedback = FeedbackModel.one_swap(0.4)
+        _, trace = run_episode(config, algorithm, 1.0, params, feedback, 2)
+        side = trace.gram.shape[0]
+        assert 0 < side < config.horizon
+        result, fits = run_episode(replace(config, diag_cap=side), algorithm, 1.0, params,
+                                   feedback, 2)
+        np.testing.assert_array_equal(fits.gram, trace.gram)
+        assert not result.skipped_checks
+        result, over = run_episode(replace(config, diag_cap=side - 1), algorithm, 1.0,
+                                   params, feedback, 2)
+        assert over.gram is None and "elliptical_potential" in result.skipped_checks
 
 
 class TestSweep:
@@ -433,7 +460,10 @@ class TestCli:
         assert any(line.startswith("main_regret_bound") and "FAIL" in line for line in lines)
 
     @pytest.mark.parametrize("damage", ["missing_file", "bad_json", "missing_key",
-                                        "zero_regularizer", "bad_model_kind"])
+                                        "zero_regularizer", "bad_model_kind",
+                                        "short_potential_direct", "short_leverage",
+                                        "nonsquare_gram", "asymmetric_gram",
+                                        "string_regularizer", "small_horizon"])
     def test_certify_rejects_unreadable_trace(self, tmp_path, capsys, damage):
         config = tiny_config(horizon=20, diag_level="full")
         params = resolve_hyperparameters(config, "corectron_l", 1.0)
@@ -451,6 +481,21 @@ class TestCli:
         elif damage == "bad_model_kind":
             saved["model_kind"] = "mystery"
             path.write_text(json.dumps(saved))
+        elif damage != "missing_file":
+            # internally inconsistent: each field reads, but they disagree
+            assert len(saved["gram"]) >= 2
+            if damage in ("short_potential_direct", "short_leverage"):
+                key = damage.removeprefix("short_")
+                saved[key] = saved[key][:-1]
+            elif damage == "nonsquare_gram":
+                saved["gram"] = saved["gram"][:-1]
+            elif damage == "asymmetric_gram":
+                saved["gram"][0][1] += 1.0
+            elif damage == "string_regularizer":
+                saved["regularizer"] = str(saved["regularizer"])
+            elif damage == "small_horizon":
+                saved["horizon"] = 5
+            path.write_text(json.dumps(saved))
         code = cli_main(["certify", "--trace", str(path)])
         assert code == 2
         captured = capsys.readouterr()
@@ -461,7 +506,8 @@ class TestCli:
             assert line.endswith("leverage")
 
     @pytest.mark.parametrize("args", [["--n", "3", "--m", "5"], ["--alpha", "1.5"],
-                                      ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"]])
+                                      ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"],
+                                      ["--diag-cap", "-1"]])
     def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = cli_main(["run", *args, "--out", str(out)])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 from .diagnostics import TraceSummary, standard_certificates
@@ -48,9 +49,9 @@ def _parse_grid(text: str) -> tuple:
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad coefficient grid: {text!r}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("coefficient grid must be positive")
+        raise ValueError(f"bad coefficient grid: {text!r}") from exc
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ValueError(f"coefficient grid must be finite and positive: {text!r}")
     return values
 
 
@@ -67,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated list, e.g. corectron-l,ons,ogd")
     run.add_argument("--T", type=int, default=None, help="rounds per episode")
     run.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    run.add_argument("--coef-grid", type=_parse_grid, default=None,
-                     help="comma-separated positive coefficients")
+    run.add_argument("--coef-grid", default=None,
+                     help="comma-separated finite positive coefficients")
     run.add_argument("--alpha", type=float, default=0.0,
                      help="one-swap probability (suboptimal feedback)")
     run.add_argument("--xi", type=float, default=0.0,
@@ -126,8 +127,6 @@ def _cmd_run(args) -> int:
         overrides["horizon"] = args.T
     if args.seeds is not None:
         overrides["seeds"] = tuple(range(args.seeds))
-    if args.coef_grid is not None:
-        overrides["coef_grid"] = args.coef_grid
     if args.n is not None:
         overrides["items"] = args.n
     if args.m is not None:
@@ -140,6 +139,8 @@ def _cmd_run(args) -> int:
         overrides["diag_level"] = args.diag_level
     overrides["bandwidth"] = args.bandwidth
     try:
+        if args.coef_grid is not None:
+            overrides["coef_grid"] = _parse_grid(args.coef_grid)
         overrides["feedback_models"] = (_feedback_from_args(args),)
         config = default_config(args.setting, full_scale=args.full_scale, **overrides)
     except ValueError as exc:

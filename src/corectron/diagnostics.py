@@ -124,14 +124,17 @@ class TraceSummary:
     comparator_in_span: bool = True
 
     def __post_init__(self):
-        if self.regularizer <= 0:
-            raise ValueError("regularizer must be positive")
+        if not 0 < self.regularizer < math.inf:
+            raise ValueError("regularizer must be finite and positive")
         if self.model_kind not in _MODEL_FACTORS:
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
         for name in _PER_ROUND:
             value = getattr(self, name)
             if value is not None and np.shape(value) != (self.horizon,):
                 raise ValueError(f"{name} has shape {np.shape(value)}, not ({self.horizon!r},)")
+        leverage = np.asarray(self.leverage, dtype=float)
+        if not np.all(np.isfinite(leverage) & (leverage > -1.0)):
+            raise ValueError("leverages must be finite and above -1")
         shape = np.shape(self.gram)
         if self.gram is not None and (len(shape) != 2 or shape[0] != shape[1]):
             raise ValueError(f"gram has shape {shape}, not square")

@@ -8,6 +8,8 @@ relative Gaussian score noise.
 
 All randomness flows through counter-based streams keyed by (seed, role)
 so that every algorithm sees the identical round sequence for a seed.
+Each per-round helper also takes a ``(T, ...)`` stack of rounds and gives,
+bit for bit, its T one-round calls, drawing from its stream in that order.
 """
 
 from __future__ import annotations
@@ -80,23 +82,30 @@ class ActionSetSpec:
         return self.scale * math.sqrt(2.0 * min(self.m, self.n - self.m))
 
 
-def sample_context(rng: np.random.Generator, p: int) -> np.ndarray:
-    """Standard normal draw, rescaled onto the unit ball when outside it."""
-    z = rng.standard_normal(p)
-    nrm = float(np.linalg.norm(z))
-    if nrm > 1.0:
-        z /= nrm
-    return z
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of ``a`` with that of ``b``, each the BLAS dot of ``a.dot(b)``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def sample_context(rng: np.random.Generator, shape: int | tuple) -> np.ndarray:
+    """Standard normal rows of shape ``(..., p)``, each rescaled onto the unit ball if outside."""
+    z = rng.standard_normal(shape)
+    nrm = np.sqrt(_rowdot(z, z))[..., None]
+    return np.divide(z, nrm, out=z, where=nrm > 1.0)
 
 
 def top_m_oracle(w: np.ndarray, spec: ActionSetSpec) -> np.ndarray:
-    """Exact argmax over the action set; ties go to the lowest index."""
+    """Exact argmax over the action set per row of scores; ties go to the lowest index."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (spec.n,):
+    if w.shape[-1:] != (spec.n,):
         raise ValueError("score vector has wrong dimension")
     order = np.argsort(-w, kind="stable")
-    x = np.zeros(spec.n)
-    x[order[: spec.m]] = spec.scale
+    if w.ndim == 1:  # the per-round call: plain indexing skips put_along_axis's set-up
+        x = np.zeros(spec.n)
+        x[order[: spec.m]] = spec.scale
+        return x
+    x = np.zeros(w.shape)
+    np.put_along_axis(x, order[..., : spec.m], spec.scale, axis=-1)
     return x
 
 
@@ -182,15 +191,18 @@ def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
 
 
 def utility_eval(model, z) -> np.ndarray:
-    """Base-space utility vector for one context."""
+    """Base-space utility vectors ``(..., n)`` of contexts ``(..., p)``, one ``gemv`` a row."""
     if isinstance(model, FixedUtility):
-        return model.vector.copy()
+        return np.tile(model.vector, np.shape(z)[:-1] + (1,))
     z = np.asarray(z, dtype=float)
     if isinstance(model, LinearUtility):
-        return model.weights.dot(z)
+        return np.matmul(model.weights, z[..., None])[..., 0]
     if isinstance(model, RbfUtility):
-        k = KernelSpec.rbf(model.bandwidth).column(model.centers, z)
-        return k.dot(model.coeffs)
+        kernel = KernelSpec.rbf(model.bandwidth)
+        rows = z.reshape(-1, z.shape[-1])
+        k = np.stack([kernel.column(rows, c) for c in model.centers], axis=-1)
+        u = np.matmul(k[:, None, :], model.coeffs)[:, 0, :]
+        return u.reshape(z.shape[:-1] + u.shape[-1:])
     raise TypeError(f"unknown utility model: {type(model).__name__}")
 
 
@@ -223,22 +235,21 @@ class FeedbackModel:
         return cls("score_perturb", xi=float(xi))
 
 
-def suboptimality(u: np.ndarray, x_base: np.ndarray, spec: ActionSetSpec) -> float:
-    """Utility gap of a feasible action to the best action under ``u``."""
+def suboptimality(u: np.ndarray, x_base: np.ndarray, spec: ActionSetSpec) -> np.ndarray:
+    """Utility gap of a feasible action to the best action under ``u``, per row."""
     u = np.asarray(u, dtype=float)
     x = np.asarray(x_base, dtype=float)
-    sel = np.flatnonzero(np.abs(x) > 0.5 * spec.scale)
-    rest = np.setdiff1d(np.arange(spec.n), sel, assume_unique=True)
+    sel = np.abs(x) > 0.5 * spec.scale
     feasible = (
-        x.shape == (spec.n,)
-        and sel.size == spec.m
+        x.shape[-1:] == (spec.n,)
+        and np.all(sel.sum(axis=-1) == spec.m)
         and np.allclose(x[sel], spec.scale, rtol=1e-9, atol=0.0)
-        and (rest.size == 0 or np.all(x[rest] == 0.0))
+        and np.all(x[~sel] == 0.0)
     )
     if not feasible:
         raise ValueError("action is not a feasible m-item selection")
     best = top_m_oracle(u, spec)
-    return float(u.dot(best) - u.dot(x))
+    return _rowdot(u, best) - _rowdot(u, x)
 
 
 def reveal_action(
@@ -246,8 +257,8 @@ def reveal_action(
     u: np.ndarray,
     spec: ActionSetSpec,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """Draw the revealed action and its utility gap for one round.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the revealed action and its utility gap for each row of ``u``.
 
     One-swap: with probability alpha the m-th ranked item of the optimal
     selection is replaced by the (m+1)-th ranked item, costing exactly
@@ -257,22 +268,24 @@ def reveal_action(
     position never depends on the noise parameters.
     """
     u = np.asarray(u, dtype=float)
+    rounds = u.shape[:-1]
     if model.kind == "optimal":
-        return top_m_oracle(u, spec), 0.0
+        return top_m_oracle(u, spec), np.zeros(rounds)
     if model.kind == "one_swap":
-        coin = float(rng.random())
+        coin = rng.random(rounds)
         x = top_m_oracle(u, spec)
-        if coin < model.alpha and spec.m < spec.n:
-            ranked = np.argsort(-u, kind="stable")
-            out_item = ranked[spec.m - 1]
-            in_item = ranked[spec.m]
-            x[out_item] = 0.0
-            x[in_item] = spec.scale
-            return x, spec.scale * float(u[out_item] - u[in_item])
-        return x, 0.0
-    noise = rng.standard_normal(spec.n)
-    perturbed = u + model.xi * float(np.linalg.norm(u)) * noise
-    x = top_m_oracle(perturbed, spec)
+        if spec.m == spec.n:
+            return x, np.zeros(rounds)
+        # The m-th and (m+1)-th ranked items: the one swapped out, the one in.
+        pair = np.argsort(-u, kind="stable")[..., spec.m - 1 : spec.m + 1]
+        swap = coin < model.alpha
+        out_in = np.take_along_axis(u, pair, axis=-1)
+        swapped = np.where(swap[..., None], [0.0, spec.scale], [spec.scale, 0.0])
+        np.put_along_axis(x, pair, swapped, axis=-1)
+        return x, np.where(swap, spec.scale * (out_in[..., 0] - out_in[..., 1]), 0.0)
+    noise = rng.standard_normal(u.shape)
+    size = model.xi * np.sqrt(_rowdot(u, u))
+    x = top_m_oracle(u + size[..., None] * noise, spec)
     return x, suboptimality(u, x, spec)
 
 
@@ -280,9 +293,10 @@ class Environment:
     """Frozen round sequence for one (specification, seed) pair.
 
     The hidden model, contexts, revealed actions, and suboptimality gaps
-    are drawn up front from separate (seed, role) streams, so repeated
-    construction with the same arguments replays identical rounds and
-    different learners can be run against the same world.
+    are drawn up front, one call each over the horizon, from separate
+    (seed, role) streams, so repeated construction with the same
+    arguments replays identical rounds and different learners can be run
+    against the same world.
     """
 
     def __init__(
@@ -303,22 +317,10 @@ class Environment:
         self.model = build_utility_model(rng_stream(seed, ROLE_MODEL), utility, actions.n)
 
         p = max(utility.context_dim, 1)
-        rng_ctx = rng_stream(seed, ROLE_CONTEXTS)
-        self.contexts = np.empty((horizon, p))
-        for t in range(horizon):
-            self.contexts[t] = sample_context(rng_ctx, p)
-
-        self.utilities = np.empty((horizon, actions.n))
-        for t in range(horizon):
-            self.utilities[t] = utility_eval(self.model, self.contexts[t])
-
+        self.contexts = sample_context(rng_stream(seed, ROLE_CONTEXTS), (self.horizon, p))
+        self.utilities = utility_eval(self.model, self.contexts)
         rng_fb = rng_stream(seed, ROLE_FEEDBACK)
-        self.revealed = np.empty((horizon, actions.n))
-        self.subopt = np.empty(horizon)
-        for t in range(horizon):
-            self.revealed[t], self.subopt[t] = reveal_action(
-                feedback, self.utilities[t], actions, rng_fb
-            )
+        self.revealed, self.subopt = reveal_action(feedback, self.utilities, actions, rng_fb)
 
     @property
     def model_kind(self) -> str:

@@ -287,40 +287,37 @@ def run_episode(
     alignment = np.zeros(T)
     alignment_scale = np.zeros(T)
     potential = np.zeros(T)
-    regret = np.zeros(T)
-    subopt = np.zeros(T)
+    recommended = np.zeros((T, config.items))
     projection_count = 0
     potential_direct = np.zeros(T) if want_full else None
     post_leverage = np.zeros(T) if want_full else None
-    residuals = np.zeros((T, config.items)) if want_full else None
 
     status, message = "ok", ""
     learner_time = 0.0
     t_total0 = time.perf_counter()
     try:
         for t in range(T):
-            z, u, x, delta = env.round(t)
+            z, _, x, _ = env.round(t)
             t0 = time.perf_counter()
             w_base = learner.predict(z)
             learner_time += time.perf_counter() - t0
             if not np.all(np.isfinite(w_base)):
                 raise FloatingPointError("non-finite prediction")
-            xhat = top_m_oracle(w_base, actions)
-            g = xhat - x
+            xhat = recommended[t] = top_m_oracle(w_base, actions)
             t0 = time.perf_counter()
-            diag = learner.update(z, g)
+            diag = learner.update(z, xhat - x)
             learner_time += time.perf_counter() - t0
             leverage[t] = diag.leverage
             alignment[t] = diag.alignment
             alignment_scale[t] = diag.alignment_scale
             potential[t] = diag.potential
             projection_count += diag.projected
-            regret[t] = float(u.dot(x - xhat))
-            subopt[t] = delta
             if want_full:
                 potential_direct[t] = learner.potential_direct()
                 post_leverage[t] = learner.post_round_leverage()
-                residuals[t] = g
+        # One dot per row, rounded as a per-round ``u.dot(x - xhat)`` would be.
+        lost = env.revealed - recommended
+        regret = np.matmul(env.utilities[:, None, :], lost[:, :, None])[:, 0, 0]
         if not np.isfinite(regret.sum()):
             raise FloatingPointError("non-finite regret")
     except _EPISODE_ERRORS as exc:
@@ -350,6 +347,7 @@ def run_episode(
         if want_full:
             # From the environment's contexts and the residuals seen here, not
             # the learner's, so the log-det product identity is independent.
+            residuals = recommended - env.revealed
             mistakes = np.flatnonzero(residuals.any(axis=1))
             Z, G = env.contexts[mistakes], residuals[mistakes]
             spec, r = learner.lift_spec, mistakes.size
@@ -374,7 +372,7 @@ def run_episode(
             alignment_scale=alignment_scale,
             potential=potential,
             regret=regret,
-            subopt=subopt,
+            subopt=env.subopt.copy(),
             final_potential_direct=learner.potential_direct() if T else 0.0,
             potential_direct=potential_direct,
             post_leverage=post_leverage,

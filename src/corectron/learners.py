@@ -127,7 +127,7 @@ class CoRectron:
     def __init__(self, lift_spec: LiftSpec, regularizer: float):
         if lift_spec.kind == KERNEL:
             raise ValueError("use CoRectronK for kernel lifts")
-        if regularizer <= 0:
+        if not regularizer > 0:
             raise ValueError("regularizer must be positive")
         self.lift_spec = lift_spec
         self.regularizer = float(regularizer)
@@ -192,7 +192,7 @@ class CoRectronK:
     def __init__(self, lift_spec: LiftSpec, regularizer: float):
         if lift_spec.kind != KERNEL:
             raise ValueError("CoRectronK requires a kernel lift")
-        if regularizer <= 0:
+        if not regularizer > 0:
             raise ValueError("regularizer must be positive")
         self.lift_spec = lift_spec
         self.regularizer = float(regularizer)
@@ -262,7 +262,7 @@ class OGD:
     def __init__(self, lift_spec: LiftSpec, step_size: float):
         if lift_spec.kind == KERNEL:
             raise ValueError("OGD runs on explicit lifts only")
-        if step_size <= 0:
+        if not step_size > 0:
             raise ValueError("step_size must be positive")
         self.lift_spec = lift_spec
         self.step_size = float(step_size)
@@ -304,7 +304,7 @@ class ONS:
         if lift_spec.kind == KERNEL:
             raise ValueError("use KONS for kernel lifts")
         for name, val in (("ridge", ridge), ("surrogate_scale", surrogate_scale), ("step_coeff", step_coeff)):
-            if val <= 0:
+            if not val > 0:
                 raise ValueError(f"{name} must be positive")
         self.lift_spec = lift_spec
         self.ridge = float(ridge)
@@ -348,7 +348,7 @@ class KONS:
         if lift_spec.kind != KERNEL:
             raise ValueError("KONS requires a kernel lift")
         for name, val in (("ridge", ridge), ("surrogate_scale", surrogate_scale), ("step_coeff", step_coeff)):
-            if val <= 0:
+            if not val > 0:
                 raise ValueError(f"{name} must be positive")
         self.lift_spec = lift_spec
         self.ridge = float(ridge)

@@ -128,7 +128,7 @@ class SpdInverse:
     def from_ridge(cls, dim: int, ridge: float) -> "SpdInverse":
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if ridge <= 0:
+        if not ridge > 0:
             raise ValueError("ridge must be positive")
         inv = np.zeros((dim, dim))
         np.fill_diagonal(inv, 1.0 / ridge)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from corectron.environment import (
+    ROLE_CONTEXTS,
+    ROLE_FEEDBACK,
+    ROLE_MODEL,
     ActionSetSpec,
     Environment,
     FeedbackModel,
@@ -26,9 +29,86 @@ class _StubRng:
     def __init__(self, draw):
         self._draw = np.asarray(draw, dtype=float)
 
-    def standard_normal(self, n):
-        assert n == self._draw.shape[0]
+    def standard_normal(self, shape):
+        assert np.empty(shape).shape == self._draw.shape
         return self._draw.copy()
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# The per-round construction of the environment, kept as written before its
+# helpers took whole-horizon stacks: one draw, one utility and one reveal per
+# round.  The stacked construction must reproduce it bit for bit.
+
+
+def _reference_oracle(w, spec):
+    x = np.zeros(spec.n)
+    x[np.argsort(-w, kind="stable")[: spec.m]] = spec.scale
+    return x
+
+
+def _reference_utility(model, z):
+    if isinstance(model, FixedUtility):
+        return model.vector.copy()
+    if isinstance(model, LinearUtility):
+        return model.weights.dot(z)
+    return KernelSpec.rbf(model.bandwidth).column(model.centers, z).dot(model.coeffs)
+
+
+def _reference_reveal(model, u, spec, rng):
+    if model.kind == "optimal":
+        return _reference_oracle(u, spec), 0.0
+    if model.kind == "one_swap":
+        coin = float(rng.random())
+        x = _reference_oracle(u, spec)
+        if coin < model.alpha and spec.m < spec.n:
+            ranked = np.argsort(-u, kind="stable")
+            x[ranked[spec.m - 1]] = 0.0
+            x[ranked[spec.m]] = spec.scale
+            return x, spec.scale * float(u[ranked[spec.m - 1]] - u[ranked[spec.m]])
+        return x, 0.0
+    noise = rng.standard_normal(spec.n)
+    x = _reference_oracle(u + model.xi * float(np.linalg.norm(u)) * noise, spec)
+    return x, float(u.dot(_reference_oracle(u, spec)) - u.dot(x))
+
+
+def _reference_environment(actions, utility, feedback, horizon, seed):
+    model = build_utility_model(rng_stream(seed, ROLE_MODEL), utility, actions.n)
+    p = max(utility.context_dim, 1)
+    rng_ctx, rng_fb = rng_stream(seed, ROLE_CONTEXTS), rng_stream(seed, ROLE_FEEDBACK)
+    contexts = np.empty((horizon, p))
+    for t in range(horizon):
+        z = rng_ctx.standard_normal(p)
+        nrm = float(np.linalg.norm(z))
+        if nrm > 1.0:
+            z /= nrm
+        contexts[t] = z
+    utilities = np.empty((horizon, actions.n))
+    for t in range(horizon):
+        utilities[t] = _reference_utility(model, contexts[t])
+    revealed, subopt = np.empty((horizon, actions.n)), np.empty(horizon)
+    for t in range(horizon):
+        revealed[t], subopt[t] = _reference_reveal(feedback, utilities[t], actions, rng_fb)
+    return {"contexts": contexts, "utilities": utilities, "revealed": revealed, "subopt": subopt}
+
+
+_UTILITIES = {
+    "linear_wide": UtilitySpec("linear", context_dim=100),
+    "linear": UtilitySpec("linear", context_dim=10),
+    "rbf": UtilitySpec("rbf", context_dim=10, centers=16, bandwidth=1.0),
+    "fixed": UtilitySpec("fixed", context_dim=10),
+}
+_FEEDBACKS = {
+    "optimal": FeedbackModel.optimal(),
+    "one_swap_0.5": FeedbackModel.one_swap(0.5),
+    "one_swap_1": FeedbackModel.one_swap(1.0),
+    "score_perturb_0": FeedbackModel.score_perturb(0.0),
+    "score_perturb_0.3": FeedbackModel.score_perturb(0.3),
+}
 
 
 class TestActionSetSpec:
@@ -87,6 +167,16 @@ class TestTopMOracle:
             )
             assert w.dot(x) == pytest.approx(best)
 
+    def test_stacked_rows_equal_row_calls(self):
+        spec = ActionSetSpec.top_m(6, 3)
+        w = np.random.default_rng(2).standard_normal((4, 5, 6))
+        w[0, :, 1] = w[0, :, 4]  # exact ties, lowest index first
+        w[1] = 0.0
+        _assert_bitwise(
+            top_m_oracle(w, spec), np.array([[top_m_oracle(r, spec) for r in b] for b in w])
+        )
+        _assert_bitwise(top_m_oracle(np.empty((0, 6)), spec), np.empty((0, 6)))
+
 
 class TestSampleContext:
     def test_always_in_unit_ball(self):
@@ -102,6 +192,16 @@ class TestSampleContext:
     def test_exterior_draw_normalized(self):
         z = sample_context(_StubRng([-2.0]), 1)
         assert z[0] == pytest.approx(-1.0)
+
+    def test_stacked_rows_rescaled_one_by_one(self):
+        z = sample_context(_StubRng([[0.3, 0.4], [3.0, 4.0]]), (2, 2))
+        np.testing.assert_allclose(z, [[0.3, 0.4], [0.6, 0.8]])
+
+    @pytest.mark.parametrize("p", [1, 10, 100])
+    def test_stacked_draw_equals_draws_in_turn(self, p):
+        stacked = sample_context(rng_stream(5, 0), (30, p))
+        rng = rng_stream(5, 0)
+        _assert_bitwise(stacked, np.array([sample_context(rng, p) for _ in range(30)]))
 
 
 class TestUtilityModels:
@@ -135,6 +235,16 @@ class TestUtilityModels:
         a = np.array([[0.3, 0.4, 0.0]])
         model = RbfUtility(centers=np.array([[0.5, 0.5]]), coeffs=a, bandwidth=1.0)
         np.testing.assert_allclose(utility_eval(model, np.array([0.5, 0.5])), a[0])
+
+    @pytest.mark.parametrize("kind", sorted(_UTILITIES))
+    def test_stacked_contexts_equal_row_calls(self, kind):
+        spec = _UTILITIES[kind]
+        model = build_utility_model(rng_stream(4, 1), spec, 10)
+        z = sample_context(rng_stream(4, 0), (3, 7, max(spec.context_dim, 1)))
+        stacked = utility_eval(model, z)
+        _assert_bitwise(stacked, np.array([[utility_eval(model, r) for r in b] for b in z]))
+        _assert_bitwise(stacked[0, 0], _reference_utility(model, z[0, 0]))
+        _assert_bitwise(utility_eval(model, z[:0, 0]), np.empty((0, 10)))
 
     def test_linear_utilities_bounded_on_draws(self):
         rng = rng_stream(3, 1)
@@ -207,6 +317,29 @@ class TestFeedback:
             _, delta = reveal_action(FeedbackModel.score_perturb(0.5), u, spec, rng)
             assert delta >= -1e-12
 
+    @pytest.mark.parametrize("name", sorted(_FEEDBACKS))
+    @pytest.mark.parametrize("n, m", [(10, 5), (5, 5), (7, 1)])
+    def test_stacked_rows_equal_row_calls_on_one_stream(self, name, n, m):
+        spec, model = ActionSetSpec.top_m(n, m), _FEEDBACKS[name]
+        u = np.random.default_rng(3).standard_normal((40, n))
+        u[:5, -1] = u[:5, 0]  # exact ties
+        x, delta = reveal_action(model, u, spec, rng_stream(10, 2))
+        rng = rng_stream(10, 2)
+        rows = [reveal_action(model, r, spec, rng) for r in u]
+        _assert_bitwise(x, np.array([r[0] for r in rows]))
+        _assert_bitwise(delta, np.array([r[1] for r in rows]))
+        rng = rng_stream(10, 2)
+        want = [_reference_reveal(model, r, spec, rng) for r in u]
+        _assert_bitwise(x, np.array([r[0] for r in want]))
+        _assert_bitwise(delta, np.array([r[1] for r in want]))
+
+    def test_zero_rows_draw_nothing(self):
+        spec, rng = self.spec(), rng_stream(12, 2)
+        for model in _FEEDBACKS.values():
+            x, delta = reveal_action(model, np.empty((0, 5)), spec, rng)
+            assert x.shape == (0, 5) and delta.shape == (0,)
+        assert rng.random() == rng_stream(12, 2).random()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             FeedbackModel.one_swap(1.5)
@@ -232,6 +365,22 @@ class TestSuboptimality:
         bad[0] = spec.scale
         with pytest.raises(ValueError):
             suboptimality(np.ones(4), bad, spec)
+
+    def test_stacked_rows_equal_row_calls(self):
+        spec = ActionSetSpec.top_m(6, 3)
+        u = np.random.default_rng(5).standard_normal((30, 6))
+        x = top_m_oracle(np.random.default_rng(6).standard_normal((30, 6)), spec)
+        gaps = suboptimality(u, x, spec)
+        _assert_bitwise(gaps, np.array([suboptimality(a, b, spec) for a, b in zip(u, x)]))
+        _assert_bitwise(gaps, np.array([a.dot(_reference_oracle(a, spec)) - a.dot(b) for a, b in zip(u, x)]))
+
+    def test_one_infeasible_row_rejects_the_stack(self):
+        spec = ActionSetSpec.top_m(4, 2)
+        x = top_m_oracle(np.random.default_rng(7).standard_normal((5, 4)), spec)
+        x[3] = 0.0
+        x[3, 0] = spec.scale
+        with pytest.raises(ValueError):
+            suboptimality(np.ones((5, 4)), x, spec)
 
 
 class TestEnvironment:
@@ -274,3 +423,21 @@ class TestEnvironment:
         env = self.make(feedback=FeedbackModel.one_swap(1.0), T=30)
         assert np.all(env.subopt >= 0)
         assert np.any(env.subopt > 0)
+
+    @pytest.mark.parametrize("feedback", sorted(_FEEDBACKS))
+    @pytest.mark.parametrize("utility", sorted(_UTILITIES))
+    def test_matches_per_round_reference_bitwise(self, utility, feedback):
+        actions = ActionSetSpec.top_m(10, 5)
+        spec, fb = _UTILITIES[utility], _FEEDBACKS[feedback]
+        for seed in (0, 7, 1009):
+            env = Environment(actions, spec, fb, 30, seed)
+            want = _reference_environment(actions, spec, fb, 30, seed)
+            for name, array in want.items():
+                _assert_bitwise(getattr(env, name), array)
+
+    @pytest.mark.parametrize("feedback", sorted(_FEEDBACKS))
+    def test_zero_horizon(self, feedback):
+        env = self.make(kind="rbf", feedback=_FEEDBACKS[feedback], T=0)
+        assert env.contexts.shape == (0, 4)
+        assert env.utilities.shape == env.revealed.shape == (0, 6)
+        assert env.subopt.shape == (0,)

@@ -152,6 +152,30 @@ class TestRunEpisode:
                 assert -1e-12 <= r <= 1.0 + 1e-9
                 learner.update(z, xhat - x)
 
+    @pytest.mark.parametrize("setting, algorithm", [("linear", "corectron_l"), ("kernel", "corectron_k")])
+    @pytest.mark.parametrize(
+        "feedback", [FeedbackModel.one_swap(0.5), FeedbackModel.score_perturb(0.3)], ids=["swap", "perturb"]
+    )
+    def test_regret_equals_per_round_dots_bitwise(self, setting, algorithm, feedback):
+        # the episode's stacked regret and subopt against a per-round replay
+        from corectron.environment import top_m_oracle
+        from corectron.harness import build_learner
+
+        config = default_config(setting, items=6, pick=3, context_dim=3, horizon=60, seeds=(0,))
+        params = resolve_hyperparameters(config, algorithm, 0.1)
+        result, trace = run_episode(config, algorithm, 0.1, params, feedback, 2)
+        env, learner = make_environment(config, feedback, 2), build_learner(config, algorithm, params)
+        regret, subopt = [], []
+        for t in range(config.horizon):
+            z, u, x, delta = env.round(t)
+            xhat = top_m_oracle(learner.predict(z), env.actions)
+            learner.update(z, xhat - x)
+            regret.append(float(u.dot(x - xhat)))
+            subopt.append(delta)
+        assert trace.regret.tobytes() == np.array(regret).tobytes()
+        assert trace.subopt.tobytes() == np.array(subopt).tobytes()
+        assert result.final_regret == float(np.sum(regret))
+
     def test_rerun_is_bit_identical(self):
         config = tiny_config(horizon=40)
         params = resolve_hyperparameters(config, "ons", 0.1)
@@ -463,7 +487,9 @@ class TestCli:
                                         "zero_regularizer", "bad_model_kind",
                                         "short_potential_direct", "short_leverage",
                                         "nonsquare_gram", "asymmetric_gram",
-                                        "string_regularizer", "small_horizon"])
+                                        "string_regularizer", "small_horizon",
+                                        "nan_regularizer", "inf_regularizer",
+                                        "leverage_below_minus_one"])
     def test_certify_rejects_unreadable_trace(self, tmp_path, capsys, damage):
         config = tiny_config(horizon=20, diag_level="full")
         params = resolve_hyperparameters(config, "corectron_l", 1.0)
@@ -480,6 +506,13 @@ class TestCli:
             path.write_text(json.dumps(saved))
         elif damage == "bad_model_kind":
             saved["model_kind"] = "mystery"
+            path.write_text(json.dumps(saved))
+        elif damage in ("nan_regularizer", "inf_regularizer"):
+            # json writes these as the non-standard NaN / Infinity tokens, which it reads back
+            saved["regularizer"] = float(damage.removesuffix("_regularizer"))
+            path.write_text(json.dumps(saved))
+        elif damage == "leverage_below_minus_one":
+            saved["leverage"][0] = -2.0
             path.write_text(json.dumps(saved))
         elif damage != "missing_file":
             # internally inconsistent: each field reads, but they disagree
@@ -507,7 +540,8 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [["--n", "3", "--m", "5"], ["--alpha", "1.5"],
                                       ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"],
-                                      ["--diag-cap", "-1"]])
+                                      ["--diag-cap", "-1"], ["--coef-grid", "nan"],
+                                      ["--coef-grid", "1,inf"]])
     def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = cli_main(["run", *args, "--out", str(out)])

@@ -485,6 +485,26 @@ def test_every_entry_rejects_bad_context(make, z):
     np.testing.assert_array_equal(learner.predict(np.array([0.0, 0.6])), before)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda v: CoRectron(LiftSpec.linear(3, 2), v), id="corectron_l"),
+        pytest.param(lambda v: CoRectronK(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), v), id="corectron_k"),
+        pytest.param(lambda v: OGD(LiftSpec.linear(3, 2), v), id="ogd"),
+        pytest.param(lambda v: ONS(LiftSpec.linear(3, 2), v), id="ons_ridge"),
+        pytest.param(lambda v: ONS(LiftSpec.linear(3, 2), 1.0, surrogate_scale=v), id="ons_scale"),
+        pytest.param(lambda v: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), v), id="kons_ridge"),
+        pytest.param(lambda v: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 1.0, step_coeff=v),
+                     id="kons_step"),
+    ],
+)
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_every_learner_rejects_nonpositive_or_nan_parameter(make, value):
+    # NaN compares false both ways, so only a "not value > 0" check refuses it
+    with pytest.raises(ValueError, match="must be positive"):
+        make(value)
+
+
 ZERO_STREAM_LEARNERS = {
     "corectron_l": lambda: CoRectron(LiftSpec.linear(3, 2), 0.5),
     "corectron_k": lambda: CoRectronK(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 0.5),

@@ -166,6 +166,11 @@ class TestBlockedInverseUpdate:
             state.rank_one_update(np.array([1.0, 2.0, 0.0, -1.0]))
         np.testing.assert_array_equal(state.inv, before)
 
+    @pytest.mark.parametrize("ridge", [0.0, -1.0, float("nan")])
+    def test_from_ridge_rejects_nonpositive_or_nan(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be positive"):
+            SpdInverse.from_ridge(3, ridge)
+
     def test_non_symmetric_start_rejected(self):
         with pytest.raises(ValueError):
             SpdInverse(2, np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -109,14 +109,16 @@ def _feedback_from_args(args) -> FeedbackModel:
 
 
 def _single_thread_ctx(enabled: bool):
+    """The context that pins BLAS pools to one thread, and the pinning
+    state that ``emit`` records in the report."""
     if not enabled:
-        return contextlib.nullcontext()
+        return contextlib.nullcontext(), "not requested"
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         print("threadpoolctl unavailable; thread pinning skipped", file=sys.stderr)
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1)
+        return contextlib.nullcontext(), "unavailable"
+    return threadpool_limits(limits=1), "applied"
 
 
 def _cmd_run(args) -> int:
@@ -157,13 +159,15 @@ def _cmd_run(args) -> int:
             )
             traces[key] = trace
 
-    with _single_thread_ctx(args.single_thread):
+    pinning, thread_pinning = _single_thread_ctx(args.single_thread)
+    with pinning:
         rows = sweep(
             config,
             jobs=args.jobs,
             trace_hook=hook if args.save_traces else None,
         )
-    paths = emit(rows, args.out, config=config, traces=traces if traces else None)
+    paths = emit(rows, args.out, config=config, traces=traces if traces else None,
+                 thread_pinning=thread_pinning)
 
     for cell in aggregate_results(rows):
         print(

@@ -124,20 +124,31 @@ class TraceSummary:
     comparator_in_span: bool = True
 
     def __post_init__(self):
-        if not 0 < self.regularizer < math.inf:
+        # Every number a certificate reads must be finite: a NaN would fail
+        # the learner's certificates, an infinity could pass them all.
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not self.regularizer > 0:
             raise ValueError("regularizer must be finite and positive")
         if self.model_kind not in _MODEL_FACTORS:
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
         for name in _PER_ROUND:
             value = getattr(self, name)
-            if value is not None and np.shape(value) != (self.horizon,):
+            if value is None:
+                continue
+            if np.shape(value) != (self.horizon,):
                 raise ValueError(f"{name} has shape {np.shape(value)}, not ({self.horizon!r},)")
-        leverage = np.asarray(self.leverage, dtype=float)
-        if not np.all(np.isfinite(leverage) & (leverage > -1.0)):
-            raise ValueError("leverages must be finite and above -1")
-        shape = np.shape(self.gram)
-        if self.gram is not None and (len(shape) != 2 or shape[0] != shape[1]):
-            raise ValueError(f"gram has shape {shape}, not square")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(np.asarray(self.leverage) > -1.0):
+            raise ValueError("leverages must be above -1")
+        if self.gram is not None:
+            shape = np.shape(self.gram)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"gram has shape {shape}, not square")
+            if not np.all(np.isfinite(self.gram)):
+                raise ValueError("gram must be finite")
 
     # -- derived quantities -------------------------------------------------
 

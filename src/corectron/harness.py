@@ -18,12 +18,14 @@ import csv
 import json
 import math
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+import scipy
 
 from .diagnostics import TraceSummary, standard_certificates
 from .environment import (
@@ -281,6 +283,7 @@ def run_episode(
     actions = env.actions
     T = config.horizon
     is_corectron = algorithm in _CORECTRON_ALGOS
+    want_trace = level != "off" and is_corectron
     want_full = level == "full" and is_corectron
 
     leverage = np.zeros(T)
@@ -320,6 +323,17 @@ def run_episode(
         regret = np.matmul(env.utilities[:, None, :], lost[:, :, None])[:, 0, 0]
         if not np.isfinite(regret.sum()):
             raise FloatingPointError("non-finite regret")
+        if want_trace:
+            # The trace accepts only finite numbers; a learner's non-finite
+            # diagnostic fails this cell instead of the sweep.
+            final_potential_direct = learner.potential_direct() if T else 0.0
+            for name, column in (("leverage", leverage), ("alignment", alignment),
+                                 ("alignment_scale", alignment_scale), ("potential", potential),
+                                 ("potential_direct", potential_direct),
+                                 ("post_leverage", post_leverage),
+                                 ("final_potential_direct", final_potential_direct)):
+                if column is not None and not np.all(np.isfinite(column)):
+                    raise FloatingPointError(f"non-finite {name}")
     except _EPISODE_ERRORS as exc:
         status, message = "failed", f"{type(exc).__name__}: {exc}"
     total_time = time.perf_counter() - t_total0
@@ -342,7 +356,7 @@ def run_episode(
     )
 
     trace = None
-    if level != "off" and status == "ok" and is_corectron:
+    if want_trace and status == "ok":
         gram = None
         if want_full:
             # From the environment's contexts and the residuals seen here, not
@@ -373,7 +387,7 @@ def run_episode(
             potential=potential,
             regret=regret,
             subopt=env.subopt.copy(),
-            final_potential_direct=learner.potential_direct() if T else 0.0,
+            final_potential_direct=final_potential_direct,
             potential_direct=potential_direct,
             post_leverage=post_leverage,
             gram=gram,
@@ -491,12 +505,17 @@ def emit(
     out_dir,
     config: ExperimentConfig | None = None,
     traces: dict | None = None,
+    thread_pinning: str = "not requested",
 ) -> dict:
     """Write results.csv, report.json, and optional trace files.
 
     The CSV carries the ten columns of ``_CSV_SCHEMA``, each value as its
     ``str`` (full-precision decimal for floats); the JSON report embeds
-    everything else, including per-run certificates and status.
+    everything else, including per-run certificates and status, and a
+    ``provenance`` block: the python, numpy and scipy versions and
+    ``thread_pinning``, the state of BLAS thread pinning during the sweep
+    ("not requested", "applied", or "unavailable" when it was requested
+    but threadpoolctl is not installed).
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -508,6 +527,12 @@ def emit(
 
     report = {
         "config": asdict(config) if config is not None else None,
+        "provenance": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "thread_pinning": thread_pinning,
+        },
         "summary": aggregate_results(rows) if rows else [],
         "results": [r.to_dict() for r in rows],
         "certificates_failed": sum(

@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import json
 import math
 import os
+import platform
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from corectron import harness
 from corectron.cli import main as cli_main
@@ -319,6 +324,33 @@ class TestSweep:
             assert row.status == "ok"
             assert row.csv_row()[:8] == ref.csv_row()[:8]
 
+    @pytest.mark.parametrize("field", ["potential", "alignment", "final_potential_direct"])
+    def test_non_finite_diagnostic_fails_only_its_cell(self, monkeypatch, field):
+        config = tiny_config(horizon=30)
+        clean = sweep(config)
+        build = harness.build_learner
+        damaged = []
+
+        def damaging(config, algorithm, params):
+            learner = build(config, algorithm, params)
+            if algorithm == "corectron_l" and not damaged:
+                if field == "final_potential_direct":
+                    learner.potential_direct = lambda: float("nan")
+                else:
+                    update = learner.update
+                    learner.update = lambda z, g: update(z, g)._replace(**{field: float("inf")})
+                damaged.append(learner)
+            return learner
+
+        monkeypatch.setattr(harness, "build_learner", damaging)
+        rows = sweep(config)
+        assert len(rows) == len(clean)
+        assert rows[0].algorithm == "corectron_l" and rows[0].status == "failed"
+        assert rows[0].message == f"FloatingPointError: non-finite {field}"
+        for row, ref in zip(rows[1:], clean[1:]):
+            assert row.status == "ok"
+            assert row.csv_row()[:8] == ref.csv_row()[:8]
+
     def test_feedback_sweep_expands_rows(self):
         config = tiny_config(
             algorithms=("ogd",),
@@ -442,6 +474,33 @@ class TestEmit:
 
 
 class TestCli:
+    @pytest.mark.parametrize("pinning", ["not requested", "unavailable", "applied"])
+    def test_report_records_thread_pinning(self, tmp_path, capsys, monkeypatch, pinning):
+        limits = []
+        if pinning == "unavailable":
+            monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises
+        elif pinning == "applied":
+            fake = types.ModuleType("threadpoolctl")
+            fake.threadpool_limits = lambda **kw: limits.append(kw) or contextlib.nullcontext()
+            monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        out = tmp_path / "out"
+        args = ["run", "--algos", "corectron-l", "--T", "5", "--seeds", "1",
+                "--coef-grid", "1", "--n", "4", "--m", "2", "--p", "3", "--out", str(out)]
+        if pinning != "not requested":
+            args.append("--single-thread")
+        assert cli_main(args) == 0
+        stderr = capsys.readouterr().err
+        assert ("pinning skipped" in stderr) == (pinning == "unavailable")
+        assert limits == ([{"limits": 1}] if pinning == "applied" else [])
+        with open(out / "report.json") as fh:
+            provenance = json.load(fh)["provenance"]
+        assert provenance == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "thread_pinning": pinning,
+        }
+
     def test_run_certify_best_workflow(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main([
@@ -489,7 +548,9 @@ class TestCli:
                                         "nonsquare_gram", "asymmetric_gram",
                                         "string_regularizer", "small_horizon",
                                         "nan_regularizer", "inf_regularizer",
-                                        "leverage_below_minus_one"])
+                                        "leverage_below_minus_one", "inf_potential",
+                                        "nan_diameter", "nan_regret",
+                                        "nan_final_potential_direct", "nan_gram"])
     def test_certify_rejects_unreadable_trace(self, tmp_path, capsys, damage):
         config = tiny_config(horizon=20, diag_level="full")
         params = resolve_hyperparameters(config, "corectron_l", 1.0)
@@ -514,6 +575,16 @@ class TestCli:
         elif damage == "leverage_below_minus_one":
             saved["leverage"][0] = -2.0
             path.write_text(json.dumps(saved))
+        elif damage in ("inf_potential", "nan_diameter", "nan_regret",
+                        "nan_final_potential_direct", "nan_gram"):
+            bad, key = damage.split("_", 1)
+            value = float(bad)
+            if isinstance(saved[key], list):
+                row = saved[key][0] if key == "gram" else saved[key]
+                row[0] = value
+            else:
+                saved[key] = value
+            path.write_text(json.dumps(saved))
         elif damage != "missing_file":
             # internally inconsistent: each field reads, but they disagree
             assert len(saved["gram"]) >= 2
@@ -537,6 +608,8 @@ class TestCli:
         assert line.startswith(f"corectron certify: cannot read trace {path}: ")
         if damage == "missing_key":
             assert line.endswith("leverage")
+        if damage.startswith(("inf_", "nan_")) and not damage.endswith("_regularizer"):
+            assert line.endswith(f"{damage.split('_', 1)[1]} must be finite")
 
     @pytest.mark.parametrize("args", [["--n", "3", "--m", "5"], ["--alpha", "1.5"],
                                       ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +153,48 @@ class TestBlockedInverseUpdate:
             ag = ref.dot(g)
             ref -= np.outer(ag, ag) / (1.0 + g.dot(ag))
         np.testing.assert_array_equal(state.inv, ref)
+
+    @pytest.mark.parametrize("d", [129, 257, 1000])
+    def test_signed_zero_chain_bytes_equal_dense_formula(self, d):
+        # Sparse residuals leave exact zeros in ag, and negating them makes
+        # zero products of either sign in outer(ag, ag); the stored inverse
+        # must still match the dense formula to the byte, and its transpose.
+        rng = np.random.default_rng(d)
+        state = SpdInverse.from_ridge(d, 0.5)
+        ref = np.eye(d) / 0.5
+        negative_zero_products = 0
+        g = np.zeros(d)
+        for step in range(8):
+            if step % 4 == 3:
+                g = np.zeros(d)
+            elif step % 2:
+                g = -g
+            else:
+                g = np.zeros(d)
+                support = rng.choice(d, size=d // 16, replace=False)
+                g[support] = rng.standard_normal(support.size)
+            state.rank_one_update(g)
+            ag = ref.dot(g)
+            outer = np.outer(ag, ag)
+            negative_zero_products += int(np.signbit(outer[outer == 0]).sum())
+            ref -= outer / (1.0 + g.dot(ag))
+            inv = state.inv
+            assert inv.tobytes() == ref.tobytes()
+            assert inv.tobytes() == np.ascontiguousarray(inv.T).tobytes()
+        assert negative_zero_products > 0
+
+    def test_update_makes_no_square_temporary(self):
+        d = 1000
+        state = SpdInverse.from_ridge(d, 1.0)
+        g = np.random.default_rng(0).standard_normal(d)
+        state.rank_one_update(g)
+        tracemalloc.start()
+        try:
+            state.rank_one_update(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 // 16
 
     def test_copy_is_independent(self):
         state = SpdInverse.from_ridge(3, 1.0)

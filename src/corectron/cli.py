@@ -5,14 +5,16 @@ Subcommands:
   certify  re-run the certificate battery on a saved trace file
   best     print per-algorithm best coefficients from an emitted CSV
 
-``run`` and ``certify`` exit 1 when a certificate fails, and 2 with one
-line on stderr when the arguments or the trace file cannot be used.
+``run`` and ``certify`` exit 1 when a certificate fails; every
+subcommand exits 2 with one line on stderr when its arguments or its
+input file (a trace, or ``results.csv``) cannot be used.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import math
 import sys
 
@@ -27,6 +29,7 @@ from .harness import (
     read_results_csv,
     sweep,
 )
+from .numkit import scipy_linalg
 
 
 def _parse_algos(text: str) -> tuple:
@@ -110,7 +113,11 @@ def _feedback_from_args(args) -> FeedbackModel:
 
 def _single_thread_ctx(enabled: bool):
     """The context that pins BLAS pools to one thread, and the pinning
-    state that ``emit`` records in the report."""
+    state that ``emit`` records in the report.
+
+    threadpoolctl limits only the libraries already loaded, so scipy's
+    OpenBLAS, which a kernel learner loads lazily, is loaded first.
+    """
     if not enabled:
         return contextlib.nullcontext(), "not requested"
     try:
@@ -118,6 +125,7 @@ def _single_thread_ctx(enabled: bool):
     except ImportError:
         print("threadpoolctl unavailable; thread pinning skipped", file=sys.stderr)
         return contextlib.nullcontext(), "unavailable"
+    scipy_linalg()
     return threadpool_limits(limits=1), "applied"
 
 
@@ -145,6 +153,8 @@ def _cmd_run(args) -> int:
             overrides["coef_grid"] = _parse_grid(args.coef_grid)
         overrides["feedback_models"] = (_feedback_from_args(args),)
         config = default_config(args.setting, full_scale=args.full_scale, **overrides)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:
         print(f"corectron run: {exc}", file=sys.stderr)
         return 2
@@ -205,7 +215,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_best(args) -> int:
-    rows = read_results_csv(args.input)
+    try:
+        rows = read_results_csv(args.input)
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"corectron best: cannot read results {args.input}: {exc}", file=sys.stderr)
+        return 2
     pairs = sorted({(r.alpha, r.xi) for r in rows})
     for alpha, xi in pairs:
         best = best_coefficients(rows, alpha=alpha, xi=xi)

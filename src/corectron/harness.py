@@ -19,13 +19,12 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import scipy
 
 from .diagnostics import TraceSummary, standard_certificates
 from .environment import (
@@ -407,8 +406,9 @@ def _run_cell(args) -> RunResult:
 def sweep(config: ExperimentConfig, jobs: int = 1, trace_hook=None) -> list[RunResult]:
     """Cartesian product over algorithms x coefficients x feedback x seeds.
 
-    Cells are independent; with ``jobs > 1`` they run in worker processes
-    and results are merged back in the deterministic task order.
+    Cells are independent; with ``jobs > 1`` they run in at most ``jobs``
+    worker processes, never more than there are cells, and results are
+    merged back in the deterministic task order.
     ``trace_hook(result, trace)`` is invoked per cell in sequential mode,
     e.g. to persist traces.  Failed cells are kept (status "failed") and
     the sweep continues.
@@ -421,7 +421,10 @@ def sweep(config: ExperimentConfig, jobs: int = 1, trace_hook=None) -> list[RunR
                 for seed in config.seeds:
                     tasks.append((config, algorithm, coefficient, params, feedback, seed))
     if jobs > 1 and trace_hook is None and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The executor may start every worker at once, so start no idle ones.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_run_cell, tasks, chunksize=1))
     results = []
     for task in tasks:
@@ -500,6 +503,22 @@ def best_coefficients(
     return best
 
 
+def _blas_provenance() -> dict:
+    """Name and version of the BLAS that numpy was built against, and of
+    scipy's (a library of its own) when scipy.linalg was imported in this
+    process, from each package's ``show_config``."""
+    packages = {"numpy": np}
+    if "scipy.linalg" in sys.modules:
+        import scipy
+
+        packages["scipy"] = scipy
+    out = {}
+    for name, package in packages.items():
+        blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        out[name] = {"name": blas.get("name"), "version": blas.get("version")}
+    return out
+
+
 def emit(
     rows: list[RunResult],
     out_dir,
@@ -512,11 +531,15 @@ def emit(
     The CSV carries the ten columns of ``_CSV_SCHEMA``, each value as its
     ``str`` (full-precision decimal for floats); the JSON report embeds
     everything else, including per-run certificates and status, and a
-    ``provenance`` block: the python, numpy and scipy versions and
-    ``thread_pinning``, the state of BLAS thread pinning during the sweep
-    ("not requested", "applied", or "unavailable" when it was requested
-    but threadpoolctl is not installed).
+    ``provenance`` block: the python, numpy and scipy versions, ``blas``
+    (see :func:`_blas_provenance`; scipy's entry appears only once this
+    process has loaded scipy.linalg) and ``thread_pinning``, the state of BLAS
+    thread pinning during the sweep ("not requested", "applied", or
+    "unavailable" when it was requested but threadpoolctl is not
+    installed).
     """
+    import scipy
+
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -531,6 +554,7 @@ def emit(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": _blas_provenance(),
             "thread_pinning": thread_pinning,
         },
         "summary": aggregate_results(rows) if rows else [],
@@ -558,11 +582,21 @@ def read_results_csv(path) -> list[RunResult]:
     """Parse an emitted CSV back into RunResults.
 
     The CSV carries no loop-total time, so ``total_seconds`` is the
-    learner time.
+    learner time.  A file without a header naming every column, or with
+    a row whose value does not parse (a short row leaves some empty),
+    raises ``ValueError``.
     """
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            values = {name: parse(rec[column]) for column, name, parse in _CSV_SCHEMA}
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or ()
+        missing = [column for column, _, _ in _CSV_SCHEMA if column not in header]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
+        for rec in reader:
+            try:
+                values = {name: parse(rec[column]) for column, name, parse in _CSV_SCHEMA}
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
             rows.append(RunResult(total_seconds=values["runtime_seconds"], **values))
     return rows

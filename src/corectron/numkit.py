@@ -10,6 +10,16 @@ log-determinant, effective dimension and operator norm.
 
 Both projections return a point that satisfies the constraint as
 evaluated on that point, not only in the eigenbasis.
+
+Everything but two routines runs on numpy alone: the ball projection's
+``np.linalg.eigh`` and the Gram eigenvalues' ``eigvalsh`` are LAPACK
+through numpy's own build of it.  numpy has neither a packed triangular
+solve nor a generalized symmetric eigensolver, so ``CholFactor``'s BLAS
+``dtpsv`` and ``project_ellipsoid_coeff``'s ``eigh(shape, metric)`` come
+from scipy.linalg through :func:`scipy_linalg`.  Importing scipy.linalg
+takes a few tenths of a second and tens of MB, so it happens only when
+the first ``CholFactor`` is built (a kernel learner's constructor) or the
+first ellipsoid is projected, never for the explicit learners.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, eigh
 
 __all__ = [
     "DegenerateGramError",
@@ -47,6 +56,13 @@ UPDATE_BLOCK_ROWS = 128
 # Side of the square tiles in which _require_symmetric compares a matrix
 # with its transpose.
 SYMMETRY_TILE = 256
+
+
+def scipy_linalg():
+    """The scipy.linalg module, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 class DegenerateGramError(RuntimeError):
@@ -203,13 +219,15 @@ class CholFactor:
     ``t`` rows are always one contiguous block of ``t (t + 1) / 2``
     entries.  Read column-major, that block is the packed upper triangle
     of ``L^T``, so both triangular solves are BLAS ``dtpsv`` calls on the
-    buffer itself, with no copy of the factor.
+    buffer itself, with no copy of the factor.  The constructor imports
+    scipy.linalg for ``dtpsv``, so no solve pays for that import.
     """
 
     def __init__(self, capacity: int = 64):
         cap = max(capacity, 1)
         self._ap = np.zeros(cap * (cap + 1) // 2)
         self.size = 0
+        self._dtpsv = scipy_linalg().blas.dtpsv
 
     @property
     def L(self) -> np.ndarray:
@@ -223,6 +241,7 @@ class CholFactor:
         out = CholFactor.__new__(CholFactor)
         out._ap = self._ap.copy()
         out.size = self.size
+        out._dtpsv = self._dtpsv
         return out
 
     def _tpsv(self, b: np.ndarray, trans: int) -> np.ndarray:
@@ -230,7 +249,7 @@ class CholFactor:
         # trans=1 solves L x = b and trans=0 solves L^T x = b.
         if self.size == 0:
             return np.empty(0)
-        return blas.dtpsv(self.size, self._ap, b, lower=0, trans=trans)
+        return self._dtpsv(self.size, self._ap, b, lower=0, trans=trans)
 
     def extend(self, k: np.ndarray, rho_plus_ridge: float) -> tuple[np.ndarray, float]:
         """Append the row for a new point with cross terms ``k``.
@@ -416,7 +435,7 @@ def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResu
     inv_metric = _require_symmetric(_as_square(inv_metric), "inverse metric")
     if inv_metric.shape[0] != point.shape[0]:
         raise ValueError("inverse metric and point dimensions disagree")
-    mu, V = eigh(inv_metric, driver="evd", check_finite=False)
+    mu, V = np.linalg.eigh(inv_metric)
     if mu[0] <= 0:
         raise ValueError("inverse metric must be positive definite")
     b = V.T.dot(point)
@@ -452,7 +471,7 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     if metric.shape != shape.shape:
         raise ValueError("metric and shape dimensions disagree")
     try:
-        s, V = eigh(shape, metric, check_finite=False)
+        s, V = scipy_linalg().eigh(shape, metric, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError("metric must be positive definite") from exc
     s = np.clip(s, 0.0, None)

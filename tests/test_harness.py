@@ -301,6 +301,32 @@ class TestSweep:
         par = sweep(config, jobs=2)
         assert [r.csv_row()[:8] for r in seq] == [r.csv_row()[:8] for r in par]
 
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        import concurrent.futures
+
+        workers = []
+
+        class InlineExecutor:
+            """Records its size and runs the tasks here; starts no process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        config = tiny_config(horizon=10, algorithms=("corectron_l", "ons"), seeds=(0,))
+        rows = sweep(config, jobs=8)
+        assert workers == [4]  # 2 algorithms x 2 coefficients x 1 seed
+        assert [r.csv_row()[:8] for r in rows] == [r.csv_row()[:8] for r in sweep(config)]
+
     def test_corrupted_inverse_fails_only_its_cell(self, monkeypatch):
         config = tiny_config(horizon=30)
         clean = sweep(config)
@@ -476,12 +502,23 @@ class TestEmit:
 class TestCli:
     @pytest.mark.parametrize("pinning", ["not requested", "unavailable", "applied"])
     def test_report_records_thread_pinning(self, tmp_path, capsys, monkeypatch, pinning):
+        # As in a fresh process, where a linear run never loads scipy.linalg.
+        monkeypatch.delitem(sys.modules, "scipy.linalg", raising=False)
+        if "linalg" in vars(scipy):  # hasattr would import it through scipy's __getattr__
+            monkeypatch.delattr(scipy, "linalg")
         limits = []
+
+        def fake_limits(**kw):
+            # threadpoolctl limits only the BLAS libraries already loaded
+            assert "scipy.linalg" in sys.modules
+            limits.append(kw)
+            return contextlib.nullcontext()
+
         if pinning == "unavailable":
             monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises
         elif pinning == "applied":
             fake = types.ModuleType("threadpoolctl")
-            fake.threadpool_limits = lambda **kw: limits.append(kw) or contextlib.nullcontext()
+            fake.threadpool_limits = fake_limits
             monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
         out = tmp_path / "out"
         args = ["run", "--algos", "corectron-l", "--T", "5", "--seeds", "1",
@@ -494,12 +531,17 @@ class TestCli:
         assert limits == ([{"limits": 1}] if pinning == "applied" else [])
         with open(out / "report.json") as fh:
             provenance = json.load(fh)["provenance"]
+        blas = {"numpy": np.show_config(mode="dicts")["Build Dependencies"]["blas"]}
+        if pinning == "applied":
+            blas["scipy"] = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert provenance == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": {lib: {"name": b["name"], "version": b["version"]} for lib, b in blas.items()},
             "thread_pinning": pinning,
         }
+        assert ("scipy.linalg" in sys.modules) == (pinning == "applied")
 
     def test_run_certify_best_workflow(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -614,7 +656,8 @@ class TestCli:
     @pytest.mark.parametrize("args", [["--n", "3", "--m", "5"], ["--alpha", "1.5"],
                                       ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"],
                                       ["--diag-cap", "-1"], ["--coef-grid", "nan"],
-                                      ["--coef-grid", "1,inf"]])
+                                      ["--coef-grid", "1,inf"], ["--jobs", "0"],
+                                      ["--jobs", "-2"]])
     def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = cli_main(["run", *args, "--out", str(out)])
@@ -624,6 +667,33 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith("corectron run: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["missing_file", "empty_file", "missing_column",
+                                        "bad_value", "short_row", "not_text"])
+    def test_best_rejects_unreadable_csv(self, tmp_path, capsys, damage):
+        path = tmp_path / "results.csv"
+        if damage == "not_text":
+            path.write_bytes(b"\xff\xfe\x00garbage")
+        elif damage != "missing_file":
+            emit([make_row(), make_row(coefficient=0.1)], tmp_path)
+            header, first, second = path.read_text().splitlines()
+            lines = {
+                "empty_file": [],
+                "missing_column": [",".join(line.split(",")[1:]) for line in (header, first, second)],
+                "bad_value": [header, first, second.replace("0.1", "tenth")],
+                "short_row": [header, first, second.rsplit(",", 1)[0]],
+            }[damage]
+            path.write_text("".join(line + "\n" for line in lines))
+        code = cli_main(["best", "--in", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"corectron best: cannot read results {path}: ")
+        if damage == "missing_column":
+            assert line.endswith("missing column(s) setting")
+        if damage in ("bad_value", "short_row"):
+            assert ": line 3: " in line
 
     def test_run_rejects_conflicting_noise(self, tmp_path):
         code = cli_main([

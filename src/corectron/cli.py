@@ -19,9 +19,10 @@ import math
 import sys
 
 from .diagnostics import TraceSummary, standard_certificates
-from .environment import FeedbackModel
+from .environment import MODELS, FeedbackModel
 from .harness import (
     ALGORITHMS,
+    KERNEL_ONLY_ALGOS,
     aggregate_results,
     best_coefficients,
     default_config,
@@ -63,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a benchmark sweep")
-    run.add_argument("--setting", choices=("linear", "kernel", "noncontextual"),
-                     default="linear")
+    run.add_argument("--setting", choices=MODELS, default="linear")
     run.add_argument("--bandwidth", type=float, default=1.0,
                      help="RBF bandwidth (kernel setting)")
     run.add_argument("--algos", type=_parse_algos, default=None,
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="pin BLAS pools to one thread for timing runs")
     run.add_argument("--diag-cap", type=int, default=None,
                      help="max side of the stored trace Gram, min(mistakes, lift dim)")
-    run.add_argument("--diag-level", choices=("full", "light", "off"), default=None,
+    run.add_argument("--diag-level", choices=("full", "light"), default=None,
                      help="diagnostics level (default full: every certificate at any horizon)")
     run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     run.add_argument("--save-traces", action="store_true",
@@ -111,12 +111,13 @@ def _feedback_from_args(args) -> FeedbackModel:
     return FeedbackModel.optimal()
 
 
-def _single_thread_ctx(enabled: bool):
+def _single_thread_ctx(enabled: bool, algorithms: tuple):
     """The context that pins BLAS pools to one thread, and the pinning
     state that ``emit`` records in the report.
 
     threadpoolctl limits only the libraries already loaded, so scipy's
-    OpenBLAS, which a kernel learner loads lazily, is loaded first.
+    OpenBLAS, which a kernel learner loads lazily, is loaded first when
+    ``algorithms`` holds one; no other learner loads it.
     """
     if not enabled:
         return contextlib.nullcontext(), "not requested"
@@ -125,7 +126,8 @@ def _single_thread_ctx(enabled: bool):
     except ImportError:
         print("threadpoolctl unavailable; thread pinning skipped", file=sys.stderr)
         return contextlib.nullcontext(), "unavailable"
-    scipy_linalg()
+    if any(a in KERNEL_ONLY_ALGOS for a in algorithms):
+        scipy_linalg()
     return threadpool_limits(limits=1), "applied"
 
 
@@ -169,7 +171,7 @@ def _cmd_run(args) -> int:
             )
             traces[key] = trace
 
-    pinning, thread_pinning = _single_thread_ctx(args.single_thread)
+    pinning, thread_pinning = _single_thread_ctx(args.single_thread, config.algorithms)
     with pinning:
         rows = sweep(
             config,

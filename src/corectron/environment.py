@@ -1,8 +1,9 @@
 """Simulated contextual m-out-of-n recommendation world.
 
 Provides the scaled top-m action set with its exact linear-optimization
-oracle, context sampling on the unit ball, linear / RBF / fixed hidden
-utility models normalised to unit strength, and three feedback channels:
+oracle, context sampling on the unit ball, the hidden utility models of
+the three settings (noncontextual: a fixed vector; linear; kernel: an RBF
+combination) normalised to unit strength, and three feedback channels:
 exact argmax actions, rank-m one-swap corruption, and argmax under
 relative Gaussian score noise.
 
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import KernelSpec
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec
 
 __all__ = [
+    "MODELS",
     "ActionSetSpec",
     "LinearUtility",
     "RbfUtility",
@@ -37,6 +39,10 @@ __all__ = [
     "suboptimality",
     "build_utility_model",
 ]
+
+# The three models, one name each: the setting, the hidden utility's kind, a
+# trace's model kind and the kind of the lift that represents that utility.
+MODELS = (NONCONTEXTUAL, LINEAR, KERNEL)
 
 ROLE_CONTEXTS = 0
 ROLE_MODEL = 1
@@ -136,17 +142,17 @@ class FixedUtility:
 class UtilitySpec:
     """Recipe for drawing a hidden utility model."""
 
-    kind: str  # "fixed" | "linear" | "rbf"
+    kind: str  # one of MODELS
     context_dim: int = 0
     centers: int = 16
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "linear", "rbf"):
+        if self.kind not in MODELS:
             raise ValueError(f"unknown utility kind: {self.kind!r}")
-        if self.kind in ("linear", "rbf") and self.context_dim <= 0:
+        if self.kind != NONCONTEXTUAL and self.context_dim <= 0:
             raise ValueError("contextual utilities need a positive context dimension")
-        if self.kind == "rbf":
+        if self.kind == KERNEL:
             if self.centers < 1:
                 raise ValueError("need at least one center")
             if self.bandwidth <= 0:
@@ -163,13 +169,13 @@ def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
     the square root of the kernel quadratic form, which sets the function
     norm to one.
     """
-    if spec.kind == "fixed":
+    if spec.kind == NONCONTEXTUAL:
         while True:
             v = rng.standard_normal(n)
             nrm = float(np.linalg.norm(v))
             if nrm > 0:
                 return FixedUtility(v / nrm)
-    if spec.kind == "linear":
+    if spec.kind == LINEAR:
         while True:
             W = rng.standard_normal((n, spec.context_dim))
             nrm = float(np.linalg.norm(W))
@@ -310,7 +316,6 @@ class Environment:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         self.actions = actions
-        self.utility_spec = utility
         self.feedback = feedback
         self.horizon = int(horizon)
         self.seed = int(seed)
@@ -321,12 +326,6 @@ class Environment:
         self.utilities = utility_eval(self.model, self.contexts)
         rng_fb = rng_stream(seed, ROLE_FEEDBACK)
         self.revealed, self.subopt = reveal_action(feedback, self.utilities, actions, rng_fb)
-
-    @property
-    def model_kind(self) -> str:
-        return {"fixed": "noncontextual", "linear": "linear", "rbf": "kernel"}[
-            self.utility_spec.kind
-        ]
 
     def round(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Context, hidden utility, revealed action, and gap for round t."""

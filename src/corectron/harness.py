@@ -28,6 +28,7 @@ import numpy as np
 
 from .diagnostics import TraceSummary, standard_certificates
 from .environment import (
+    MODELS as SETTINGS,
     ActionSetSpec,
     Environment,
     FeedbackModel,
@@ -57,7 +58,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-SETTINGS = ("linear", "kernel", "noncontextual")
 _LEARNERS = {
     "corectron_l": CoRectron,
     "corectron_k": CoRectronK,
@@ -103,7 +103,6 @@ class ExperimentConfig:
     pick: int = 5
     context_dim: int = 10
     horizon: int = 2000
-    centers: int = 16
     bandwidth: float = 1.0
     seeds: tuple = (0, 1, 2, 3, 4)
     coef_grid: tuple = DEFAULT_COEF_GRID
@@ -123,7 +122,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{kernel_algos} require the kernel setting, got {self.setting!r}"
                 )
-        if self.diag_level not in ("full", "light", "off"):
+        if self.diag_level not in ("full", "light"):
             raise ValueError(f"unknown diag level: {self.diag_level!r}")
         if self.diag_cap < 0:
             raise ValueError("diag_cap must be nonnegative")
@@ -231,25 +230,8 @@ def build_learner(config: ExperimentConfig, algorithm: str, params: dict):
 
 def make_environment(config: ExperimentConfig, feedback: FeedbackModel, seed: int) -> Environment:
     actions = ActionSetSpec.top_m(config.items, config.pick)
-    if config.setting == "noncontextual":
-        utility = UtilitySpec("fixed", context_dim=config.context_dim)
-    elif config.setting == "linear":
-        utility = UtilitySpec("linear", context_dim=config.context_dim)
-    else:
-        utility = UtilitySpec(
-            "rbf",
-            context_dim=config.context_dim,
-            centers=config.centers,
-            bandwidth=config.bandwidth,
-        )
+    utility = UtilitySpec(config.setting, config.context_dim, bandwidth=config.bandwidth)
     return Environment(actions, utility, feedback, config.horizon, seed)
-
-
-# The hidden-utility model that each lift kind represents exactly (with
-# unit norm in the lifted space).  A learner whose lift does not match the
-# environment's model, e.g. the linear-lift learner facing RBF utilities,
-# has no comparator in its span.
-_MODEL_OF_LIFT = {"identity": "noncontextual", "linear": "linear", "kernel": "kernel"}
 
 
 _CORECTRON_ALGOS = ("corectron_l", "corectron_k")
@@ -272,18 +254,16 @@ def run_episode(
     run: for an explicit lift, the smaller of ``Phi^T Phi`` (D x D) and
     ``Phi Phi^T`` (r x r), which share their nonzero eigenvalues; stored
     when its side is within ``diag_cap``.  "light" keeps only the O(T)
-    scalars and the always-on certificates; "off" skips tracing entirely.
+    scalars and the always-on certificates.
     Episodes that produce non-finite numbers are reported with status
     "failed" instead of aborting the sweep.
     """
-    level = config.diag_level
     env = make_environment(config, feedback, seed)
     learner = build_learner(config, algorithm, params)
     actions = env.actions
     T = config.horizon
     is_corectron = algorithm in _CORECTRON_ALGOS
-    want_trace = level != "off" and is_corectron
-    want_full = level == "full" and is_corectron
+    want_full = config.diag_level == "full" and is_corectron
 
     leverage = np.zeros(T)
     alignment = np.zeros(T)
@@ -322,7 +302,7 @@ def run_episode(
         regret = np.matmul(env.utilities[:, None, :], lost[:, :, None])[:, 0, 0]
         if not np.isfinite(regret.sum()):
             raise FloatingPointError("non-finite regret")
-        if want_trace:
+        if is_corectron:
             # The trace accepts only finite numbers; a learner's non-finite
             # diagnostic fails this cell instead of the sweep.
             final_potential_direct = learner.potential_direct() if T else 0.0
@@ -355,7 +335,7 @@ def run_episode(
     )
 
     trace = None
-    if want_trace and status == "ok":
+    if is_corectron and status == "ok":
         gram = None
         if want_full:
             # From the environment's contexts and the residuals seen here, not
@@ -374,7 +354,7 @@ def run_episode(
                 gram = built.entries
         trace = TraceSummary(
             algorithm=algorithm,
-            model_kind=env.model_kind,
+            model_kind=config.setting,
             regularizer=learner.regularizer,
             horizon=T,
             base_dim=config.items,
@@ -390,7 +370,9 @@ def run_episode(
             potential_direct=potential_direct,
             post_leverage=post_leverage,
             gram=gram,
-            comparator_in_span=env.model_kind == _MODEL_OF_LIFT[learner.lift_spec.kind],
+            # A lift of another model than the setting's (the linear lift
+            # facing RBF utilities) has no comparator in its span.
+            comparator_in_span=learner.lift_spec.kind == config.setting,
         )
         certs, skipped = standard_certificates(trace)
         result.certificates = certs

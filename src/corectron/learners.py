@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lifting import KERNEL, LiftSpec, adjoint_apply, lift
-from .numkit import CholFactor, GramMatrix, SpdInverse, project_ellipsoid_coeff
+from .numkit import CholFactor, GramMatrix, SpdInverse, in_ellipsoid, project_ellipsoid_coeff
 
 __all__ = ["RoundDiagnostics", "CoRectron", "CoRectronK", "OGD", "ONS", "KONS"]
 
@@ -355,7 +355,6 @@ class KONS:
         self.surrogate_scale = float(surrogate_scale)
         self.step_coeff = float(step_coeff)
         self._gram = GramMatrix()
-        self._scaled = GramMatrix()  # surrogate_scale^2 * gram + ridge * I
         self._chol = CholFactor()
         self._coef = np.empty(0)
         self._hist = _History(lift_spec)
@@ -378,7 +377,6 @@ class KONS:
         )
         s2 = self.surrogate_scale**2
         self._gram.append(col, rho)
-        self._scaled.append(s2 * col, s2 * rho + self.ridge)
         _, pivot = self._chol.extend(s2 * col, s2 * rho + self.ridge)
         self._hist.append(z, g)
         # (L L^T)^{-1} e_t, with L^{-1} e_t = e_t / pivot as L is lower
@@ -387,8 +385,12 @@ class KONS:
         e[-1] = 1.0 / pivot
         q = self._chol.backward(e)
         target = np.append(self._coef, 0.0) - (self.surrogate_scale / self.step_coeff) * q
-        proj = project_ellipsoid_coeff(
-            self._scaled.entries, self._gram.entries, target, 1.0
-        )
-        self._coef = proj.point
-        return _baseline_diag(not proj.trivial)
+        gram = self._gram.entries
+        if in_ellipsoid(gram, target, 1.0):
+            self._coef = target
+            return _baseline_diag(False)
+        # The projection metric s^2 K + ridge I, formed only when projecting.
+        metric = s2 * gram
+        metric.flat[:: metric.shape[0] + 1] += self.ridge
+        self._coef = project_ellipsoid_coeff(metric, gram, target, 1.0).point
+        return _baseline_diag(True)

@@ -1,13 +1,14 @@
 """Context lifts: per-round linear maps from base actions into the
 learner's inner-product space, with adjoints and lifted-Gram columns.
 
-Three variants are supported: the identity (no context), the
-outer-product lift ``x -> x z^T`` for linear context models, and the
-kernel feature lift realised as a scalar kernel times the identity.
+One variant per model, named after it: the identity for the
+noncontextual model, the outer-product lift ``x -> x z^T`` for the
+linear context model, and the kernel feature lift realised as a scalar
+kernel times the identity.
 
 Every lifted inner product factors into a context part and a base part,
 ``<lift(z, g), lift(z', g')> = kappa(z, z') * <g, g'>``, where the
-context factor ``kappa`` is 1 for the identity lift, ``z . z'`` for the
+context factor ``kappa`` is 1 for the noncontextual lift, ``z . z'`` for the
 linear lift and ``k(z, z')`` for a kernel lift.  :class:`LiftSpec` is
 the one place that knows the variants.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 __all__ = ["KernelSpec", "LiftSpec", "lift", "adjoint_apply"]
 
-IDENTITY = "identity"
+NONCONTEXTUAL = "noncontextual"
 LINEAR = "linear"
 KERNEL = "kernel"
 
@@ -79,7 +80,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class LiftSpec:
-    """The lift of one contextual model, applied to each round's context."""
+    """The lift that represents one model's utilities exactly, named after it."""
 
     kind: str
     base_dim: int
@@ -87,16 +88,16 @@ class LiftSpec:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in (IDENTITY, LINEAR, KERNEL):
+        if self.kind not in (NONCONTEXTUAL, LINEAR, KERNEL):
             raise ValueError(f"unknown lift kind: {self.kind!r}")
-        if self.kind in (LINEAR, KERNEL) and self.context_dim <= 0:
+        if self.kind != NONCONTEXTUAL and self.context_dim <= 0:
             raise ValueError("contextual lifts need a positive context dimension")
         if self.kind == KERNEL and self.kernel is None:
             raise ValueError("kernel lifts need a KernelSpec")
 
     @classmethod
     def identity(cls, base_dim: int) -> "LiftSpec":
-        return cls(IDENTITY, base_dim)
+        return cls(NONCONTEXTUAL, base_dim)
 
     @classmethod
     def linear(cls, base_dim: int, context_dim: int) -> "LiftSpec":
@@ -109,7 +110,7 @@ class LiftSpec:
     @property
     def dim(self) -> int:
         """Explicit lifted dimension (identity and linear variants only)."""
-        if self.kind == IDENTITY:
+        if self.kind == NONCONTEXTUAL:
             return self.base_dim
         if self.kind == LINEAR:
             return self.base_dim * self.context_dim
@@ -120,7 +121,7 @@ class LiftSpec:
 
         The identity lift ignores the context and returns None.
         """
-        if self.kind == IDENTITY:
+        if self.kind == NONCONTEXTUAL:
             return None
         z = np.asarray(z, dtype=float)
         if z.shape != (self.context_dim,):
@@ -131,7 +132,7 @@ class LiftSpec:
 
     def context_column(self, Z: np.ndarray, z) -> np.ndarray:
         """Context factors ``kappa(Z[s], z)`` over the rows of ``Z``."""
-        if self.kind == IDENTITY:
+        if self.kind == NONCONTEXTUAL:
             return np.ones(Z.shape[0])
         if self.kind == LINEAR:
             return Z.dot(z)
@@ -148,7 +149,7 @@ class LiftSpec:
         """
         if kcol is None:
             kcol = self.context_column(Z, z)
-        if self.kind == IDENTITY:
+        if self.kind == NONCONTEXTUAL:
             kzz = 1.0
         elif self.kind == LINEAR:
             kzz = float(z.dot(z))
@@ -166,7 +167,7 @@ def lift(spec: LiftSpec, z, x_base) -> np.ndarray:
     x = np.asarray(x_base, dtype=float)
     if x.shape != (spec.base_dim,):
         raise ValueError("base vector has wrong dimension")
-    if spec.kind == IDENTITY:
+    if spec.kind == NONCONTEXTUAL:
         return x.copy()
     if spec.kind == LINEAR:
         return np.outer(z, x).ravel()
@@ -183,6 +184,6 @@ def adjoint_apply(spec: LiftSpec, z, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (spec.dim,):
         raise ValueError("weight vector has wrong dimension")
-    if spec.kind == IDENTITY:
+    if spec.kind == NONCONTEXTUAL:
         return w.copy()
     return w.reshape((spec.base_dim, spec.context_dim), order="F").dot(z)

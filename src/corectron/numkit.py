@@ -36,6 +36,7 @@ __all__ = [
     "ProjectionResult",
     "project_ball_mahalanobis",
     "project_ellipsoid_coeff",
+    "in_ellipsoid",
     "gram_eigenvalues",
 ]
 
@@ -383,26 +384,33 @@ def _radius_multiplier(num, slope, radius, hi):
 
 
 def _inside(point: np.ndarray, norm, radius: float) -> np.ndarray:
-    """``point``, scaled towards the origin until ``norm(point) <= radius``.
+    """``point`` times the first ``1 - 2^k eps`` (k = 0, 1, ...) that makes
+    ``norm(point) <= radius``.
 
     The root-finder's multiplier is feasible in the eigenbasis; the
-    back-transformed point can still overshoot by rounding, which a
-    scaling of a few ulps removes.
+    back-transformed point can still overshoot by rounding or, where the
+    evaluated norm is noisy, seem to, and small steps stop at the first
+    scaling that passes rather than moving the point inside by the noise.
     """
-    size = norm(point)
-    if not size > radius:  # NaN passes through to the caller's checks
+    if not norm(point) > radius:  # NaN passes through to the caller's checks
         return point
-    factor = radius / size
+    step = np.finfo(float).eps
     while True:
-        scaled = point * factor
+        scaled = point * (1.0 - step)
         if not norm(scaled) > radius:
             return scaled
-        factor = np.nextafter(factor, 0.0)
+        step *= 2.0
 
 
 def _shape_norm(shape: np.ndarray, c: np.ndarray) -> float:
     """``sqrt(c^T shape c)``, read as zero when rounding makes it negative."""
     return float(np.sqrt(max(float(c.dot(shape.dot(c))), 0.0)))
+
+
+def in_ellipsoid(shape: np.ndarray, point: np.ndarray, radius: float) -> bool:
+    """Whether ``point^T shape point <= radius^2`` within the trivial slack,
+    the test under which :func:`project_ellipsoid_coeff` returns ``point``."""
+    return _shape_norm(shape, point) <= radius * (1.0 + TRIVIAL_SLACK)
 
 
 def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResult:
@@ -464,7 +472,7 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     shape = _require_symmetric(_as_square(shape), "shape")
     if shape.shape[0] != point.shape[0]:
         raise ValueError("shape and point dimensions disagree")
-    if _shape_norm(shape, point) <= radius * (1.0 + TRIVIAL_SLACK):
+    if in_ellipsoid(shape, point, radius):
         return ProjectionResult(point.copy(), 0.0, True)
 
     metric = _require_symmetric(_as_square(metric), "metric")
@@ -474,7 +482,9 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
         s, V = scipy_linalg().eigh(shape, metric, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError("metric must be positive definite") from exc
-    s = np.clip(s, 0.0, None)
+    # Eigenvalues within rounding of zero are noise of the shape's null space;
+    # times a large component of b they would push the multiplier past the root.
+    s = np.where(s > s.size * np.finfo(float).eps * max(float(s[-1]), 0.0), s, 0.0)
     b = V.T.dot(metric.dot(point))
     theta = _radius_multiplier(s * b * b, s, radius, 1.0)
     c = _inside(V.dot(b / (1.0 + theta * s)), lambda v: _shape_norm(shape, v), radius)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corectron.environment import (
+    MODELS,
     ROLE_CONTEXTS,
     ROLE_FEEDBACK,
     ROLE_MODEL,
@@ -99,8 +100,8 @@ def _reference_environment(actions, utility, feedback, horizon, seed):
 _UTILITIES = {
     "linear_wide": UtilitySpec("linear", context_dim=100),
     "linear": UtilitySpec("linear", context_dim=10),
-    "rbf": UtilitySpec("rbf", context_dim=10, centers=16, bandwidth=1.0),
-    "fixed": UtilitySpec("fixed", context_dim=10),
+    "kernel": UtilitySpec("kernel", context_dim=10, centers=16, bandwidth=1.0),
+    "noncontextual": UtilitySpec("noncontextual", context_dim=10),
 }
 _FEEDBACKS = {
     "optimal": FeedbackModel.optimal(),
@@ -212,7 +213,7 @@ class TestUtilityModels:
 
     def test_rbf_unit_function_norm(self):
         rng = rng_stream(1, 1)
-        spec = UtilitySpec("rbf", context_dim=4, centers=16, bandwidth=0.8)
+        spec = UtilitySpec("kernel", context_dim=4, centers=16, bandwidth=0.8)
         model = build_utility_model(rng, spec, 5)
         assert model.centers.shape == (16, 4)
         assert np.all(np.linalg.norm(model.centers, axis=1) <= 1.0 + 1e-12)
@@ -224,7 +225,7 @@ class TestUtilityModels:
         assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
     def test_fixed_unit_norm(self):
-        model = build_utility_model(rng_stream(2, 1), UtilitySpec("fixed"), 6)
+        model = build_utility_model(rng_stream(2, 1), UtilitySpec("noncontextual"), 6)
         assert np.linalg.norm(model.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_eval_linear_at_origin(self):
@@ -400,14 +401,17 @@ class TestEnvironment:
         a, b = self.make(seed=1), self.make(seed=2)
         assert not np.array_equal(a.contexts, b.contexts)
 
-    def test_model_kinds(self):
-        assert self.make(kind="linear").model_kind == "linear"
-        assert self.make(kind="rbf").model_kind == "kernel"
-        assert self.make(kind="fixed").model_kind == "noncontextual"
+    def test_utility_kinds_are_the_model_names(self):
+        models = dict(zip(MODELS, (FixedUtility, LinearUtility, RbfUtility)))
+        for kind in MODELS:
+            assert isinstance(self.make(kind=kind).model, models[kind])
+        for retired in ("fixed", "rbf"):
+            with pytest.raises(ValueError):
+                UtilitySpec(retired, context_dim=4)
 
     def test_payoff_bound_on_sampled_rounds(self):
         # |<u, x - x'>| <= 1 for feasible pairs under unit utility norms
-        env = self.make(kind="rbf", T=60)
+        env = self.make(kind="kernel", T=60)
         rng = np.random.default_rng(12)
         for t in range(env.horizon):
             u = env.utilities[t]
@@ -437,7 +441,7 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("feedback", sorted(_FEEDBACKS))
     def test_zero_horizon(self, feedback):
-        env = self.make(kind="rbf", feedback=_FEEDBACKS[feedback], T=0)
+        env = self.make(kind="kernel", feedback=_FEEDBACKS[feedback], T=0)
         assert env.contexts.shape == (0, 4)
         assert env.utilities.shape == env.revealed.shape == (0, 6)
         assert env.subopt.shape == (0,)

@@ -111,6 +111,8 @@ class TestConfigValidation:
             ExperimentConfig(algorithms=("mystery",))
         with pytest.raises(ValueError):
             ExperimentConfig(setting="cubic")
+        with pytest.raises(ValueError):
+            ExperimentConfig(diag_level="off")
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -118,6 +120,21 @@ class TestConfigValidation:
 
 
 class TestRunEpisode:
+    @pytest.mark.parametrize("setting, algorithm", [
+        ("noncontextual", "corectron_l"),
+        ("linear", "corectron_l"),
+        ("kernel", "corectron_k"),
+        ("kernel", "corectron_l"),
+    ])
+    def test_trace_names_the_setting_and_the_comparator(self, setting, algorithm):
+        # the trace's model kind is the setting; only the explicit learner
+        # facing RBF utilities has no comparator in its lift's span
+        config = tiny_config(setting=setting, algorithms=(algorithm,), horizon=10)
+        params = resolve_hyperparameters(config, algorithm, 1.0)
+        _, trace = run_episode(config, algorithm, 1.0, params, FeedbackModel.optimal(), 0)
+        assert trace.model_kind == setting
+        assert trace.comparator_in_span == ((setting, algorithm) != ("kernel", "corectron_l"))
+
     def test_zero_horizon(self):
         config = tiny_config(horizon=0, diag_level="full")
         params = resolve_hyperparameters(config, "corectron_l", 1.0)
@@ -489,7 +506,6 @@ class TestEmit:
             "pick": 2,
             "context_dim": 3,
             "horizon": 20,
-            "centers": 16,
             "bandwidth": 1.0,
             "seeds": [0],
             "coef_grid": [1.0],
@@ -500,17 +516,28 @@ class TestEmit:
 
 
 class TestCli:
-    @pytest.mark.parametrize("pinning", ["not requested", "unavailable", "applied"])
-    def test_report_records_thread_pinning(self, tmp_path, capsys, monkeypatch, pinning):
-        # As in a fresh process, where a linear run never loads scipy.linalg.
-        monkeypatch.delitem(sys.modules, "scipy.linalg", raising=False)
+    @pytest.mark.parametrize("pinning, setting", [
+        ("not requested", "linear"),
+        ("unavailable", "linear"),
+        ("applied", "linear"),
+        ("applied", "kernel"),
+    ])
+    def test_report_records_thread_pinning(self, tmp_path, capsys, monkeypatch, pinning,
+                                           setting):
+        # As in a fresh process, where a linear run never loads scipy.linalg;
+        # its submodules go too, so that a kernel run can import it afresh.
+        for name in [m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]]:
+            monkeypatch.delitem(sys.modules, name)
         if "linalg" in vars(scipy):  # hasattr would import it through scipy's __getattr__
             monkeypatch.delattr(scipy, "linalg")
         limits = []
+        kernel = setting == "kernel"
 
         def fake_limits(**kw):
-            # threadpoolctl limits only the BLAS libraries already loaded
-            assert "scipy.linalg" in sys.modules
+            # threadpoolctl limits only the BLAS libraries already loaded, so
+            # a run with a kernel learner loads scipy.linalg first; no other
+            # run ever loads it
+            assert ("scipy.linalg" in sys.modules) == kernel
             limits.append(kw)
             return contextlib.nullcontext()
 
@@ -521,7 +548,8 @@ class TestCli:
             fake.threadpool_limits = fake_limits
             monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
         out = tmp_path / "out"
-        args = ["run", "--algos", "corectron-l", "--T", "5", "--seeds", "1",
+        args = ["run", "--setting", setting, "--algos", "corectron-k" if kernel else "corectron-l",
+                "--T", "5", "--seeds", "1",
                 "--coef-grid", "1", "--n", "4", "--m", "2", "--p", "3", "--out", str(out)]
         if pinning != "not requested":
             args.append("--single-thread")
@@ -532,7 +560,7 @@ class TestCli:
         with open(out / "report.json") as fh:
             provenance = json.load(fh)["provenance"]
         blas = {"numpy": np.show_config(mode="dicts")["Build Dependencies"]["blas"]}
-        if pinning == "applied":
+        if kernel:
             blas["scipy"] = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert provenance == {
             "python": platform.python_version(),
@@ -541,7 +569,7 @@ class TestCli:
             "blas": {lib: {"name": b["name"], "version": b["version"]} for lib, b in blas.items()},
             "thread_pinning": pinning,
         }
-        assert ("scipy.linalg" in sys.modules) == (pinning == "applied")
+        assert ("scipy.linalg" in sys.modules) == kernel
 
     def test_run_certify_best_workflow(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -704,3 +732,8 @@ class TestCli:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "--algos", "mystery"])
+
+    def test_diag_level_off_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--diag-level", "off"])
+        assert exc.value.code == 2

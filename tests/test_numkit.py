@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from corectron.diagnostics import TraceSummary, check_gram_spectrum
@@ -682,6 +682,17 @@ def reference_project_ellipsoid(metric, shape, point, radius):
     return solve_triangular(L, Q.dot(bt / (1.0 + theta * s)), lower=True, trans=1)
 
 
+def factored_norm(feats, c):
+    """``sqrt(c^T shape c)`` for ``shape = feats feats^T``, as ``||feats^T c||``.
+
+    Far more accurate than ``c . (shape c)`` when ``c`` has a large
+    component in the shape's null space: there the rounding of ``shape``
+    itself and of the quadratic form moves ``c^T shape c`` by up to ~1e-8
+    relative (under rescalings of ``c`` by 1e-12).
+    """
+    return float(np.linalg.norm(feats.T.dot(c)))
+
+
 # (size, rank of shape, point's shape-norm over the radius, seed): shapes
 # full-rank and rank-deficient, points inside and outside the ellipsoid.
 ellipsoid_cases = st.integers(1, 40).flatmap(
@@ -712,7 +723,7 @@ class TestProjectEllipsoid:
         out = project_ellipsoid_coeff(metric, shape, point, radius)
         ref = reference_project_ellipsoid(metric, shape, point, radius)
         assert np.abs(out.point - ref).max() <= 1e-9 * np.abs(ref).max()
-        val = np.sqrt(max(float(out.point.dot(shape.dot(out.point))), 0.0))
+        val = factored_norm(feats, out.point)
         assert val <= radius * (1.0 + 1e-9)
         assert out.trivial == (norm <= radius * (1.0 + TRIVIAL_SLACK))
         if out.trivial:
@@ -723,6 +734,13 @@ class TestProjectEllipsoid:
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    # A rank-1 shape and a point of norm 2.8e4, nearly all in the shape's
+    # null space, whose rounding-noise eigenvalues once pushed the
+    # multiplier past the root (3.6e-8 inside).
+    @example(n=19, seed=495)
+    # Rank 1 again: the quadratic form read the projected point as outside,
+    # and scaling it by radius over that reading moved it 2.3e-9 inside.
+    @example(n=6, seed=630666469)
     def test_projected_point_is_not_projected_again(self, n, seed):
         # KONS's case: shape K = F F^T and metric s^2 K + lam I
         rng = np.random.default_rng(seed)
@@ -737,8 +755,7 @@ class TestProjectEllipsoid:
         assert not out.trivial
         again = project_ellipsoid_coeff(metric, shape, out.point, radius)
         assert again.trivial
-        val = np.sqrt(max(float(out.point.dot(shape.dot(out.point))), 0.0))
-        assert val == pytest.approx(radius, rel=1e-9)
+        assert factored_norm(feats, out.point) == pytest.approx(radius, rel=1e-9)
 
     def test_non_spd_metric_rejected(self):
         bad = np.diag([1.0, -1.0])

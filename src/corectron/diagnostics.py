@@ -16,6 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL
 from .numkit import gram_eigenvalues
 
 __all__ = [
@@ -38,9 +39,9 @@ DEFAULT_REL_TOL = 1e-6
 
 # Per model kind, the factor of the Gram operator-norm envelope.
 _MODEL_FACTORS = {
-    "noncontextual": lambda tr: 1.0,
-    "linear": lambda tr: tr.context_bound**2,
-    "kernel": lambda tr: tr.kernel_bound**2,
+    NONCONTEXTUAL: lambda tr: 1.0,
+    LINEAR: lambda tr: tr.context_bound**2,
+    KERNEL: lambda tr: tr.kernel_bound**2,
 }
 
 

@@ -316,9 +316,7 @@ class Environment:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         self.actions = actions
-        self.feedback = feedback
         self.horizon = int(horizon)
-        self.seed = int(seed)
         self.model = build_utility_model(rng_stream(seed, ROLE_MODEL), utility, actions.n)
 
         p = max(utility.context_dim, 1)

@@ -118,10 +118,18 @@ class _History:
 class CoRectron:
     """Projection-free second-order learner on an explicit lift.
 
-    Maintains the inverse of ``ridge * I + sum_s g_s g_s^T`` together
-    with the cumulative residual, and predicts by solving the ridge
-    system against it.  No norm constraint is ever enforced on the
-    prediction: the downstream argmax is scale invariant.
+    Maintains the inverse of ``A = ridge * I + sum_s g_s g_s^T``, the
+    cumulative residual ``cum`` and the solution ``pre = A^{-1} cum`` of
+    the ridge system against it, and predicts ``-pre``, so ``predict``
+    makes no ``d x d`` product.  A round with a mistake updates ``pre``
+    from the vector ``ag = A^{-1} g`` that the inverse update returns:
+    by the rank-one identity the new solution is
+    ``pre + ag * (1 - align) / (1 + lev)``, with ``align = g . pre`` and
+    ``lev = g . ag`` taken before the update.  When ``cum`` returns to
+    exact zero, ``pre`` is reset to exact zeros, so an all-way tie stays
+    a tie broken by index rather than by rounding residue.  No norm
+    constraint is ever enforced on the prediction: the downstream argmax
+    is scale invariant.
     """
 
     def __init__(self, lift_spec: LiftSpec, regularizer: float):
@@ -135,20 +143,12 @@ class CoRectron:
         self._inv = SpdInverse.from_ridge(d, regularizer)
         self._cum = np.zeros(d)
         self._potential = 0.0
+        self._pre = np.zeros(d)
         self._last_lifted: np.ndarray | None = None
-        # inv . cum, computed by predict and reused by update; None once
-        # either factor has changed.
-        self._pre: np.ndarray | None = None
-
-    def _preconditioned_cum(self) -> np.ndarray:
-        if self._pre is None:
-            self._pre = self._inv.apply(self._cum)
-        return self._pre
 
     def predict(self, z=None) -> np.ndarray:
-        # The lifted prediction is minus the preconditioned cumulative residual.
         z = self.lift_spec.check_context(z)
-        return adjoint_apply(self.lift_spec, z, -self._preconditioned_cum())
+        return adjoint_apply(self.lift_spec, z, -self._pre)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
@@ -156,11 +156,14 @@ class CoRectron:
         self._last_lifted = g
         if not g.any():
             return _zero_round_diag(self._potential)
-        align = float(g.dot(self._preconditioned_cum()))
+        align = float(g.dot(self._pre))
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(self._cum))
-        lev = self._inv.rank_one_update(g)
-        self._pre = None
+        lev, ag = self._inv.rank_one_update(g)
         self._cum += g
+        if self._cum.any():
+            self._pre += ag * ((1.0 - align) / (1.0 + lev))
+        else:
+            self._pre[:] = 0.0
         self._potential += _potential_increment(lev, align)
         return RoundDiagnostics(lev, align, self._potential, scale, False)
 

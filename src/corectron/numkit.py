@@ -24,6 +24,7 @@ first ellipsoid is projected, never for the explicit learners.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,10 @@ RADIUS_TOL = 1e-10
 # retry with JITTER_REL * (rho + ridge) added to the diagonal.
 BETA_FLOOR_REL = 1e-12
 JITTER_REL = 1e-10
-# Rows of the stored inverse updated per pass of SpdInverse.rank_one_update;
-# the scratch block (1 MB at dim 1000) stays in cache between its three
-# passes (outer product, division, subtraction).  With the einsum outer
-# product, blocks of 32 to 256 rows measured the same at dim 1000.
+# Rows of the stored inverse updated per block of SpdInverse.rank_one_update;
+# the scratch block (1 MB at dim 1000) stays in cache between its two
+# passes (outer product, subtraction).  Blocks of 32 to 128 rows measured
+# the same at dim 1000; 256 rows and more were slower.
 UPDATE_BLOCK_ROWS = 128
 # Side of the square tiles in which _require_symmetric compares a matrix
 # with its transpose.
@@ -112,23 +113,27 @@ class SpdInverse:
     """Stored inverse of ``A = ridge * I + sum_s g_s g_s^T``.
 
     ``rank_one_update`` folds one more ``g g^T`` term into ``A`` with the
-    rank-one inverse-update identity.  It subtracts the update a block of
+    rank-one inverse-update identity, written as a symmetric downdate
+    ``inv - outer(b, b)`` with ``b = ag / sqrt(1 + lev)``, ``ag = inv . g``
+    and ``lev = g . ag``.  Scaling the vector once leaves two passes over
+    the stored inverse, the outer product and the subtraction, where
+    ``outer(ag, ag) / (1 + lev)`` needs a third.  It subtracts a block of
     rows at a time through a scratch buffer owned by the instance, so no
     ``dim x dim`` temporary is made.  Entries ``(i, j)`` and ``(j, i)``
-    come from the same correctly rounded operations, so the stored
+    subtract the same product ``b_i * b_j == b_j * b_i``, so the stored
     inverse stays exactly symmetric without re-symmetrising.
 
-    The arithmetic is that of the dense formula
-    ``inv - outer(ag, ag) / (1 + lev)``, bit for bit.  Each block of the
-    outer product is ``np.einsum("i,j->ij", ...)``: numpy's C loop writes
-    every entry as ``0 + a * b``, the same correctly rounded product as
-    ``np.multiply``, except that a product of ``-0.0`` becomes ``+0.0``.
-    That sign cannot reach the stored inverse, which never holds a
-    ``-0.0`` (the constructors store none, and ``x - y`` is ``-0.0`` only
-    when ``x`` is), and ``x - 0.0 == x - (-0.0)`` for every other ``x``.
-    It is about twice as fast at ``dim`` 1000 as the broadcast
-    ``np.multiply(ag[:, None], ag)``, whose stride-0 operand makes it the
-    slowest of the update's three passes.  ``optimize`` must stay False:
+    The arithmetic is that of the dense formula ``inv - outer(b, b)``,
+    bit for bit.  Each block of the outer product is
+    ``np.einsum("i,j->ij", ...)``: numpy's C loop writes every entry as
+    ``0 + a * b``, the same correctly rounded product as ``np.multiply``,
+    except that a product of ``-0.0`` becomes ``+0.0``.  That sign cannot
+    reach the stored inverse, which never holds a ``-0.0`` (the
+    constructors store none, and ``x - y`` is ``-0.0`` only when ``x``
+    is), and ``x - 0.0 == x - (-0.0)`` for every other ``x``.  It is
+    about twice as fast at ``dim`` 1000 as the broadcast
+    ``np.multiply(b[:, None], b)``, whose stride-0 operand makes it the
+    slower of the update's two passes.  ``optimize`` must stay False:
     an optimized einsum may route the product through BLAS.  A BLAS ``dsyr``
     update of one triangle is several times faster at large ``dim`` but
     rounds differently, and the last bit decides the argmax between
@@ -187,28 +192,27 @@ class SpdInverse:
         stored inverse itself (no copy)."""
         return project_ball_mahalanobis(self._inv, point, radius)
 
-    def rank_one_update(self, g: np.ndarray) -> float:
-        """In place, absorb ``g g^T`` into ``A``; returns ``g^T A^{-1} g``.
+    def rank_one_update(self, g: np.ndarray) -> tuple[float, np.ndarray]:
+        """In place, absorb ``g g^T`` into ``A``; returns ``(lev, ag)``.
 
-        The returned quadratic form is evaluated against the state before
-        the update.  The denominator ``1 + g^T A^{-1} g`` is positive for
-        any positive-definite state; a non-positive (or NaN) value means
-        the state was corrupted and raises :class:`FloatingPointError`
-        before anything is changed.
+        ``ag = A^{-1} g`` and ``lev = g^T A^{-1} g`` are both taken against
+        the state before the update.  The denominator ``1 + lev`` is
+        positive for any positive-definite state; a non-positive (or NaN)
+        value means the state was corrupted and raises
+        :class:`FloatingPointError` before anything is changed.
         """
         g = _as_vector(g, self.dim)
         ag = self._inv.dot(g)
         lev = float(g.dot(ag))
         if not lev > -1.0:
             raise FloatingPointError("inverse update denominator not positive; state is not SPD")
-        denom = 1.0 + lev
+        b = ag / math.sqrt(1.0 + lev)
         for r0 in range(0, self.dim, UPDATE_BLOCK_ROWS):
             r1 = min(r0 + UPDATE_BLOCK_ROWS, self.dim)
             blk = self._buf[: r1 - r0]
-            np.einsum("i,j->ij", ag[r0:r1], ag, out=blk)
-            blk /= denom
+            np.einsum("i,j->ij", b[r0:r1], b, out=blk)
             self._inv[r0:r1] -= blk
-        return lev
+        return lev, ag
 
 
 class CholFactor:

@@ -7,6 +7,7 @@ import pytest
 
 from corectron.cli import main as cli_main
 from corectron.diagnostics import (
+    _MODEL_FACTORS,
     Certificate,
     TraceSummary,
     check_cei,
@@ -18,7 +19,7 @@ from corectron.diagnostics import (
     check_sign_condition,
     standard_certificates,
 )
-from corectron.environment import FeedbackModel
+from corectron.environment import MODELS, FeedbackModel
 from corectron.harness import default_config, resolve_hyperparameters, run_episode
 
 
@@ -399,3 +400,7 @@ class TestTraceSerialization:
         certs_a, _ = standard_certificates(trace)
         certs_b, _ = standard_certificates(back)
         assert [c.to_dict() for c in certs_a] == [c.to_dict() for c in certs_b]
+
+
+def test_envelope_factors_cover_exactly_the_models():
+    assert set(_MODEL_FACTORS) == set(MODELS)

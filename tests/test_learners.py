@@ -116,8 +116,19 @@ class TestCoRectron:
             post = learner.post_round_leverage()
             assert post == pytest.approx(diag.leverage / (1 + diag.leverage), abs=1e-10)
 
+    def test_cancelling_stream_predicts_exact_zero(self):
+        # g then -g brings the cumulative residual back to exact zero, and
+        # the prediction with it, so the oracle breaks the tie by index.
+        rng = np.random.default_rng(4)
+        learner = CoRectron(LiftSpec.identity(5), 0.3)
+        for _ in range(6):
+            g = rng.standard_normal(5)
+            learner.update(None, g)
+            learner.update(None, -g)
+            np.testing.assert_array_equal(learner.predict(), np.zeros(5))
+
     def test_update_same_with_or_without_predict(self):
-        # update reuses the product predict computed in the same round
+        # predict leaves no state behind that update reads
         rng = np.random.default_rng(3)
         spec = LiftSpec.linear(3, 2)
         asked, silent = CoRectron(spec, 0.5), CoRectron(spec, 0.5)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from corectron.diagnostics import TraceSummary, check_gram_spectrum
-from corectron.learners import ONS
+from corectron.learners import ONS, CoRectron
 from corectron.lifting import LiftSpec
 from corectron.numkit import (
     CholFactor,
@@ -71,8 +71,9 @@ class TestSmInverseUpdate:
 
     def test_returns_pre_update_quadratic_form(self):
         state = SpdInverse.from_ridge(2, 1.0)
-        lev = state.rank_one_update(np.array([1.0, 0.0]))
+        lev, ag = state.rank_one_update(np.array([1.0, 0.0]))
         assert lev == pytest.approx(1.0)
+        np.testing.assert_array_equal(ag, [1.0, 0.0])
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 2**32 - 1))
@@ -134,7 +135,7 @@ class TestBlockedInverseUpdate:
         state = SpdInverse.from_ridge(d, ridge)
         A = ridge * np.eye(d)
         for g in residual_stream(d, kinds, seed):
-            lev = state.rank_one_update(g)
+            lev, _ = state.rank_one_update(g)
             assert lev == pytest.approx(g.dot(np.linalg.solve(A, g)), rel=1e-8, abs=1e-12)
             A += np.outer(g, g)
         inv = state.inv
@@ -151,13 +152,14 @@ class TestBlockedInverseUpdate:
         for g in residual_stream(d, kinds, seed):
             state.rank_one_update(g)
             ag = ref.dot(g)
-            ref -= np.outer(ag, ag) / (1.0 + g.dot(ag))
+            b = ag / np.sqrt(1.0 + g.dot(ag))
+            ref -= np.outer(b, b)
         np.testing.assert_array_equal(state.inv, ref)
 
     @pytest.mark.parametrize("d", [129, 257, 1000])
     def test_signed_zero_chain_bytes_equal_dense_formula(self, d):
-        # Sparse residuals leave exact zeros in ag, and negating them makes
-        # zero products of either sign in outer(ag, ag); the stored inverse
+        # Sparse residuals leave exact zeros in b, and negating them makes
+        # zero products of either sign in outer(b, b); the stored inverse
         # must still match the dense formula to the byte, and its transpose.
         rng = np.random.default_rng(d)
         state = SpdInverse.from_ridge(d, 0.5)
@@ -175,9 +177,10 @@ class TestBlockedInverseUpdate:
                 g[support] = rng.standard_normal(support.size)
             state.rank_one_update(g)
             ag = ref.dot(g)
-            outer = np.outer(ag, ag)
+            b = ag / np.sqrt(1.0 + g.dot(ag))
+            outer = np.outer(b, b)
             negative_zero_products += int(np.signbit(outer[outer == 0]).sum())
-            ref -= outer / (1.0 + g.dot(ag))
+            ref -= outer
             inv = state.inv
             assert inv.tobytes() == ref.tobytes()
             assert inv.tobytes() == np.ascontiguousarray(inv.T).tobytes()
@@ -232,6 +235,22 @@ class TestBlockedInverseUpdate:
         inv = ons._inv.inv
         np.testing.assert_array_equal(inv, inv.T)
         assert np.abs(inv.dot(metric) - np.eye(d)).max() <= 1e-8
+
+    @settings(deadline=None, max_examples=40)
+    @given(hostile_streams)
+    @example((100, 1.0, ["fresh", "fresh", "zero", "repeat"] * 500, 0))
+    def test_corectron_solution_matches_inverse_apply(self, stream):
+        # CoRectron keeps A^{-1} cum through the rank-one identity instead
+        # of recomputing it from the stored inverse.  The bound is relative
+        # to |A^{-1}| |cum|, the scale of the reference product's own
+        # rounding: at a small ridge that product cancels heavily.
+        d, ridge, kinds, seed = stream
+        learner = CoRectron(LiftSpec.identity(d), ridge)
+        for g in residual_stream(d, kinds, seed):
+            learner.update(None, g)
+            inv, cum = learner._inv.inv, learner._cum
+            scale = np.abs(inv).dot(np.abs(cum)).max()
+            assert np.abs(learner._pre - inv.dot(cum)).max() <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +932,7 @@ def test_leverage_product_matches_gram_determinant():
     vecs = rng.standard_normal((t, d))
     log_prod = 0.0
     for g in vecs:
-        log_prod += np.log1p(state.rank_one_update(g))
+        log_prod += np.log1p(state.rank_one_update(g)[0])
     K = vecs.dot(vecs.T)
     logdet = spectral(K, ridge)[0]
     assert abs(log_prod - logdet) < 1e-6

@@ -102,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _feedback_from_args(args) -> FeedbackModel:
-    if args.alpha > 0.0 and args.xi > 0.0:
+    # Any nonzero value (NaN included) selects its channel, which checks it.
+    if args.alpha and args.xi:
         raise ValueError("choose either --alpha or --xi, not both")
-    if args.alpha > 0.0:
+    if args.alpha:
         return FeedbackModel.one_swap(args.alpha)
-    if args.xi > 0.0:
+    if args.xi:
         return FeedbackModel.score_perturb(args.xi)
     return FeedbackModel.optimal()
 

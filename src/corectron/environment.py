@@ -16,7 +16,7 @@ bit for bit, its T one-round calls, drawing from its stream in that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec
 
 __all__ = [
     "MODELS",
+    "RBF_CENTERS",
+    "BOUND_PAYOFF",
     "ActionSetSpec",
     "LinearUtility",
     "RbfUtility",
@@ -44,6 +46,12 @@ __all__ = [
 # trace's model kind and the kind of the lift that represents that utility.
 MODELS = (NONCONTEXTUAL, LINEAR, KERNEL)
 
+# The number of centers of every RBF utility model.
+RBF_CENTERS = 16
+# Every hidden utility has unit strength and every action lies in a set of
+# unit diameter, so no payoff difference exceeds one.
+BOUND_PAYOFF = 1.0
+
 ROLE_CONTEXTS = 0
 ROLE_MODEL = 1
 ROLE_FEEDBACK = 2
@@ -59,29 +67,21 @@ def rng_stream(seed: int, role: int) -> np.random.Generator:
 class ActionSetSpec:
     """Choose m of n items; selected coordinates carry ``scale``.
 
-    The default scale makes the set's Euclidean diameter exactly one,
-    since two selections differ in at most ``min(m, n - m)`` swapped
-    items of two coordinates each.
+    ``scale`` is derived, not chosen: ``1 / sqrt(2 * min(m, n - m))``, or
+    1 when every item is selected, which makes the set's Euclidean
+    diameter exactly one, since two selections differ in at most
+    ``min(m, n - m)`` swapped items of two coordinates each.
     """
 
     n: int
     m: int
-    scale: float
+    scale: float = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.m <= self.n):
             raise ValueError("need 0 < m <= n")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         span = min(self.m, self.n - self.m)
-        if span and self.scale * math.sqrt(2.0 * span) > 1.0 + 1e-12:
-            raise ValueError("scale too large: action-set diameter exceeds 1")
-
-    @classmethod
-    def top_m(cls, n: int, m: int) -> "ActionSetSpec":
-        span = min(m, n - m)
-        scale = 1.0 / math.sqrt(2.0 * span) if span else 1.0
-        return cls(n=n, m=m, scale=scale)
+        object.__setattr__(self, "scale", 1.0 / math.sqrt(2.0 * span) if span else 1.0)
 
     @property
     def diameter(self) -> float:
@@ -140,11 +140,11 @@ class FixedUtility:
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Recipe for drawing a hidden utility model."""
+    """Recipe for drawing a hidden utility model; an RBF model has
+    :data:`RBF_CENTERS` centers."""
 
     kind: str  # one of MODELS
     context_dim: int = 0
-    centers: int = 16
     bandwidth: float = 1.0
 
     def __post_init__(self):
@@ -152,11 +152,8 @@ class UtilitySpec:
             raise ValueError(f"unknown utility kind: {self.kind!r}")
         if self.kind != NONCONTEXTUAL and self.context_dim <= 0:
             raise ValueError("contextual utilities need a positive context dimension")
-        if self.kind == KERNEL:
-            if self.centers < 1:
-                raise ValueError("need at least one center")
-            if self.bandwidth <= 0:
-                raise ValueError("bandwidth must be positive")
+        if self.kind == KERNEL and not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
 
 
 def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
@@ -182,15 +179,14 @@ def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
             if nrm > 0:
                 return LinearUtility(W / nrm)
     kernel = KernelSpec.rbf(spec.bandwidth)
-    centers = rng.standard_normal((spec.centers, spec.context_dim))
+    centers = rng.standard_normal((RBF_CENTERS, spec.context_dim))
     norms = np.linalg.norm(centers, axis=1)
     over = norms > 1.0
     centers[over] /= norms[over, None]
+    # The kernel matrix of the centers, each column as utility_eval forms it.
+    kmat = np.stack([kernel.column(centers, c) for c in centers], axis=-1)
     while True:
-        raw = rng.standard_normal((spec.centers, n))
-        kmat = np.array(
-            [[kernel.value(ci, cj) for cj in centers] for ci in centers]
-        )
+        raw = rng.standard_normal((RBF_CENTERS, n))
         sq = float(np.einsum("in,ij,jn->", raw, kmat, raw))
         if sq > 0:
             return RbfUtility(centers, raw / math.sqrt(sq), spec.bandwidth)
@@ -225,8 +221,8 @@ class FeedbackModel:
             raise ValueError(f"unknown feedback kind: {self.kind!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
-        if self.xi < 0.0:
-            raise ValueError("xi must be nonnegative")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError("xi must be finite and nonnegative")
 
     @classmethod
     def optimal(cls) -> "FeedbackModel":
@@ -316,28 +312,18 @@ class Environment:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         self.actions = actions
-        self.horizon = int(horizon)
         self.model = build_utility_model(rng_stream(seed, ROLE_MODEL), utility, actions.n)
 
         p = max(utility.context_dim, 1)
-        self.contexts = sample_context(rng_stream(seed, ROLE_CONTEXTS), (self.horizon, p))
+        self.contexts = sample_context(rng_stream(seed, ROLE_CONTEXTS), (int(horizon), p))
         self.utilities = utility_eval(self.model, self.contexts)
         rng_fb = rng_stream(seed, ROLE_FEEDBACK)
         self.revealed, self.subopt = reveal_action(feedback, self.utilities, actions, rng_fb)
 
-    def round(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Context, hidden utility, revealed action, and gap for round t."""
-        return (
-            self.contexts[t],
-            self.utilities[t],
-            self.revealed[t],
-            float(self.subopt[t]),
-        )
-
     def trace_constants(self) -> dict:
         """Problem constants entering the analysis-certificate bounds."""
         return {
-            "bound_payoff": 1.0,
+            "bound_payoff": BOUND_PAYOFF,
             "diameter": self.actions.diameter,
             "context_bound": 1.0,
             "kernel_bound": 1.0,

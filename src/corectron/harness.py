@@ -28,6 +28,7 @@ import numpy as np
 
 from .diagnostics import TraceSummary, standard_certificates
 from .environment import (
+    BOUND_PAYOFF,
     MODELS as SETTINGS,
     ActionSetSpec,
     Environment,
@@ -35,8 +36,8 @@ from .environment import (
     UtilitySpec,
     top_m_oracle,
 )
-from .learners import CoRectron, CoRectronK, KONS, OGD, ONS
-from .lifting import KernelSpec, LiftSpec, lift
+from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec, lift
 from .numkit import DegenerateGramError, GramMatrix
 
 __all__ = [
@@ -66,13 +67,9 @@ _LEARNERS = {
     "kons": KONS,
 }
 ALGORITHMS = tuple(_LEARNERS)
-EXPLICIT_ALGOS = ("corectron_l", "ogd", "ons")
 KERNEL_ONLY_ALGOS = ("corectron_k", "kons")
+EXPLICIT_ALGOS = tuple(a for a in ALGORITHMS if a not in KERNEL_ONLY_ALGOS)
 DEFAULT_COEF_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
-
-SURROGATE_SCALE = 0.1
-STEP_COEFF = 0.5
-BOUND_PAYOFF = 1.0
 
 # (results.csv column, RunResult field, parser), in column order.
 _CSV_SCHEMA = (
@@ -97,7 +94,7 @@ _KEY_OF = {name: column for column, name, _ in _CSV_SCHEMA if column != name}
 class ExperimentConfig:
     """One sweep's shape: problem sizes, grids, and diagnostics policy."""
 
-    setting: str = "linear"
+    setting: str = LINEAR
     algorithms: tuple = EXPLICIT_ALGOS
     items: int = 10
     pick: int = 5
@@ -116,7 +113,7 @@ class ExperimentConfig:
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
-        if self.setting != "kernel":
+        if self.setting != KERNEL:
             kernel_algos = [a for a in self.algorithms if a in KERNEL_ONLY_ALGOS]
             if kernel_algos:
                 raise ValueError(
@@ -128,21 +125,18 @@ class ExperimentConfig:
             raise ValueError("diag_cap must be nonnegative")
         if not (0 < self.pick <= self.items):
             raise ValueError("need 0 < pick <= items")
+        if self.setting != NONCONTEXTUAL and self.context_dim < 1:
+            raise ValueError(f"the {self.setting} setting needs context_dim >= 1")
+        if self.setting == KERNEL and not 0 < self.bandwidth < math.inf:
+            raise ValueError("the kernel setting needs a finite positive bandwidth")
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-
-    @property
-    def explicit_dim(self) -> int:
-        """Dimension of the explicit lift used by the linear-style learners."""
-        if self.setting == "noncontextual":
-            return self.items
-        return self.items * self.context_dim
 
 
 def default_config(setting: str, full_scale: bool = False, **overrides) -> ExperimentConfig:
     """Desk-scale defaults per setting; ``full_scale`` restores the long
     horizons and ten seeds."""
-    if setting == "kernel":
+    if setting == KERNEL:
         horizon = 1000 if full_scale else 500
         algos = ALGORITHMS
     else:
@@ -194,30 +188,26 @@ def resolve_hyperparameters(config: ExperimentConfig, algorithm: str, coefficien
     The reference values follow the unit-diameter, unit-utility scaling
     of the benchmark: gradient descent sweeps a 2/sqrt(T) step divided by
     the coefficient, the Newton baselines sweep their ridge around
-    d / (4 * step_coeff^2), and the second-order learners sweep their
-    regularizer around the payoff-bound-squared times the dimension.  In
-    the kernel setting the explicit dimension serves as the proxy for
-    the unavailable effective dimension.
+    d / (4 * STEP_COEFF^2), and the second-order learners sweep their
+    regularizer around the payoff-bound-squared times the dimension, where
+    d is the dimension of the setting's explicit lift.  In the kernel
+    setting that dimension serves as the proxy for the unavailable
+    effective dimension.
     """
-    d = config.explicit_dim
+    d = _explicit_lift(config).dim
     if algorithm == "ogd":
         return {"step_size": (2.0 / math.sqrt(config.horizon)) / coefficient}
     if algorithm in ("ons", "kons"):
-        return {
-            "ridge": coefficient * d / (4.0 * STEP_COEFF**2),
-            "surrogate_scale": SURROGATE_SCALE,
-            "step_coeff": STEP_COEFF,
-        }
+        return {"ridge": coefficient * d / (4.0 * STEP_COEFF**2)}
     if algorithm in ("corectron_l", "corectron_k"):
         return {"regularizer": coefficient * BOUND_PAYOFF**2 * d}
     raise ValueError(f"unknown algorithm: {algorithm!r}")
 
 
-def _lift_for(config: ExperimentConfig, algorithm: str) -> LiftSpec:
-    if algorithm in KERNEL_ONLY_ALGOS:
-        kernel = KernelSpec.rbf(config.bandwidth)
-        return LiftSpec.kernelized(config.items, config.context_dim, kernel)
-    if config.setting == "noncontextual":
+def _explicit_lift(config: ExperimentConfig) -> LiftSpec:
+    """The lift of the non-kernel learners: the identity in the
+    noncontextual setting, the outer-product lift in the other two."""
+    if config.setting == NONCONTEXTUAL:
         return LiftSpec.identity(config.items)
     return LiftSpec.linear(config.items, config.context_dim)
 
@@ -225,11 +215,16 @@ def _lift_for(config: ExperimentConfig, algorithm: str) -> LiftSpec:
 def build_learner(config: ExperimentConfig, algorithm: str, params: dict):
     if algorithm not in _LEARNERS:
         raise ValueError(f"unknown algorithm: {algorithm!r}")
-    return _LEARNERS[algorithm](_lift_for(config, algorithm), **params)
+    if algorithm in KERNEL_ONLY_ALGOS:
+        kernel = KernelSpec.rbf(config.bandwidth)
+        spec = LiftSpec.kernelized(config.items, config.context_dim, kernel)
+    else:
+        spec = _explicit_lift(config)
+    return _LEARNERS[algorithm](spec, **params)
 
 
 def make_environment(config: ExperimentConfig, feedback: FeedbackModel, seed: int) -> Environment:
-    actions = ActionSetSpec.top_m(config.items, config.pick)
+    actions = ActionSetSpec(config.items, config.pick)
     utility = UtilitySpec(config.setting, config.context_dim, bandwidth=config.bandwidth)
     return Environment(actions, utility, feedback, config.horizon, seed)
 
@@ -279,7 +274,7 @@ def run_episode(
     t_total0 = time.perf_counter()
     try:
         for t in range(T):
-            z, _, x, _ = env.round(t)
+            z, x = env.contexts[t], env.revealed[t]
             t0 = time.perf_counter()
             w_base = learner.predict(z)
             learner_time += time.perf_counter() - t0
@@ -344,10 +339,10 @@ def run_episode(
             mistakes = np.flatnonzero(residuals.any(axis=1))
             Z, G = env.contexts[mistakes], residuals[mistakes]
             spec, r = learner.lift_spec, mistakes.size
-            if spec.kind != "kernel" and min(r, spec.dim) <= config.diag_cap:
+            if spec.kind != KERNEL and min(r, spec.dim) <= config.diag_cap:
                 phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)
                 gram = phi.T.dot(phi) if r > spec.dim else phi.dot(phi.T)
-            elif spec.kind == "kernel" and r <= config.diag_cap:
+            elif spec.kind == KERNEL and r <= config.diag_cap:
                 built = GramMatrix(r)
                 for i in range(r):
                     built.append(*spec.gram_column(Z[:i], G[:i], Z[i], G[i]))

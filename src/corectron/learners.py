@@ -32,7 +32,13 @@ import numpy as np
 from .lifting import KERNEL, LiftSpec, adjoint_apply, lift
 from .numkit import CholFactor, GramMatrix, SpdInverse, in_ellipsoid, project_ellipsoid_coeff
 
-__all__ = ["RoundDiagnostics", "CoRectron", "CoRectronK", "OGD", "ONS", "KONS"]
+__all__ = ["SURROGATE_SCALE", "STEP_COEFF", "RoundDiagnostics", "CoRectron", "CoRectronK", "OGD",
+           "ONS", "KONS"]
+
+# The Newton baselines' surrogate-gradient scale and step coefficient, the
+# one setting at which they are compared; only their ridge is swept.
+SURROGATE_SCALE = 0.1
+STEP_COEFF = 0.5
 
 
 class RoundDiagnostics(NamedTuple):
@@ -84,10 +90,10 @@ class _History:
     it once; ``append`` drops it.
     """
 
-    def __init__(self, lift_spec: LiftSpec, capacity: int = 64):
+    def __init__(self, lift_spec: LiftSpec):
         self._spec = lift_spec
-        self._Z = np.zeros((capacity, lift_spec.context_dim))
-        self._G = np.zeros((capacity, lift_spec.base_dim))
+        self._Z = np.zeros((64, lift_spec.context_dim))
+        self._G = np.zeros((64, lift_spec.base_dim))
         self.size = 0
         self._kcol: tuple[np.ndarray, np.ndarray] | None = None  # (z, column at z)
 
@@ -290,29 +296,21 @@ class OGD:
 class ONS:
     """Online Newton step on surrogate gradients, unit-ball domain.
 
-    Gradients are scaled by ``surrogate_scale`` before entering the
+    Gradients are scaled by :data:`SURROGATE_SCALE` before entering the
     preconditioner, of which only the inverse is stored; the Newton step
-    and the Mahalanobis projection back onto the ball both read it after
-    the update.  Rounds whose unconstrained step already lands inside the
-    ball skip the projection and are not counted as projected.
+    (coefficient :data:`STEP_COEFF`) and the Mahalanobis projection back
+    onto the ball both read it after the update.  Rounds whose
+    unconstrained step already lands inside the ball skip the projection
+    and are not counted as projected.
     """
 
-    def __init__(
-        self,
-        lift_spec: LiftSpec,
-        ridge: float,
-        surrogate_scale: float = 0.1,
-        step_coeff: float = 0.5,
-    ):
+    def __init__(self, lift_spec: LiftSpec, ridge: float):
         if lift_spec.kind == KERNEL:
             raise ValueError("use KONS for kernel lifts")
-        for name, val in (("ridge", ridge), ("surrogate_scale", surrogate_scale), ("step_coeff", step_coeff)):
-            if not val > 0:
-                raise ValueError(f"{name} must be positive")
+        if not ridge > 0:
+            raise ValueError("ridge must be positive")
         self.lift_spec = lift_spec
         self.ridge = float(ridge)
-        self.surrogate_scale = float(surrogate_scale)
-        self.step_coeff = float(step_coeff)
         self._inv = SpdInverse.from_ridge(lift_spec.dim, ridge)
         self._w = np.zeros(lift_spec.dim)
 
@@ -322,11 +320,11 @@ class ONS:
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
-        g = self.surrogate_scale * lift(self.lift_spec, z, g_base)
+        g = SURROGATE_SCALE * lift(self.lift_spec, z, g_base)
         if not g.any():
             return _baseline_diag(False)
         self._inv.rank_one_update(g)
-        target = self._w - self._inv.apply(g) / self.step_coeff
+        target = self._w - self._inv.apply(g) / STEP_COEFF
         proj = self._inv.project_ball(target, 1.0)
         self._w = proj.point
         return _baseline_diag(not proj.trivial)
@@ -336,27 +334,19 @@ class KONS:
     """Kernelized online Newton step in coefficient space.
 
     Works on the Gram matrix of lifted residual features.  The Newton
-    direction comes from the ridged, surrogate-scaled Gram system; the
+    direction comes from the ridged Gram system of the residuals scaled by
+    :data:`SURROGATE_SCALE`, with step coefficient :data:`STEP_COEFF`; the
     iterate is then projected in that metric onto the set of coefficient
     vectors whose span element has norm at most one.
     """
 
-    def __init__(
-        self,
-        lift_spec: LiftSpec,
-        ridge: float,
-        surrogate_scale: float = 0.1,
-        step_coeff: float = 0.5,
-    ):
+    def __init__(self, lift_spec: LiftSpec, ridge: float):
         if lift_spec.kind != KERNEL:
             raise ValueError("KONS requires a kernel lift")
-        for name, val in (("ridge", ridge), ("surrogate_scale", surrogate_scale), ("step_coeff", step_coeff)):
-            if not val > 0:
-                raise ValueError(f"{name} must be positive")
+        if not ridge > 0:
+            raise ValueError("ridge must be positive")
         self.lift_spec = lift_spec
         self.ridge = float(ridge)
-        self.surrogate_scale = float(surrogate_scale)
-        self.step_coeff = float(step_coeff)
         self._gram = GramMatrix()
         self._chol = CholFactor()
         self._coef = np.empty(0)
@@ -378,7 +368,7 @@ class KONS:
         col, rho = self.lift_spec.gram_column(
             self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
         )
-        s2 = self.surrogate_scale**2
+        s2 = SURROGATE_SCALE**2
         self._gram.append(col, rho)
         _, pivot = self._chol.extend(s2 * col, s2 * rho + self.ridge)
         self._hist.append(z, g)
@@ -387,7 +377,7 @@ class KONS:
         e = np.zeros(self._hist.size)
         e[-1] = 1.0 / pivot
         q = self._chol.backward(e)
-        target = np.append(self._coef, 0.0) - (self.surrogate_scale / self.step_coeff) * q
+        target = np.append(self._coef, 0.0) - (SURROGATE_SCALE / STEP_COEFF) * q
         gram = self._gram.entries
         if in_ellipsoid(gram, target, 1.0):
             self._coef = target

@@ -15,6 +15,7 @@ the one place that knows the variants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if self.kind == "rbf" and self.bandwidth <= 0:
-            raise ValueError("rbf bandwidth must be positive")
+        if self.kind == "rbf" and not 0 < self.bandwidth < math.inf:
+            raise ValueError("rbf bandwidth must be finite and positive")
 
     @classmethod
     def rbf(cls, bandwidth: float) -> "KernelSpec":

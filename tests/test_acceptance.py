@@ -137,8 +137,7 @@ def test_criterion_2c_representer_matches_explicit():
     )
     max_w = 0.0
     same_sets = True
-    for t in range(config.horizon):
-        z, _, x, _ = env.round(t)
+    for z, x in zip(env.contexts, env.revealed):
         w1, w2 = explicit.predict(z), rep.predict(z)
         max_w = max(max_w, float(np.abs(w1 - w2).max()))
         a1, a2 = top_m_oracle(w1, env.actions), top_m_oracle(w2, env.actions)

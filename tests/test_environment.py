@@ -100,7 +100,7 @@ def _reference_environment(actions, utility, feedback, horizon, seed):
 _UTILITIES = {
     "linear_wide": UtilitySpec("linear", context_dim=100),
     "linear": UtilitySpec("linear", context_dim=10),
-    "kernel": UtilitySpec("kernel", context_dim=10, centers=16, bandwidth=1.0),
+    "kernel": UtilitySpec("kernel", context_dim=10, bandwidth=1.0),
     "noncontextual": UtilitySpec("noncontextual", context_dim=10),
 }
 _FEEDBACKS = {
@@ -114,19 +114,15 @@ _FEEDBACKS = {
 
 class TestActionSetSpec:
     def test_default_scale_reproduces_unit_diameter(self):
-        spec = ActionSetSpec.top_m(10, 5)
+        spec = ActionSetSpec(10, 5)
         assert spec.scale == pytest.approx(1.0 / math.sqrt(10.0))
         assert spec.diameter == pytest.approx(1.0)
-
-    def test_diameter_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ActionSetSpec(n=10, m=5, scale=1.0)
 
     def test_diameter_bound_over_all_pairs(self):
         # exhaustive pair check on a small instance
         from itertools import combinations
 
-        spec = ActionSetSpec.top_m(6, 2)
+        spec = ActionSetSpec(6, 2)
         acts = []
         for sel in combinations(range(6), 2):
             x = np.zeros(6)
@@ -140,17 +136,17 @@ class TestActionSetSpec:
 
 class TestTopMOracle:
     def test_example(self):
-        spec = ActionSetSpec.top_m(3, 2)
+        spec = ActionSetSpec(3, 2)
         x = top_m_oracle(np.array([3.0, 1.0, 2.0]), spec)
         np.testing.assert_allclose(x, spec.scale * np.array([1.0, 0.0, 1.0]))
 
     def test_zero_scores_tie_break(self):
-        spec = ActionSetSpec.top_m(5, 3)
+        spec = ActionSetSpec(5, 3)
         x = top_m_oracle(np.zeros(5), spec)
         np.testing.assert_allclose(x, spec.scale * np.array([1, 1, 1, 0, 0.0]))
 
     def test_tie_lowest_index_wins(self):
-        spec = ActionSetSpec.top_m(3, 1)
+        spec = ActionSetSpec(3, 1)
         x = top_m_oracle(np.array([1.0, 1.0, 0.0]), spec)
         np.testing.assert_allclose(x, spec.scale * np.array([1.0, 0.0, 0.0]))
 
@@ -158,7 +154,7 @@ class TestTopMOracle:
         from itertools import combinations
 
         rng = np.random.default_rng(0)
-        spec = ActionSetSpec.top_m(6, 3)
+        spec = ActionSetSpec(6, 3)
         for _ in range(20):
             w = rng.standard_normal(6)
             x = top_m_oracle(w, spec)
@@ -169,7 +165,7 @@ class TestTopMOracle:
             assert w.dot(x) == pytest.approx(best)
 
     def test_stacked_rows_equal_row_calls(self):
-        spec = ActionSetSpec.top_m(6, 3)
+        spec = ActionSetSpec(6, 3)
         w = np.random.default_rng(2).standard_normal((4, 5, 6))
         w[0, :, 1] = w[0, :, 4]  # exact ties, lowest index first
         w[1] = 0.0
@@ -206,6 +202,11 @@ class TestSampleContext:
 
 
 class TestUtilityModels:
+    @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), float("inf")])
+    def test_rbf_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            UtilitySpec("kernel", context_dim=4, bandwidth=bandwidth)
+
     def test_linear_unit_frobenius_norm(self):
         rng = rng_stream(0, 1)
         model = build_utility_model(rng, UtilitySpec("linear", context_dim=7), 5)
@@ -213,7 +214,7 @@ class TestUtilityModels:
 
     def test_rbf_unit_function_norm(self):
         rng = rng_stream(1, 1)
-        spec = UtilitySpec("kernel", context_dim=4, centers=16, bandwidth=0.8)
+        spec = UtilitySpec("kernel", context_dim=4, bandwidth=0.8)
         model = build_utility_model(rng, spec, 5)
         assert model.centers.shape == (16, 4)
         assert np.all(np.linalg.norm(model.centers, axis=1) <= 1.0 + 1e-12)
@@ -258,7 +259,7 @@ class TestUtilityModels:
 
 class TestFeedback:
     def spec(self):
-        return ActionSetSpec.top_m(5, 2)
+        return ActionSetSpec(5, 2)
 
     def test_optimal_has_zero_gap(self):
         rng = rng_stream(4, 2)
@@ -321,7 +322,7 @@ class TestFeedback:
     @pytest.mark.parametrize("name", sorted(_FEEDBACKS))
     @pytest.mark.parametrize("n, m", [(10, 5), (5, 5), (7, 1)])
     def test_stacked_rows_equal_row_calls_on_one_stream(self, name, n, m):
-        spec, model = ActionSetSpec.top_m(n, m), _FEEDBACKS[name]
+        spec, model = ActionSetSpec(n, m), _FEEDBACKS[name]
         u = np.random.default_rng(3).standard_normal((40, n))
         u[:5, -1] = u[:5, 0]  # exact ties
         x, delta = reveal_action(model, u, spec, rng_stream(10, 2))
@@ -344,31 +345,32 @@ class TestFeedback:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             FeedbackModel.one_swap(1.5)
-        with pytest.raises(ValueError):
-            FeedbackModel.score_perturb(-0.1)
+        for xi in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FeedbackModel.score_perturb(xi)
 
 
 class TestSuboptimality:
     def test_optimal_action_has_zero_gap(self):
-        spec = ActionSetSpec.top_m(4, 2)
+        spec = ActionSetSpec(4, 2)
         u = np.array([3.0, 1.0, 2.0, 0.0])
         assert suboptimality(u, top_m_oracle(u, spec), spec) == 0.0
 
     def test_zero_utility_any_action(self):
-        spec = ActionSetSpec.top_m(4, 2)
+        spec = ActionSetSpec(4, 2)
         x = np.zeros(4)
         x[[1, 3]] = spec.scale
         assert suboptimality(np.zeros(4), x, spec) == 0.0
 
     def test_infeasible_support_rejected(self):
-        spec = ActionSetSpec.top_m(4, 2)
+        spec = ActionSetSpec(4, 2)
         bad = np.zeros(4)
         bad[0] = spec.scale
         with pytest.raises(ValueError):
             suboptimality(np.ones(4), bad, spec)
 
     def test_stacked_rows_equal_row_calls(self):
-        spec = ActionSetSpec.top_m(6, 3)
+        spec = ActionSetSpec(6, 3)
         u = np.random.default_rng(5).standard_normal((30, 6))
         x = top_m_oracle(np.random.default_rng(6).standard_normal((30, 6)), spec)
         gaps = suboptimality(u, x, spec)
@@ -376,7 +378,7 @@ class TestSuboptimality:
         _assert_bitwise(gaps, np.array([a.dot(_reference_oracle(a, spec)) - a.dot(b) for a, b in zip(u, x)]))
 
     def test_one_infeasible_row_rejects_the_stack(self):
-        spec = ActionSetSpec.top_m(4, 2)
+        spec = ActionSetSpec(4, 2)
         x = top_m_oracle(np.random.default_rng(7).standard_normal((5, 4)), spec)
         x[3] = 0.0
         x[3, 0] = spec.scale
@@ -386,8 +388,8 @@ class TestSuboptimality:
 
 class TestEnvironment:
     def make(self, seed=0, feedback=None, kind="linear", T=40):
-        spec = ActionSetSpec.top_m(6, 3)
-        utility = UtilitySpec(kind, context_dim=4, centers=5, bandwidth=1.0)
+        spec = ActionSetSpec(6, 3)
+        utility = UtilitySpec(kind, context_dim=4, bandwidth=1.0)
         fb = feedback or FeedbackModel.optimal()
         return Environment(spec, utility, fb, T, seed)
 
@@ -413,8 +415,7 @@ class TestEnvironment:
         # |<u, x - x'>| <= 1 for feasible pairs under unit utility norms
         env = self.make(kind="kernel", T=60)
         rng = np.random.default_rng(12)
-        for t in range(env.horizon):
-            u = env.utilities[t]
+        for u in env.utilities:
             a = top_m_oracle(rng.standard_normal(6), env.actions)
             b = top_m_oracle(rng.standard_normal(6), env.actions)
             assert abs(u.dot(a - b)) <= 1.0 + 1e-9
@@ -431,7 +432,7 @@ class TestEnvironment:
     @pytest.mark.parametrize("feedback", sorted(_FEEDBACKS))
     @pytest.mark.parametrize("utility", sorted(_UTILITIES))
     def test_matches_per_round_reference_bitwise(self, utility, feedback):
-        actions = ActionSetSpec.top_m(10, 5)
+        actions = ActionSetSpec(10, 5)
         spec, fb = _UTILITIES[utility], _FEEDBACKS[feedback]
         for seed in (0, 7, 1009):
             env = Environment(actions, spec, fb, 30, seed)

@@ -62,9 +62,7 @@ class TestResolveHyperparameters:
     def test_newton_ridge_reference(self):
         config = default_config("linear")  # n = p = 10 so d = 100
         params = resolve_hyperparameters(config, "ons", 1.0)
-        assert params["ridge"] == pytest.approx(100.0)
-        assert params["surrogate_scale"] == pytest.approx(0.1)
-        assert params["step_coeff"] == pytest.approx(0.5)
+        assert params == {"ridge": pytest.approx(100.0)}
 
     def test_second_order_regularizer_reference(self):
         config = default_config("linear")
@@ -113,6 +111,17 @@ class TestConfigValidation:
             ExperimentConfig(setting="cubic")
         with pytest.raises(ValueError):
             ExperimentConfig(diag_level="off")
+
+    @pytest.mark.parametrize("setting", ["linear", "kernel"])
+    def test_contextual_settings_need_a_context(self, setting):
+        with pytest.raises(ValueError, match="context_dim"):
+            default_config(setting, context_dim=0)
+        assert default_config("noncontextual", context_dim=0).context_dim == 0
+
+    @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), float("inf")])
+    def test_kernel_setting_needs_finite_positive_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            default_config("kernel", bandwidth=bandwidth)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -167,8 +176,7 @@ class TestRunEpisode:
         for algorithm in config.algorithms:
             params = resolve_hyperparameters(config, algorithm, 1.0)
             learner = build_learner(config, algorithm, params)
-            for t in range(config.horizon):
-                z, u, x, _ = env.round(t)
+            for z, u, x in zip(env.contexts, env.utilities, env.revealed):
                 xhat = top_m_oracle(learner.predict(z), env.actions)
                 r = float(u.dot(x - xhat))
                 assert -1e-12 <= r <= 1.0 + 1e-9
@@ -188,8 +196,7 @@ class TestRunEpisode:
         result, trace = run_episode(config, algorithm, 0.1, params, feedback, 2)
         env, learner = make_environment(config, feedback, 2), build_learner(config, algorithm, params)
         regret, subopt = [], []
-        for t in range(config.horizon):
-            z, u, x, delta = env.round(t)
+        for z, u, x, delta in zip(env.contexts, env.utilities, env.revealed, env.subopt):
             xhat = top_m_oracle(learner.predict(z), env.actions)
             learner.update(z, xhat - x)
             regret.append(float(u.dot(x - xhat)))
@@ -685,7 +692,10 @@ class TestCli:
                                       ["--T", "-1"], ["--alpha", "0.5", "--xi", "0.5"],
                                       ["--diag-cap", "-1"], ["--coef-grid", "nan"],
                                       ["--coef-grid", "1,inf"], ["--jobs", "0"],
-                                      ["--jobs", "-2"]])
+                                      ["--jobs", "-2"], ["--alpha", "-0.5"],
+                                      ["--alpha", "nan"], ["--xi", "-1"], ["--xi", "nan"],
+                                      ["--xi", "inf"], ["--p", "0"],
+                                      ["--setting", "kernel", "--bandwidth", "0"]])
     def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = cli_main(["run", *args, "--out", str(out)])

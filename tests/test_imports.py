@@ -55,7 +55,7 @@ def test_explicit_run_certify_and_best_leave_scipy_linalg_unloaded(tmp_path):
 
 @pytest.mark.parametrize("learner", [
     'CoRectronK(spec, regularizer=1.0)',
-    'KONS(spec, ridge=1.0, surrogate_scale=0.1, step_coeff=0.5)',
+    'KONS(spec, ridge=1.0)',
 ])
 def test_kernel_learners_load_scipy_linalg_when_built(tmp_path, learner):
     out = run_fresh(f"""

@@ -294,7 +294,7 @@ class TestRepresenterEquivalence:
         n, p, lam, T = 4, 3, 6.0, 120
         explicit = CoRectron(LiftSpec.linear(n, p), lam)
         rep = CoRectronK(LiftSpec.kernelized(n, p, KernelSpec.linear_dot()), lam)
-        spec = ActionSetSpec.top_m(n, 2)
+        spec = ActionSetSpec(n, 2)
         for _ in range(T):
             z = unit_context(rng, p)
             w1, w2 = explicit.predict(z), rep.predict(z)
@@ -310,7 +310,7 @@ class TestRepresenterEquivalence:
 
 class TestSignCondition:
     def run_stream(self, learner, feedback_rng, rounds=80, swap=False):
-        spec = ActionSetSpec.top_m(5, 2)
+        spec = ActionSetSpec(5, 2)
         worst = -np.inf
         for _ in range(rounds):
             z = unit_context(feedback_rng, 3)
@@ -341,7 +341,7 @@ class TestSignCondition:
 def test_recommendations_scale_invariant():
     # the oracle's argmax, including tie-breaking, ignores positive scaling
     rng = np.random.default_rng(8)
-    spec = ActionSetSpec.top_m(6, 3)
+    spec = ActionSetSpec(6, 3)
     for _ in range(50):
         w = rng.standard_normal(6)
         w[rng.integers(6)] = w[rng.integers(6)]  # inject occasional ties
@@ -384,16 +384,17 @@ class TestONS:
         assert not diag.projected
 
     def test_scalar_example(self):
-        learner = ONS(LiftSpec.identity(1), ridge=1.0, surrogate_scale=1.0, step_coeff=0.5)
-        diag = learner.update(None, np.array([0.1]))
+        # the surrogate scale 0.1 turns the residual 1 into the gradient 0.1
+        learner = ONS(LiftSpec.identity(1), ridge=1.0)
+        diag = learner.update(None, np.array([1.0]))
         assert learner._w[0] == pytest.approx(-0.2 / 1.01)
         assert not diag.projected
 
     def test_forced_projection_hits_boundary(self):
-        learner = ONS(LiftSpec.identity(2), ridge=0.01, surrogate_scale=1.0, step_coeff=0.5)
+        learner = ONS(LiftSpec.identity(2), ridge=0.01)
         projected = False
         for _ in range(5):
-            diag = learner.update(None, np.array([1.0, 0.0]))
+            diag = learner.update(None, np.array([10.0, 0.0]))
             projected = projected or diag.projected
         assert projected
         assert np.linalg.norm(learner._w) <= 1.0 + 1e-9
@@ -438,7 +439,7 @@ class TestKONS:
 
     def test_rkhs_norm_invariant(self):
         rng = np.random.default_rng(12)
-        learner = KONS(self.kernel_spec(), ridge=0.05, surrogate_scale=1.0)
+        learner = KONS(self.kernel_spec(), ridge=0.0005)
         saw_projection = False
         for _ in range(60):
             z = unit_context(rng, 2)
@@ -449,7 +450,7 @@ class TestKONS:
 
     def test_update_same_with_or_without_predict(self, monkeypatch):
         # the history's kernel-column cache, shared with CoRectronK
-        check_kernel_column_reuse(monkeypatch, lambda spec: KONS(spec, ridge=0.05, surrogate_scale=1.0), 1.0)
+        check_kernel_column_reuse(monkeypatch, lambda spec: KONS(spec, ridge=0.0005), 1.0)
 
     def test_matches_explicit_ons_on_dot_kernel(self):
         # agreement holds on streams where the ball constraint never binds
@@ -457,7 +458,7 @@ class TestKONS:
         n, p, T = 3, 2, 60
         explicit = ONS(LiftSpec.linear(n, p), ridge=50.0)
         rep = KONS(LiftSpec.kernelized(n, p, KernelSpec.linear_dot()), ridge=50.0)
-        spec = ActionSetSpec.top_m(n, 1)
+        spec = ActionSetSpec(n, 1)
         for _ in range(T):
             z = unit_context(rng, p)
             w1, w2 = explicit.predict(z), rep.predict(z)
@@ -503,10 +504,7 @@ def test_every_entry_rejects_bad_context(make, z):
         pytest.param(lambda v: CoRectronK(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), v), id="corectron_k"),
         pytest.param(lambda v: OGD(LiftSpec.linear(3, 2), v), id="ogd"),
         pytest.param(lambda v: ONS(LiftSpec.linear(3, 2), v), id="ons_ridge"),
-        pytest.param(lambda v: ONS(LiftSpec.linear(3, 2), 1.0, surrogate_scale=v), id="ons_scale"),
         pytest.param(lambda v: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), v), id="kons_ridge"),
-        pytest.param(lambda v: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 1.0, step_coeff=v),
-                     id="kons_step"),
     ],
 )
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
@@ -520,8 +518,8 @@ ZERO_STREAM_LEARNERS = {
     "corectron_l": lambda: CoRectron(LiftSpec.linear(3, 2), 0.5),
     "corectron_k": lambda: CoRectronK(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 0.5),
     "ogd": lambda: OGD(LiftSpec.linear(3, 2), 0.5),
-    "ons": lambda: ONS(LiftSpec.linear(3, 2), 0.05, surrogate_scale=1.0),
-    "kons": lambda: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 0.05, surrogate_scale=1.0),
+    "ons": lambda: ONS(LiftSpec.linear(3, 2), 0.0005),
+    "kons": lambda: KONS(LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0)), 0.0005),
 }
 
 

@@ -32,9 +32,10 @@ class TestKernelSpec:
             expect = [k.value(row, z) for row in Z]
             np.testing.assert_allclose(col, expect, rtol=1e-12)
 
-    def test_bad_bandwidth(self):
+    @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), float("inf")])
+    def test_bad_bandwidth(self, bandwidth):
         with pytest.raises(ValueError):
-            KernelSpec.rbf(0.0)
+            KernelSpec.rbf(bandwidth)
 
 
 class TestContextMap:

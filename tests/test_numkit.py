@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from corectron.diagnostics import TraceSummary, check_gram_spectrum
-from corectron.learners import ONS, CoRectron
+from corectron.learners import ONS, SURROGATE_SCALE, CoRectron
 from corectron.lifting import LiftSpec
 from corectron.numkit import (
     CholFactor,
@@ -231,7 +231,7 @@ class TestBlockedInverseUpdate:
         metric = ridge * np.eye(d)
         for g in residual_stream(d, kinds, seed):
             ons.update(None, g)
-            metric += np.outer(ons.surrogate_scale * g, ons.surrogate_scale * g)
+            metric += np.outer(SURROGATE_SCALE * g, SURROGATE_SCALE * g)
         inv = ons._inv.inv
         np.testing.assert_array_equal(inv, inv.T)
         assert np.abs(inv.dot(metric) - np.eye(d)).max() <= 1e-8

@@ -1,0 +1,159 @@
+"""Same-answers check over a 198-cell full-diagnostic grid.
+
+    python tools/grid_check.py run OUT.json
+    python tools/grid_check.py compare A.json B.json
+
+``run`` plays every cell of the grid below with the ``src/`` of the
+checkout this file sits in, BLAS pinned to one thread before numpy
+loads, and writes one record per cell: digests of the ``RunResult``
+without its timings, of the trace JSON and of the action the harness
+recommended in each round (recorded by wrapping ``harness.top_m_oracle``),
+plus the cell's status and certificate verdicts in the clear.
+
+``compare`` sorts the cells of two such files into three groups:
+byte-identical cells, cells whose every action is the same but whose
+values moved, and moved cells, each with its first round recommending a
+different action.  It names any cell whose status or certificate
+verdicts changed, and exits 1 when a cell differs.  To check a change,
+run this file from both checkouts (copy it into the older one if it
+lacks it) and compare the two outputs.
+
+The grid: the linear, kernel and noncontextual settings with every
+algorithm they admit; 6 items, pick 3, context dimension 3, T=150;
+seeds 0-2; optimal, one-swap 0.5 and score-perturb 0.5 feedback;
+coefficients 0.01 and 1.  11 algorithm-settings x 2 x 3 x 3 = 198 cells.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+SETTINGS = ("linear", "kernel", "noncontextual")
+SEEDS = (0, 1, 2)
+COEFFICIENTS = (0.01, 1.0)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _json_digest(obj) -> str:
+    return _digest(json.dumps(obj, sort_keys=True).encode())
+
+
+def run(out_path: str) -> None:
+    sys.path.insert(0, SRC)
+    from corectron import harness
+    from corectron.environment import FeedbackModel
+
+    feedbacks = (
+        FeedbackModel.optimal(),
+        FeedbackModel.one_swap(0.5),
+        FeedbackModel.score_perturb(0.5),
+    )
+    actions: list[bytes] = []
+    oracle = harness.top_m_oracle
+
+    def recording_oracle(w, spec):
+        x = oracle(w, spec)
+        actions.append(x.tobytes())
+        return x
+
+    harness.top_m_oracle = recording_oracle
+    cells = {}
+    try:
+        for setting in SETTINGS:
+            config = harness.default_config(
+                setting, items=6, pick=3, context_dim=3, horizon=150,
+                diag_level="full",
+            )
+            for algorithm in config.algorithms:
+                for coefficient in COEFFICIENTS:
+                    params = harness.resolve_hyperparameters(config, algorithm, coefficient)
+                    for feedback in feedbacks:
+                        for seed in SEEDS:
+                            actions.clear()
+                            result, trace = harness.run_episode(
+                                config, algorithm, coefficient, params, feedback, seed
+                            )
+                            record = result.to_dict()
+                            del record["runtime_seconds"], record["total_seconds"]
+                            key = (f"{setting}/{algorithm}/c{coefficient:g}"
+                                   f"/{feedback.kind}/s{seed}")
+                            cells[key] = {
+                                "result": _json_digest(record),
+                                "trace": _json_digest(trace.to_dict()) if trace else None,
+                                "actions": [_digest(a) for a in actions],
+                                "status": result.status,
+                                "holds": {c.name: c.holds for c in result.certificates},
+                            }
+    finally:
+        harness.top_m_oracle = oracle
+    with open(out_path, "w") as fh:
+        json.dump(cells, fh, indent=0, sort_keys=True)
+    print(f"{len(cells)} cells written to {out_path}")
+
+
+def _first_divergence(a: list, b: list) -> int:
+    for t, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return t
+    return min(len(a), len(b))
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fh:
+        cells_a = json.load(fh)
+    with open(path_b) as fh:
+        cells_b = json.load(fh)
+    only = sorted(set(cells_a) ^ set(cells_b))
+    identical, value_only, moved = [], [], []
+    for key in sorted(set(cells_a) & set(cells_b)):
+        a, b = cells_a[key], cells_b[key]
+        if a == b:
+            identical.append(key)
+        elif a["actions"] == b["actions"]:
+            value_only.append(key)
+        else:
+            moved.append((key, _first_divergence(a["actions"], b["actions"])))
+    verdicts = [key for key in sorted(set(cells_a) & set(cells_b))
+                if (cells_a[key]["status"], cells_a[key]["holds"])
+                != (cells_b[key]["status"], cells_b[key]["holds"])]
+    print(f"byte-identical: {len(identical)}")
+    print(f"value-only:     {len(value_only)}")
+    for key in value_only:
+        parts = [p for p in ("result", "trace") if cells_a[key][p] != cells_b[key][p]]
+        print(f"  {key}  ({', '.join(parts)})")
+    print(f"moved:          {len(moved)}")
+    for key, t in moved:
+        print(f"  {key}  first different action at round {t}")
+    print(f"status or certificate verdict changed: {len(verdicts)}")
+    for key in verdicts:
+        print(f"  {key}")
+    if only:
+        print(f"in one file only: {', '.join(only)}")
+    return 0 if len(identical) == len(cells_a) == len(cells_b) else 1
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "run":
+        run(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,6 +11,12 @@ All randomness flows through counter-based streams keyed by (seed, role)
 so that every algorithm sees the identical round sequence for a seed.
 Each per-round helper also takes a ``(T, ...)`` stack of rounds and gives,
 bit for bit, its T one-round calls, drawing from its stream in that order.
+
+For that reason the RBF utilities evaluate their kernel in the difference
+form ``exp(-|z - c|^2 / (2 bandwidth^2))``, a row-wise reduction whose
+rounding does not depend on how many contexts are stacked.  The learners'
+kernel column (``corectron.lifting``) uses the expanded form with one BLAS
+matvec, which is faster but rounds differently with the number of rows.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL
 
 __all__ = [
     "MODELS",
@@ -115,6 +121,19 @@ def top_m_oracle(w: np.ndarray, spec: ActionSetSpec) -> np.ndarray:
     return x
 
 
+def _rbf_columns(rows: np.ndarray, centers: np.ndarray, bandwidth: float) -> np.ndarray:
+    """RBF kernel values ``(len(rows), len(centers))`` in the difference form.
+
+    Each entry depends only on its row and center, never on the number of
+    rows, so a stack of contexts gives its one-row calls bit for bit.
+    """
+    cols = []
+    for c in centers:
+        d = rows - c[None, :]
+        cols.append(np.exp(-np.einsum("ij,ij->i", d, d) / (2.0 * bandwidth**2)))
+    return np.stack(cols, axis=-1)
+
+
 @dataclass(frozen=True)
 class LinearUtility:
     """Hidden utility ``u(z) = W z`` with unit Frobenius norm."""
@@ -178,13 +197,12 @@ def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
             nrm = float(np.linalg.norm(W))
             if nrm > 0:
                 return LinearUtility(W / nrm)
-    kernel = KernelSpec.rbf(spec.bandwidth)
     centers = rng.standard_normal((RBF_CENTERS, spec.context_dim))
     norms = np.linalg.norm(centers, axis=1)
     over = norms > 1.0
     centers[over] /= norms[over, None]
-    # The kernel matrix of the centers, each column as utility_eval forms it.
-    kmat = np.stack([kernel.column(centers, c) for c in centers], axis=-1)
+    # The kernel matrix of the centers, as utility_eval forms it.
+    kmat = _rbf_columns(centers, centers, spec.bandwidth)
     while True:
         raw = rng.standard_normal((RBF_CENTERS, n))
         sq = float(np.einsum("in,ij,jn->", raw, kmat, raw))
@@ -200,9 +218,8 @@ def utility_eval(model, z) -> np.ndarray:
     if isinstance(model, LinearUtility):
         return np.matmul(model.weights, z[..., None])[..., 0]
     if isinstance(model, RbfUtility):
-        kernel = KernelSpec.rbf(model.bandwidth)
         rows = z.reshape(-1, z.shape[-1])
-        k = np.stack([kernel.column(rows, c) for c in model.centers], axis=-1)
+        k = _rbf_columns(rows, model.centers, model.bandwidth)
         u = np.matmul(k[:, None, :], model.coeffs)[:, 0, :]
         return u.reshape(z.shape[:-1] + u.shape[-1:])
     raise TypeError(f"unknown utility model: {type(model).__name__}")

@@ -37,7 +37,7 @@ from .environment import (
     top_m_oracle,
 )
 from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS
-from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec, lift
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec, lift, row_sq_norms
 from .numkit import DegenerateGramError, GramMatrix
 
 __all__ = [
@@ -343,9 +343,12 @@ def run_episode(
                 phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)
                 gram = phi.T.dot(phi) if r > spec.dim else phi.dot(phi.T)
             elif spec.kind == KERNEL and r <= config.diag_cap:
+                # The contexts' squared norms once, so each column is one matvec.
+                sq = row_sq_norms(Z)
                 built = GramMatrix(r)
                 for i in range(r):
-                    built.append(*spec.gram_column(Z[:i], G[:i], Z[i], G[i]))
+                    kcol = spec.context_column(Z[:i], Z[i], sq[:i])
+                    built.append(*spec.gram_column(Z[:i], G[:i], Z[i], G[i], kcol=kcol))
                 gram = built.entries
         trace = TraceSummary(
             algorithm=algorithm,

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lifting import KERNEL, LiftSpec, adjoint_apply, lift
+from .lifting import KERNEL, LiftSpec, adjoint_apply, lift, row_sq_norms
 from .numkit import CholFactor, GramMatrix, SpdInverse, in_ellipsoid, project_ellipsoid_coeff
 
 __all__ = ["SURROGATE_SCALE", "STEP_COEFF", "RoundDiagnostics", "CoRectron", "CoRectronK", "OGD",
@@ -85,17 +85,19 @@ def _potential_increment(lev: float, align: float) -> float:
 class _History:
     """Growable store of (context, base residual) pairs.
 
-    Also keeps the context column of the last context it was asked about,
-    so a kernel learner's ``predict`` and ``update`` at one context compute
-    it once; ``append`` drops it.
+    Keeps each context's squared norm beside it, so a kernel column over
+    the stored contexts is one matvec, and the context column of the last
+    context it was asked about, so a kernel learner's ``predict`` and
+    ``update`` at one context compute it once; ``append`` drops it.
     """
 
     def __init__(self, lift_spec: LiftSpec):
         self._spec = lift_spec
         self._Z = np.zeros((64, lift_spec.context_dim))
         self._G = np.zeros((64, lift_spec.base_dim))
+        self._sq = np.zeros(64)
         self.size = 0
-        self._kcol: tuple[np.ndarray, np.ndarray] | None = None  # (z, column at z)
+        self._kcol: tuple[bytes, np.ndarray] | None = None  # (z's bytes, column at z)
 
     @property
     def contexts(self) -> np.ndarray:
@@ -106,18 +108,23 @@ class _History:
         return self._G[: self.size]
 
     def append(self, z: np.ndarray, g: np.ndarray) -> None:
-        if self.size >= self._Z.shape[0]:
+        t = self.size
+        if t >= self._Z.shape[0]:
             self._Z = np.vstack([self._Z, np.zeros_like(self._Z)])
             self._G = np.vstack([self._G, np.zeros_like(self._G)])
-        self._Z[self.size] = z
-        self._G[self.size] = g
-        self.size += 1
+            self._sq = np.concatenate([self._sq, np.zeros_like(self._sq)])
+        self._Z[t] = z
+        self._G[t] = g
+        self._sq[t] = row_sq_norms(self._Z[t : t + 1])[0]
+        self.size = t + 1
         self._kcol = None
 
     def context_column(self, z: np.ndarray) -> np.ndarray:
         """The context factors of the stored contexts at ``z``."""
-        if self._kcol is None or not np.array_equal(self._kcol[0], z):
-            self._kcol = (z.copy(), self._spec.context_column(self.contexts, z))
+        key = z.tobytes()
+        if self._kcol is None or self._kcol[0] != key:
+            column = self._spec.context_column(self.contexts, z, self._sq[: self.size])
+            self._kcol = (key, column)
         return self._kcol[1]
 
 
@@ -191,8 +198,9 @@ class CoRectronK:
     and the coefficient vector solving it against the all-ones
     right-hand side; the prediction is the negated coefficient
     combination of past residual features evaluated at the current
-    context.  ``L^{-1} 1`` is kept incrementally, so each round with a
-    nonzero residual costs one forward solve (inside
+    context; the negated coefficients are kept too, as its weights.
+    ``L^{-1} 1`` is kept incrementally in a growing buffer, so each round
+    with a nonzero residual costs one forward solve (inside
     :meth:`CholFactor.extend`) and one backward solve.  Only those rounds
     are stored: a zero residual's row would be decoupled from the rest and
     weighted by nothing in the prediction.
@@ -206,8 +214,9 @@ class CoRectronK:
         self.lift_spec = lift_spec
         self.regularizer = float(regularizer)
         self._chol = CholFactor()
-        self._fwd_ones = np.empty(0)  # L^{-1} 1
+        self._fwd_ones = np.zeros(64)  # L^{-1} 1 in its first size entries
         self._coef = np.empty(0)
+        self._weights = np.empty(0)  # -coef, the prediction's representer weights
         self._hist = _History(lift_spec)
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
         self._potential = 0.0
@@ -219,7 +228,7 @@ class CoRectronK:
         z = self.lift_spec.check_context(z)
         if self._hist.size == 0:
             return np.zeros(self.lift_spec.base_dim)
-        return (-self._coef * self._hist.context_column(z)).dot(self._hist.residuals)
+        return (self._weights * self._hist.context_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
@@ -235,11 +244,14 @@ class CoRectronK:
         align = float(self._coef.dot(col)) if self._hist.size else 0.0
         scale = 1.0 + math.sqrt(max(rho, 0.0)) * math.sqrt(max(self._gram_total, 0.0))
         self._gram_total += 2.0 * float(col.sum()) + rho
+        t = self._hist.size
         self._hist.append(z, g)
         # The new row [y^T, pivot] of L extends L v = 1 by one entry.
-        v_new = (1.0 - float(y.dot(self._fwd_ones))) / pivot
-        self._fwd_ones = np.append(self._fwd_ones, v_new)
-        self._coef = self._chol.backward(self._fwd_ones)
+        if t == self._fwd_ones.shape[0]:
+            self._fwd_ones = np.concatenate([self._fwd_ones, np.zeros(t)])
+        self._fwd_ones[t] = (1.0 - float(y.dot(self._fwd_ones[:t]))) / pivot
+        self._coef = self._chol.backward(self._fwd_ones[: t + 1])
+        self._weights = -self._coef
         # Last diagonal entry of K (K + ridge I)^{-1}: L is lower triangular,
         # so L^{-1} e_t = e_t / pivot and the last entry of (L L^T)^{-1} e_t
         # is (1 / pivot) / pivot, the value two dense triangular solves give.

@@ -20,15 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "LiftSpec", "lift", "adjoint_apply"]
+__all__ = ["KernelSpec", "LiftSpec", "lift", "adjoint_apply", "row_sq_norms"]
 
 NONCONTEXTUAL = "noncontextual"
 LINEAR = "linear"
 KERNEL = "kernel"
 
 # Contexts are supplied by the environment on the unit ball; a little
-# headroom absorbs normalisation round-off.
-_CONTEXT_NORM_SLACK = 1e-9
+# headroom absorbs normalisation round-off.  Compared with ``z . z``.
+_CONTEXT_SQ_NORM_BOUND = (1.0 + 1e-9) ** 2
+
+
+def row_sq_norms(Z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of ``Z``, as :meth:`KernelSpec.column` takes them."""
+    return np.einsum("ij,ij->i", Z, Z)
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,25 @@ class KernelSpec:
         d = za - zb
         return float(np.exp(-d.dot(d) / (2.0 * self.bandwidth**2)))
 
-    def column(self, Z: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Vector of ``k(Z[s], z)`` over the rows of ``Z``."""
+    def column(self, Z: np.ndarray, z: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+        """Vector of ``k(Z[s], z)`` over the rows of ``Z``.
+
+        ``sq`` is ``row_sq_norms(Z)``, which a caller may already hold; the
+        RBF column then makes one matvec and no pass over ``Z`` besides.
+        """
         if Z.shape[0] == 0:
             return np.empty(0)
         if self.kind == "linear":
             return Z.dot(z)
-        d = Z - z[None, :]
-        return np.exp(-np.einsum("ij,ij->i", d, d) / (2.0 * self.bandwidth**2))
+        if sq is None:
+            sq = row_sq_norms(Z)
+        cross = Z.dot(z)
+        cross *= -2.0
+        dist = sq + float(z.dot(z))
+        dist += cross
+        np.maximum(dist, 0.0, out=dist)
+        dist /= -2.0 * self.bandwidth**2
+        return np.exp(dist, out=dist)
 
     def diag_value(self, z: np.ndarray) -> float:
         """``k(z, z)`` without forming a difference."""
@@ -127,17 +143,21 @@ class LiftSpec:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.context_dim,):
             raise ValueError("context vector has wrong dimension")
-        if np.linalg.norm(z) > 1.0 + _CONTEXT_NORM_SLACK:
-            raise ValueError("context vector must lie in the unit ball")
+        # Negated, so a NaN or infinite entry fails too.
+        if not z.dot(z) <= _CONTEXT_SQ_NORM_BOUND:
+            raise ValueError("context vector must be finite and lie in the unit ball")
         return z
 
-    def context_column(self, Z: np.ndarray, z) -> np.ndarray:
-        """Context factors ``kappa(Z[s], z)`` over the rows of ``Z``."""
+    def context_column(self, Z: np.ndarray, z, sq: np.ndarray | None = None) -> np.ndarray:
+        """Context factors ``kappa(Z[s], z)`` over the rows of ``Z``.
+
+        ``sq``, the rows' squared norms, is passed on to a kernel's column.
+        """
         if self.kind == NONCONTEXTUAL:
             return np.ones(Z.shape[0])
         if self.kind == LINEAR:
             return Z.dot(z)
-        return self.kernel.column(Z, z)
+        return self.kernel.column(Z, z, sq)
 
     def gram_column(
         self, Z: np.ndarray, G: np.ndarray, z, g: np.ndarray, kcol: np.ndarray | None = None

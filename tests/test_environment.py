@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corectron import environment
 from corectron.environment import (
     MODELS,
     ROLE_CONTEXTS,
@@ -57,7 +59,8 @@ def _reference_utility(model, z):
         return model.vector.copy()
     if isinstance(model, LinearUtility):
         return model.weights.dot(z)
-    return KernelSpec.rbf(model.bandwidth).column(model.centers, z).dot(model.coeffs)
+    d = model.centers - z[None, :]
+    return np.exp(-np.einsum("ij,ij->i", d, d) / (2.0 * model.bandwidth**2)).dot(model.coeffs)
 
 
 def _reference_reveal(model, u, spec, rng):
@@ -247,6 +250,21 @@ class TestUtilityModels:
         _assert_bitwise(stacked, np.array([[utility_eval(model, r) for r in b] for b in z]))
         _assert_bitwise(stacked[0, 0], _reference_utility(model, z[0, 0]))
         _assert_bitwise(utility_eval(model, z[:0, 0]), np.empty((0, 10)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 12),
+           st.sampled_from([0.1, 1.0, 5.0]))
+    def test_rbf_kernel_independent_of_row_count(self, seed, t, p, bandwidth):
+        # Each kernel value of the difference form depends on its row and
+        # center alone, so any stack of contexts gives its one-row calls.
+        rows = sample_context(rng_stream(seed, 0), (t, p))
+        rows[rng_stream(seed, 1).integers(t, size=t // 2)] = rows[0]  # duplicates
+        centers = sample_context(rng_stream(seed, 2), (16, p))
+        stacked = environment._rbf_columns(rows, centers, bandwidth)
+        one_row = np.concatenate([environment._rbf_columns(rows[s : s + 1], centers, bandwidth)
+                                  for s in range(t)])
+        _assert_bitwise(stacked, one_row)
+        _assert_bitwise(stacked[: t // 2], environment._rbf_columns(rows[: t // 2], centers, bandwidth))
 
     def test_linear_utilities_bounded_on_draws(self):
         rng = rng_stream(3, 1)

@@ -31,7 +31,8 @@ def check_kernel_column_reuse(monkeypatch, make, sign):
     asked, silent = make(spec), make(spec)
     column = KernelSpec.column
     calls = []
-    monkeypatch.setattr(KernelSpec, "column", lambda self, Z, z: calls.append(z) or column(self, Z, z))
+    monkeypatch.setattr(KernelSpec, "column",
+                        lambda self, Z, z, sq=None: calls.append(z) or column(self, Z, z, sq))
     for t in range(30):
         z, g = unit_context(rng, 2), rng.standard_normal(3)
         calls.clear()
@@ -269,7 +270,7 @@ class TestPackedFactorInLearners:
             ref = np.linalg.cholesky(M)
             assert np.abs(L - ref).max() <= 1e-12 * cond * np.abs(ref).max()
             fresh = solve_triangular(L, np.ones(n), lower=True)
-            v = learner._fwd_ones
+            v = learner._fwd_ones[:n]
             assert np.abs(v - fresh).max() <= 1e-12 * np.linalg.cond(L) * np.abs(fresh).max()
             c = np.linalg.solve(M, np.ones(n))
             assert np.abs(learner._coef - c).max() <= 1e-12 * cond * np.abs(c).max()
@@ -482,11 +483,14 @@ CONTEXTUAL_LEARNERS = [
 
 @pytest.mark.parametrize("make", CONTEXTUAL_LEARNERS)
 @pytest.mark.parametrize(
-    "z", [np.array([5.0]), np.array([0.1, 0.1, 0.1]), np.array([2.0, 0.0])], ids=["short", "long", "outside"]
+    "z",
+    [np.array([5.0]), np.array([0.1, 0.1, 0.1]), np.array([2.0, 0.0]), np.array([np.nan, 0.0]),
+     np.array([0.0, -np.inf])],
+    ids=["short", "long", "outside", "nan", "inf"],
 )
 def test_every_entry_rejects_bad_context(make, z):
-    # a context of the wrong length or outside the unit ball is refused by
-    # predict and update alike, before any state changes
+    # a context of the wrong length, outside the unit ball or not finite is
+    # refused by predict and update alike, before any state changes
     learner = make()
     learner.update(np.array([0.6, 0.0]), np.array([1.0, 0.0, -1.0]))
     before = learner.predict(np.array([0.0, 0.6])).copy()

@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corectron.lifting import KernelSpec, LiftSpec, adjoint_apply, lift
+from corectron.lifting import KernelSpec, LiftSpec, adjoint_apply, lift, row_sq_norms
+
+# (seed, rows, context dim, bandwidth, how the query relates to the rows)
+column_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 80),
+    st.integers(1, 12),
+    st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0]),
+    st.sampled_from(["fresh", "exact", "near", "origin"]),
+)
+
+
+def ball_rows(rng, t, p):
+    """``t`` contexts in the unit ball, on the sphere, inside it and repeated."""
+    Z = rng.standard_normal((t, p))
+    Z /= np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None]
+    Z[rng.random(t) < 0.3] *= rng.random()
+    Z[rng.integers(t, size=t // 3)] = Z[rng.integers(t)]  # exact duplicate rows
+    return Z
 
 
 class TestKernelSpec:
@@ -31,6 +50,31 @@ class TestKernelSpec:
             col = k.column(Z, z)
             expect = [k.value(row, z) for row in Z]
             np.testing.assert_allclose(col, expect, rtol=1e-12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(column_cases)
+    def test_rbf_column_with_stored_norms(self, case):
+        # The column from norms stored row by row (as the kernel learners'
+        # history keeps them) is the column without them, bit for bit; it
+        # lies in [0, 1] even at exact and near duplicates, and it is the
+        # difference form of ``value`` up to the expansion's cancellation.
+        seed, t, p, bandwidth, query = case
+        rng = np.random.default_rng(seed)
+        Z = ball_rows(rng, t, p)
+        z = {
+            "fresh": ball_rows(rng, 1, p)[0],
+            "exact": Z[rng.integers(t)].copy(),
+            "near": Z[rng.integers(t)] * (1.0 - 1e-12) + 1e-13,
+            "origin": np.zeros(p),
+        }[query]
+        z /= max(1.0, np.linalg.norm(z))
+        k = KernelSpec.rbf(bandwidth)
+        sq = np.array([row_sq_norms(Z[s : s + 1])[0] for s in range(t)])
+        col = k.column(Z, z, sq)
+        assert col.tobytes() == k.column(Z, z).tobytes()
+        assert np.all((col >= 0.0) & (col <= 1.0))
+        expect = np.array([k.value(row, z) for row in Z])
+        assert np.max(np.abs(col - expect)) <= 1e-12
 
     @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), float("inf")])
     def test_bad_bandwidth(self, bandwidth):

@@ -37,8 +37,8 @@ from .environment import (
     top_m_oracle,
 )
 from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS
-from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec, lift, row_sq_norms
-from .numkit import DegenerateGramError, GramMatrix
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec
+from .numkit import DegenerateGramError
 
 __all__ = [
     "SETTINGS",
@@ -110,6 +110,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ValueError(f"unknown setting: {self.setting!r}")
+        for name in ("algorithms", "seeds", "coef_grid", "feedback_models"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
+        if not all(0 < c < math.inf for c in self.coef_grid):
+            raise ValueError(f"coefficients must be finite and positive: {self.coef_grid}")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
@@ -246,10 +251,11 @@ def run_episode(
     The config's diagnostics level "full" records per-round recomputed
     diagnostics and the residuals of the r rounds with a mistake, whose
     Gram is built after the loop, so the entire certificate battery can
-    run: for an explicit lift, the smaller of ``Phi^T Phi`` (D x D) and
-    ``Phi Phi^T`` (r x r), which share their nonzero eigenvalues; stored
-    when its side is within ``diag_cap``.  "light" keeps only the O(T)
-    scalars and the always-on certificates.
+    run: :meth:`LiftSpec.gram` applies the formula ``kappa(z, z') * <g, g'>``,
+    which the kernel learners apply per column, to the stacked rounds, r x r
+    or, for an explicit lift of dimension D < r, D x D; stored when its side
+    is within ``diag_cap``.  "light" keeps only the O(T) scalars and the
+    always-on certificates.
     Episodes that produce non-finite numbers are reported with status
     "failed" instead of aborting the sweep.
     """
@@ -339,17 +345,8 @@ def run_episode(
             mistakes = np.flatnonzero(residuals.any(axis=1))
             Z, G = env.contexts[mistakes], residuals[mistakes]
             spec, r = learner.lift_spec, mistakes.size
-            if spec.kind != KERNEL and min(r, spec.dim) <= config.diag_cap:
-                phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)
-                gram = phi.T.dot(phi) if r > spec.dim else phi.dot(phi.T)
-            elif spec.kind == KERNEL and r <= config.diag_cap:
-                # The contexts' squared norms once, so each column is one matvec.
-                sq = row_sq_norms(Z)
-                built = GramMatrix(r)
-                for i in range(r):
-                    kcol = spec.context_column(Z[:i], Z[i], sq[:i])
-                    built.append(*spec.gram_column(Z[:i], G[:i], Z[i], G[i], kcol=kcol))
-                gram = built.entries
+            if (r if spec.kind == KERNEL else min(r, spec.dim)) <= config.diag_cap:
+                gram = spec.gram(Z, G)
         trace = TraceSummary(
             algorithm=algorithm,
             model_kind=config.setting,

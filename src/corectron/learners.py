@@ -83,16 +83,16 @@ def _potential_increment(lev: float, align: float) -> float:
 
 
 class _History:
-    """Growable store of (context, base residual) pairs.
+    """Growable store of (context, base residual) pairs of a kernel lift.
 
     Keeps each context's squared norm beside it, so a kernel column over
-    the stored contexts is one matvec, and the context column of the last
+    the stored contexts is one matvec, and the kernel column of the last
     context it was asked about, so a kernel learner's ``predict`` and
     ``update`` at one context compute it once; ``append`` drops it.
     """
 
     def __init__(self, lift_spec: LiftSpec):
-        self._spec = lift_spec
+        self._kernel = lift_spec.kernel
         self._Z = np.zeros((64, lift_spec.context_dim))
         self._G = np.zeros((64, lift_spec.base_dim))
         self._sq = np.zeros(64)
@@ -119,13 +119,18 @@ class _History:
         self.size = t + 1
         self._kcol = None
 
-    def context_column(self, z: np.ndarray) -> np.ndarray:
-        """The context factors of the stored contexts at ``z``."""
+    def kernel_column(self, z: np.ndarray) -> np.ndarray:
+        """The kernel values of the stored contexts at ``z``."""
         key = z.tobytes()
         if self._kcol is None or self._kcol[0] != key:
-            column = self._spec.context_column(self.contexts, z, self._sq[: self.size])
+            column = self._kernel.column(self.contexts, z, self._sq[: self.size])
             self._kcol = (key, column)
         return self._kcol[1]
+
+    def gram_column(self, z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(k(Z, z) * (G g), k(z, z) * (g . g))``: ``(z, g)``'s lifted Gram column."""
+        col = self.kernel_column(z) * self.residuals.dot(g)
+        return col, self._kernel.diag_value(z) * float(g.dot(g))
 
 
 class CoRectron:
@@ -228,7 +233,7 @@ class CoRectronK:
         z = self.lift_spec.check_context(z)
         if self._hist.size == 0:
             return np.zeros(self.lift_spec.base_dim)
-        return (self._weights * self._hist.context_column(z)).dot(self._hist.residuals)
+        return (self._weights * self._hist.kernel_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
@@ -236,9 +241,7 @@ class CoRectronK:
         if not g.any():
             self._post_leverage = 0.0
             return _zero_round_diag(self._potential)
-        col, rho = self.lift_spec.gram_column(
-            self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
-        )
+        col, rho = self._hist.gram_column(z, g)
         y, pivot = self._chol.extend(col, rho + self.regularizer)
         lev = (rho - float(y.dot(y))) / self.regularizer
         align = float(self._coef.dot(col)) if self._hist.size else 0.0
@@ -370,16 +373,14 @@ class KONS:
         z = self.lift_spec.check_context(z)
         if self._hist.size == 0:
             return np.zeros(self.lift_spec.base_dim)
-        return (self._coef * self._hist.context_column(z)).dot(self._hist.residuals)
+        return (self._coef * self._hist.kernel_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
         if not g.any():
             return _baseline_diag(False)
-        col, rho = self.lift_spec.gram_column(
-            self._hist.contexts, self._hist.residuals, z, g, kcol=self._hist.context_column(z)
-        )
+        col, rho = self._hist.gram_column(z, g)
         s2 = SURROGATE_SCALE**2
         self._gram.append(col, rho)
         _, pivot = self._chol.extend(s2 * col, s2 * rho + self.ridge)

@@ -1,5 +1,5 @@
 """Context lifts: per-round linear maps from base actions into the
-learner's inner-product space, with adjoints and lifted-Gram columns.
+learner's inner-product space, with adjoints and lifted Grams.
 
 One variant per model, named after it: the identity for the
 noncontextual model, the outer-product lift ``x -> x z^T`` for the
@@ -9,8 +9,9 @@ kernel times the identity.
 Every lifted inner product factors into a context part and a base part,
 ``<lift(z, g), lift(z', g')> = kappa(z, z') * <g, g'>``, where the
 context factor ``kappa`` is 1 for the noncontextual lift, ``z . z'`` for the
-linear lift and ``k(z, z')`` for a kernel lift.  :class:`LiftSpec` is
-the one place that knows the variants.
+linear lift and ``k(z, z')`` for a kernel lift.  The kernel learners apply
+it per column, ``k(Z, z) * (G g)``, and :meth:`LiftSpec.gram` to stacked
+rounds, ``kappa(Z, Z) * (G G^T)``.  :class:`LiftSpec` knows the variants.
 """
 
 from __future__ import annotations
@@ -74,16 +75,31 @@ class KernelSpec:
         ``sq`` is ``row_sq_norms(Z)``, which a caller may already hold; the
         RBF column then makes one matvec and no pass over ``Z`` besides.
         """
-        if Z.shape[0] == 0:
-            return np.empty(0)
         if self.kind == "linear":
             return Z.dot(z)
         if sq is None:
             sq = row_sq_norms(Z)
-        cross = Z.dot(z)
-        cross *= -2.0
-        dist = sq + float(z.dot(z))
-        dist += cross
+        dist = Z.dot(z)
+        dist *= -2.0
+        dist += sq + float(z.dot(z))
+        return self._rbf(dist)
+
+    def matrix(self, Z: np.ndarray) -> np.ndarray:
+        """Exactly symmetric ``k(Z[s], Z[t])`` by the arithmetic of :meth:`column`;
+        the RBF diagonal is exactly 1, as :meth:`diag_value` gives it."""
+        if self.kind == "linear":
+            return Z.dot(Z.T)
+        sq = row_sq_norms(Z)
+        dist = Z.dot(Z.T)
+        dist *= -2.0
+        # Row by row, so no second r x r array is made.
+        for s, row in enumerate(dist):
+            row += sq[s] + sq
+        dist.flat[:: dist.shape[0] + 1] = 0.0
+        return self._rbf(dist)
+
+    def _rbf(self, dist: np.ndarray) -> np.ndarray:
+        """``exp(-max(dist, 0) / (2 * bandwidth^2))`` of squared distances, in place."""
         np.maximum(dist, 0.0, out=dist)
         dist /= -2.0 * self.bandwidth**2
         return np.exp(dist, out=dist)
@@ -148,35 +164,22 @@ class LiftSpec:
             raise ValueError("context vector must be finite and lie in the unit ball")
         return z
 
-    def context_column(self, Z: np.ndarray, z, sq: np.ndarray | None = None) -> np.ndarray:
-        """Context factors ``kappa(Z[s], z)`` over the rows of ``Z``.
-
-        ``sq``, the rows' squared norms, is passed on to a kernel's column.
-        """
-        if self.kind == NONCONTEXTUAL:
-            return np.ones(Z.shape[0])
+    def gram(self, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Gram of the lifted rows ``lift(Z[s], G[s])`` from its smaller side:
+        ``kappa(Z, Z) * (G G^T)`` (r x r), or ``Phi^T Phi`` (D x D) for an
+        explicit lift with D < r, which has the same nonzero eigenvalues."""
+        r = G.shape[0]
+        if self.kind != KERNEL and self.dim < r:
+            # The stacked lift(Z[s], G[s]), bit for bit.
+            phi = G if self.kind == NONCONTEXTUAL else Z[:, :, None] * G[:, None, :]
+            phi = phi.reshape(r, self.dim)
+            return phi.T.dot(phi)
+        gram = G.dot(G.T)
         if self.kind == LINEAR:
-            return Z.dot(z)
-        return self.kernel.column(Z, z, sq)
-
-    def gram_column(
-        self, Z: np.ndarray, G: np.ndarray, z, g: np.ndarray, kcol: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float]:
-        """Lifted inner products of ``(z, g)`` with the rows of ``(Z, G)``.
-
-        Returns the column ``kappa(Z, z) * (G g)`` and the diagonal entry
-        ``kappa(z, z) * (g . g)``.  ``kcol`` is ``context_column(Z, z)``,
-        which the caller may already hold.
-        """
-        if kcol is None:
-            kcol = self.context_column(Z, z)
-        if self.kind == NONCONTEXTUAL:
-            kzz = 1.0
-        elif self.kind == LINEAR:
-            kzz = float(z.dot(z))
-        else:
-            kzz = self.kernel.diag_value(z)
-        return kcol * G.dot(g), kzz * float(g.dot(g))
+            gram *= Z.dot(Z.T)
+        elif self.kind == KERNEL:
+            gram *= self.kernel.matrix(Z)
+        return gram
 
 
 def lift(spec: LiftSpec, z, x_base) -> np.ndarray:

@@ -305,8 +305,8 @@ class CholFactor:
 class GramMatrix:
     """Growing symmetric matrix of pairwise residual inner products."""
 
-    def __init__(self, capacity: int = 64):
-        self._buf = np.zeros((max(capacity, 1), max(capacity, 1)))
+    def __init__(self):
+        self._buf = np.zeros((64, 64))
         self.size = 0
 
     @property

@@ -127,6 +127,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="horizon"):
             ExperimentConfig(horizon=-1)
 
+    @pytest.mark.parametrize("grids", [
+        {"algorithms": ()}, {"seeds": ()}, {"coef_grid": ()}, {"feedback_models": ()},
+        {"coef_grid": (0.0,)}, {"coef_grid": (1.0, -1.0)}, {"coef_grid": (float("nan"),)},
+        {"coef_grid": (float("inf"), 1.0)},
+    ])
+    def test_grids_must_be_nonempty_and_coefficients_finite_positive(self, grids):
+        # Each would otherwise fail inside the sweep (a zero coefficient
+        # divides OGD's step, an infinite one breaks the trace) or, empty,
+        # run nothing.
+        with pytest.raises(ValueError, match="must not be empty|finite and positive"):
+            ExperimentConfig(**grids)
+
 
 class TestRunEpisode:
     @pytest.mark.parametrize("setting, algorithm", [
@@ -695,7 +707,8 @@ class TestCli:
                                       ["--jobs", "-2"], ["--alpha", "-0.5"],
                                       ["--alpha", "nan"], ["--xi", "-1"], ["--xi", "nan"],
                                       ["--xi", "inf"], ["--p", "0"],
-                                      ["--setting", "kernel", "--bandwidth", "0"]])
+                                      ["--setting", "kernel", "--bandwidth", "0"],
+                                      ["--seeds", "0"], ["--coef-grid", "0"]])
     def test_run_rejects_bad_input_in_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = cli_main(["run", *args, "--out", str(out)])

@@ -47,7 +47,7 @@ def check_kernel_column_reuse(monkeypatch, make, sign):
         np.testing.assert_array_equal(asked._coef, silent._coef)
         w = asked.predict(z)
         np.testing.assert_array_equal(w, silent.predict(z))
-        kcol = spec.context_column(asked._hist.contexts, z)
+        kcol = spec.kernel.column(asked._hist.contexts, z)
         np.testing.assert_array_equal(w, (sign * asked._coef * kcol).dot(asked._hist.residuals))
 
 

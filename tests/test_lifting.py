@@ -98,7 +98,7 @@ class TestContextMap:
     def test_kernel_adjoint_empty_history_is_zero(self):
         # the representer sum sum_s c_s kappa(z_s, z) g_s over no rounds
         spec = LiftSpec.kernelized(4, 3, KernelSpec.rbf(1.0))
-        kcol = spec.context_column(np.empty((0, 3)), np.zeros(3))
+        kcol = spec.kernel.column(np.empty((0, 3)), np.zeros(3))
         np.testing.assert_array_equal((np.empty(0) * kcol).dot(np.empty((0, 4))), np.zeros(4))
 
     def test_kernel_has_no_explicit_adjoint(self):
@@ -149,10 +149,39 @@ class TestContextMap:
 
 
 def lifted_inner(spec, zs, gs, zt, gt):
-    """One lifted inner product through the Gram column of a one-row history."""
-    Z = np.zeros((1, spec.context_dim or 1)) if zs is None else np.asarray(zs)[None, :]
-    col, _ = spec.gram_column(Z, np.asarray(gs)[None, :], zt, np.asarray(gt))
-    return float(col[0])
+    """One lifted inner product, off the diagonal of a two-row Gram.
+
+    Every lift passed here has a dimension of at least two, so the Gram is
+    on its r x r side.
+    """
+    Z = np.zeros((2, spec.context_dim or 1)) if zs is None else np.array([zs, zt])
+    return float(spec.gram(Z, np.array([gs, gt]))[0, 1])
+
+
+def dense_gram(spec, Z, G):
+    """Entry by entry, the Gram ``spec.gram`` builds, and the sum of the
+    absolute terms behind each entry (the scale of its rounding error)."""
+    r = G.shape[0]
+    if spec.kind == "kernel":
+        kappa = np.array([[spec.kernel.value(a, b) for b in Z] for a in Z]).reshape(r, r)
+        inner = np.array([[float(a.dot(b)) for b in G] for a in G]).reshape(r, r)
+        return kappa * inner, np.abs(kappa) * np.abs(G).dot(np.abs(G).T)
+    phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)
+    rows = phi.T if spec.dim < r else phi
+    side = rows.shape[0]
+    ref = np.array([[float(a.dot(b)) for b in rows] for a in rows]).reshape(side, side)
+    return ref, np.abs(rows).dot(np.abs(rows).T)
+
+
+# (seed, lift, base dim, context dim, rows, share of zero residual rows)
+gram_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["noncontextual", "linear", "rbf", "linear_dot"]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 24),
+    st.sampled_from([0.0, 0.3, 1.0]),
+)
 
 
 class TestGramEntry:
@@ -160,14 +189,14 @@ class TestGramEntry:
         spec = LiftSpec.identity(2)
         g = np.array([1.0, 1.0])
         assert lifted_inner(spec, None, g, None, g) == pytest.approx(2.0)
-        assert spec.gram_column(np.zeros((0, 1)), np.zeros((0, 2)), None, g)[1] == 2.0
+        assert spec.gram(np.zeros((1, 1)), g[None, :])[0, 0] == 2.0
 
     def test_linear_same_unit_context(self):
         z = np.array([0.6, 0.8])
         spec = LiftSpec.linear(2, 2)
         g = np.array([1.0, 1.0])
         assert lifted_inner(spec, z, g, z, g) == pytest.approx(2.0)
-        assert spec.gram_column(np.zeros((0, 2)), np.zeros((0, 2)), z, g)[1] == pytest.approx(2.0)
+        assert spec.gram(z[None, :], g[None, :])[0, 0] == pytest.approx(2.0)
 
     def test_rbf_orthogonal_residuals(self):
         z = np.zeros(2)
@@ -177,22 +206,17 @@ class TestGramEntry:
 
     def test_linear_kernel_equals_linear_context(self):
         # dot-product kernel entries coincide with outer-product lift entries
+        # on the r x r side, which the linear lift takes for r <= n * p
         rng = np.random.default_rng(4)
         for _ in range(20):
             n, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             via_kernel = LiftSpec.kernelized(n, p, KernelSpec.linear_dot())
             via_linear = LiftSpec.linear(n, p)
-            t = int(rng.integers(0, 6))
+            t = int(rng.integers(0, min(6, n * p) + 1))
             Z = rng.standard_normal((t, p))
             Z /= np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None]
             G = rng.standard_normal((t, n))
-            z = rng.standard_normal(p)
-            z /= max(1.0, np.linalg.norm(z))
-            g = rng.standard_normal(n)
-            col_k, diag_k = via_kernel.gram_column(Z, G, z, g)
-            col_l, diag_l = via_linear.gram_column(Z, G, z, g)
-            np.testing.assert_array_equal(col_k, col_l)
-            assert diag_k == diag_l
+            np.testing.assert_array_equal(via_kernel.gram(Z, G), via_linear.gram(Z, G))
 
     def test_matches_explicit_lift_inner_product(self):
         rng = np.random.default_rng(5)
@@ -201,15 +225,47 @@ class TestGramEntry:
                 Z = rng.standard_normal((4, 4))
                 Z /= np.maximum(1.0, np.linalg.norm(Z, axis=1))[:, None]
                 G = rng.standard_normal((4, 3))
-                z, g = Z[-1], G[-1]
-                col, diag = spec.gram_column(Z[:-1], G[:-1], spec.check_context(z), g)
-                lz = lift(spec, spec.check_context(z), g)
-                direct = [
-                    float(lift(spec, spec.check_context(zs), gs).dot(lz))
-                    for zs, gs in zip(Z[:-1], G[:-1])
-                ]
-                np.testing.assert_allclose(col, direct, rtol=1e-12)
-                assert diag == pytest.approx(float(lz.dot(lz)), rel=1e-12)
+                phi = np.array([lift(spec, spec.check_context(z), g) for z, g in zip(Z, G)])
+                direct = phi.T.dot(phi) if spec.dim < 4 else phi.dot(phi.T)
+                np.testing.assert_allclose(spec.gram(Z, G), direct, rtol=1e-12)
+
+    def test_context_factors(self):
+        Z = np.array([[0.1, 0.2], [0.3, -0.4]])
+        G = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 1.0]])
+        k = KernelSpec.rbf(1.0)
+        np.testing.assert_array_equal(LiftSpec.identity(3).gram(Z, G), G.dot(G.T))
+        np.testing.assert_array_equal(LiftSpec.linear(3, 2).gram(Z, G), Z.dot(Z.T) * G.dot(G.T))
+        np.testing.assert_array_equal(LiftSpec.kernelized(3, 2, k).gram(Z, G), k.matrix(Z) * G.dot(G.T))
+
+    @settings(deadline=None, max_examples=200)
+    @given(gram_cases)
+    def test_gram_property(self, case):
+        # From its smaller side, exactly symmetric, the per-entry lifted
+        # inner products up to rounding, with zero residual rows exactly
+        # zero; on the D x D side, bit for bit the product of stacked lifts.
+        seed, kind, n, p, r, zero_share = case
+        rng = np.random.default_rng(seed)
+        spec = {
+            "noncontextual": LiftSpec.identity(n),
+            "linear": LiftSpec.linear(n, p),
+            "rbf": LiftSpec.kernelized(n, p, KernelSpec.rbf(rng.choice([0.1, 1.0, 10.0]))),
+            "linear_dot": LiftSpec.kernelized(n, p, KernelSpec.linear_dot()),
+        }[kind]
+        Z = ball_rows(rng, r, p) if r else np.zeros((0, p))
+        G = rng.standard_normal((r, n))
+        zero = rng.random(r) < zero_share
+        G[zero] = 0.0
+        gram = spec.gram(Z, G)
+        side = r if spec.kind == "kernel" else min(r, spec.dim)
+        assert gram.shape == (side, side)
+        np.testing.assert_array_equal(gram, gram.T)
+        ref, scale = dense_gram(spec, Z, G)
+        assert np.all(np.abs(gram - ref) <= 1e-12 * (np.abs(ref) + scale))
+        if side == r:
+            assert not gram[zero].any()
+        else:
+            phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)
+            np.testing.assert_array_equal(gram, phi.T.dot(phi))
 
 
 class TestLiftSpec:
@@ -218,11 +274,3 @@ class TestLiftSpec:
         assert LiftSpec.linear(3, 5).dim == 15
         with pytest.raises(ValueError):
             LiftSpec.kernelized(3, 5, KernelSpec.rbf(1.0)).dim
-
-    def test_context_columns(self):
-        Z = np.array([[0.1, 0.2], [0.3, -0.4]])
-        z = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(LiftSpec.identity(3).context_column(Z, None), [1.0, 1.0])
-        np.testing.assert_array_equal(LiftSpec.linear(3, 2).context_column(Z, z), Z.dot(z))
-        k = KernelSpec.rbf(1.0)
-        np.testing.assert_array_equal(LiftSpec.kernelized(3, 2, k).context_column(Z, z), k.column(Z, z))

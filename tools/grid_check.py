@@ -8,13 +8,16 @@ checkout this file sits in, BLAS pinned to one thread before numpy
 loads, and writes one record per cell: digests of the ``RunResult``
 without its timings, of the trace JSON and of the action the harness
 recommended in each round (recorded by wrapping ``harness.top_m_oracle``),
-plus the cell's status and certificate verdicts in the clear.
+plus the cell's status, certificate verdicts and certificate values
+``(lhs, rhs)`` in the clear.
 
 ``compare`` sorts the cells of two such files into three groups:
 byte-identical cells, cells whose every action is the same but whose
 values moved, and moved cells, each with its first round recommending a
-different action.  It names any cell whose status or certificate
-verdicts changed, and exits 1 when a cell differs.  To check a change,
+different action.  Each value-only cell is printed with its certificate
+drift: the largest change of a certificate value ``v`` relative to
+``1 + |v|``.  It names any cell whose status or certificate verdicts
+changed, and exits 1 when a cell differs.  To check a change,
 run this file from both checkouts (copy it into the older one if it
 lacks it) and compare the two outputs.
 
@@ -95,6 +98,8 @@ def run(out_path: str) -> None:
                                 "actions": [_digest(a) for a in actions],
                                 "status": result.status,
                                 "holds": {c.name: c.holds for c in result.certificates},
+                                "certificates": {c.name: [c.lhs, c.rhs]
+                                                 for c in result.certificates},
                             }
     finally:
         harness.top_m_oracle = oracle
@@ -108,6 +113,12 @@ def _first_divergence(a: list, b: list) -> int:
         if x != y:
             return t
     return min(len(a), len(b))
+
+
+def _certificate_drift(a: dict, b: dict) -> float:
+    """Largest change of a certificate value ``v`` relative to ``1 + |v|``."""
+    return max((abs(x - y) / (1.0 + abs(x))
+                for name in a.keys() & b.keys() for x, y in zip(a[name], b[name])), default=0.0)
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -130,9 +141,13 @@ def compare(path_a: str, path_b: str) -> int:
                 != (cells_b[key]["status"], cells_b[key]["holds"])]
     print(f"byte-identical: {len(identical)}")
     print(f"value-only:     {len(value_only)}")
+    drifts = []
     for key in value_only:
         parts = [p for p in ("result", "trace") if cells_a[key][p] != cells_b[key][p]]
-        print(f"  {key}  ({', '.join(parts)})")
+        drifts.append(_certificate_drift(cells_a[key]["certificates"], cells_b[key]["certificates"]))
+        print(f"  {key}  ({', '.join(parts)})  certificate drift {drifts[-1]:.1e}")
+    if drifts:
+        print(f"  largest certificate drift: {max(drifts):.1e}")
     print(f"moved:          {len(moved)}")
     for key, t in moved:
         print(f"  {key}  first different action at round {t}")

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .lifting import KERNEL, LINEAR, NONCONTEXTUAL
+from .environment import BOUND_PAYOFF, MODELS
 from .numkit import gram_eigenvalues
 
 __all__ = [
@@ -36,13 +36,6 @@ __all__ = [
 
 # Default relative tolerance of inequality certificates, scaled by 1+|rhs|.
 DEFAULT_REL_TOL = 1e-6
-
-# Per model kind, the factor of the Gram operator-norm envelope.
-_MODEL_FACTORS = {
-    NONCONTEXTUAL: lambda tr: 1.0,
-    LINEAR: lambda tr: tr.context_bound**2,
-    KERNEL: lambda tr: tr.kernel_bound**2,
-}
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ def _cert(name: str, lhs: float, rhs: float, rel: float = DEFAULT_REL_TOL) -> Ce
 
 
 # The TraceSummary fields that hold one entry per round.
-_PER_ROUND = ("leverage", "alignment", "alignment_scale", "potential", "regret", "subopt",
+_PER_ROUND = ("leverage", "alignment", "alignment_scale", "regret", "subopt",
               "potential_direct", "post_leverage")
 
 
@@ -88,31 +81,36 @@ class TraceSummary:
 
     ``regret`` holds the per-round utility gaps of the revealed action
     over the recommendation; ``subopt`` the revealed action's own gap to
-    the argmax.  The leverage/alignment/potential columns come from the
-    learner; ``potential_direct`` and ``post_leverage`` are optional
-    recomputations captured outside the learner's hot path.  ``gram``
-    (when its side fits under the cap) has the nonzero spectrum of the
-    Gram of the rounds with a mistake: that r x r Gram for a kernel lift,
-    the smaller of ``Phi Phi^T`` and ``Phi^T Phi`` for an explicit one.
-    ``algorithm``, ``base_dim`` and ``context_dim`` are file metadata that
-    no certificate reads; every other field feeds one.
+    the argmax.  The leverage/alignment columns come from the learner, and
+    the running potential is derived from them
+    (:meth:`potential_increments`); ``potential_direct`` and
+    ``post_leverage`` are optional recomputations captured outside the
+    learner's hot path.  ``gram`` (when its side fits under the cap) has
+    the nonzero spectrum of the Gram of the rounds with a mistake: that
+    r x r Gram for a kernel lift, the smaller of ``Phi Phi^T`` and
+    ``Phi^T Phi`` for an explicit one.  ``diameter`` is the action set's.
+    ``algorithm``, ``model_kind``, ``base_dim`` and ``context_dim`` are
+    file metadata that no certificate reads; every other field feeds one.
+
+    The other problem constants are the same for every trace, so they are
+    not stored: payoff differences are bounded by
+    :data:`corectron.environment.BOUND_PAYOFF`, the hidden utility (the
+    comparator) has unit norm, and every context factor ``kappa(z, z)`` is
+    at most 1 (contexts lie in the unit ball; the RBF kernel has
+    ``k(z, z) = 1``), so the Gram envelope of every model is
+    ``horizon * diameter**2``.
     """
 
     algorithm: str
-    model_kind: str  # "noncontextual" | "linear" | "kernel"
+    model_kind: str  # one of environment.MODELS
     regularizer: float
     horizon: int
     base_dim: int
     context_dim: int
-    bound_payoff: float
     diameter: float
-    context_bound: float
-    kernel_bound: float
-    comparator_norm: float
     leverage: np.ndarray
     alignment: np.ndarray
     alignment_scale: np.ndarray
-    potential: np.ndarray
     regret: np.ndarray
     subopt: np.ndarray
     final_potential_direct: float
@@ -132,7 +130,7 @@ class TraceSummary:
                 raise ValueError(f"{f.name} must be finite")
         if not self.regularizer > 0:
             raise ValueError("regularizer must be finite and positive")
-        if self.model_kind not in _MODEL_FACTORS:
+        if self.model_kind not in MODELS:
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
         for name in _PER_ROUND:
             value = getattr(self, name)
@@ -153,6 +151,13 @@ class TraceSummary:
 
     # -- derived quantities -------------------------------------------------
 
+    def potential_increments(self) -> np.ndarray:
+        """Per-round increments of the potential, the quadratic form of the
+        cumulative residual under the inverse preconditioner:
+        ``(lev + 2 align - align^2) / (1 + lev)``."""
+        lev, align = self.leverage, self.alignment
+        return (lev + 2.0 * align - align * align) / (1.0 + lev)
+
     def total_regret(self) -> float:
         return float(self.regret.sum())
 
@@ -167,13 +172,11 @@ class TraceSummary:
     def comparator_metric_norm(self) -> float:
         """Norm of the hidden utility under the final preconditioner.
 
-        Expands to the ridge times the comparator norm plus the summed
-        squared per-round regrets, because each residual's inner product
-        with the hidden utility is minus that round's regret.
+        Expands to the ridge times the squared comparator norm, which is 1,
+        plus the summed squared per-round regrets, because each residual's
+        inner product with the hidden utility is minus that round's regret.
         """
-        return math.sqrt(
-            self.regularizer * self.comparator_norm**2 + float(np.sum(self.regret**2))
-        )
+        return math.sqrt(self.regularizer + float(np.sum(self.regret**2)))
 
     # -- serialisation -------------------------------------------------------
 
@@ -189,8 +192,10 @@ class TraceSummary:
     def from_dict(cls, d: dict) -> "TraceSummary":
         """Inverse of :meth:`to_dict`.  Absent optional keys take their
         field defaults; unknown keys (such as the retired ``extras``,
-        ``projected``, ``residual_regret`` and ``gram_capped``) are
-        ignored.  Raises ``ValueError`` naming any absent required key."""
+        ``projected``, ``residual_regret``, ``gram_capped``, ``potential``,
+        ``bound_payoff``, ``context_bound``, ``kernel_bound`` and
+        ``comparator_norm``) are ignored, so older traces still load.
+        Raises ``ValueError`` naming any absent required key."""
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ValueError(f"trace lacks required keys: {', '.join(missing)}")
@@ -238,8 +243,7 @@ def check_increment_identity(trace: TraceSummary) -> Certificate:
         return Certificate("potential_increment", 0.0, 0.0, 1e-8)
     if trace.potential_direct is None:
         raise ValueError("trace has no per-round direct potential")
-    lev, align = trace.leverage, trace.alignment
-    expected = (lev + 2.0 * align - align**2) / (1.0 + lev)
+    expected = trace.potential_increments()
     steps = np.diff(np.concatenate([[0.0], trace.potential_direct]))
     err = float(np.max(np.abs(steps - expected) / (1.0 + np.abs(expected))))
     return Certificate("potential_increment", err, 0.0, 1e-8)
@@ -280,7 +284,7 @@ def check_self_bounding(trace: TraceSummary) -> Certificate:
     Purely base-space quantities; holds whether or not the hidden
     utility is representable in the learner's lift.
     """
-    B = trace.bound_payoff
+    B = BOUND_PAYOFF
     rhs = B * trace.total_regret() + 2.0 * B * trace.total_subopt()
     return _cert("squared_regret_self_bound", float(np.sum(trace.regret**2)), rhs)
 
@@ -289,17 +293,17 @@ def check_robust_bound(trace: TraceSummary) -> list[Certificate]:
     """Suboptimality-robust regret bound and its self-bounding lemma.
 
     The bound's three terms are the payoff bound times the log-det, the
-    comparator norm times the square root of ridge times log-det, and
+    comparator norm (1) times the square root of ridge times log-det, and
     the square root of twice the payoff bound times cumulative
     suboptimality times log-det.
     """
-    B = trace.bound_payoff
+    B = BOUND_PAYOFF
     H = trace.logdet_from_leverage()
     lam = trace.regularizer
     delta = trace.total_subopt()
     rhs = (
         B * H
-        + trace.comparator_norm * math.sqrt(lam * H)
+        + math.sqrt(lam * H)
         + math.sqrt(2.0 * B * delta * H)
     )
     return [
@@ -325,25 +329,20 @@ def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:
     identity tying the per-round leverage product to ``H``, in the log
     domain; ``H`` at most the effective dimension times one plus the log
     of one plus the Gram operator norm over the ridge; and the operator
-    norm within the horizon-times-squared-diameter envelope of the
-    active model.
+    norm within the horizon-times-squared-diameter envelope.
     """
     if trace.horizon == 0:
         return [Certificate(name, 0.0, 0.0, DEFAULT_REL_TOL) for name in _SPECTRAL_CHECKS]
     if trace.gram is None:
         raise ValueError("trace has no stored Gram matrix")
     lam = trace.regularizer
-    try:
-        factor = _MODEL_FACTORS[trace.model_kind](trace)
-    except KeyError:
-        raise ValueError(f"unknown model kind: {trace.model_kind!r}") from None
     evals = gram_eigenvalues(trace.gram)
     h_eig = float(np.sum(np.log1p(evals / lam)))
     deff = float(np.sum(evals / (evals + lam)))
     opnorm = float(evals.max(initial=0.0))
     lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
     ident_err = abs(trace.logdet_from_leverage() - h_eig)
-    cap = trace.horizon * trace.diameter**2 * factor
+    cap = trace.horizon * trace.diameter**2
     return [
         _cert("elliptical_potential", lhs, h_eig),
         Certificate("logdet_product_identity", ident_err, 0.0, 1e-6),
@@ -353,10 +352,11 @@ def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:
 
 
 def check_potential_crosscheck(trace: TraceSummary) -> Certificate:
-    """Incrementally accumulated potential matches the direct recomputation."""
+    """Potential accumulated from the per-round increments, in round order,
+    matches the direct recomputation."""
     if trace.horizon == 0:
         return Certificate("potential_crosscheck", 0.0, 0.0, DEFAULT_REL_TOL)
-    inc = float(trace.potential[-1])
+    inc = float(np.cumsum(trace.potential_increments())[-1])
     direct = trace.final_potential_direct
     err = abs(inc - direct)
     return Certificate("potential_crosscheck", err, 0.0, 1e-6 * (1.0 + abs(direct)))

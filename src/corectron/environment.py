@@ -336,13 +336,3 @@ class Environment:
         self.utilities = utility_eval(self.model, self.contexts)
         rng_fb = rng_stream(seed, ROLE_FEEDBACK)
         self.revealed, self.subopt = reveal_action(feedback, self.utilities, actions, rng_fb)
-
-    def trace_constants(self) -> dict:
-        """Problem constants entering the analysis-certificate bounds."""
-        return {
-            "bound_payoff": BOUND_PAYOFF,
-            "diameter": self.actions.diameter,
-            "context_bound": 1.0,
-            "kernel_bound": 1.0,
-            "comparator_norm": 1.0,
-        }

@@ -256,8 +256,9 @@ def run_episode(
     or, for an explicit lift of dimension D < r, D x D; stored when its side
     is within ``diag_cap``.  "light" keeps only the O(T) scalars and the
     always-on certificates.
-    Episodes that produce non-finite numbers are reported with status
-    "failed" instead of aborting the sweep.
+    Episodes that produce non-finite numbers or a matrix that is not
+    positive definite are reported with status "failed" instead of
+    aborting the sweep.
     """
     env = make_environment(config, feedback, seed)
     learner = build_learner(config, algorithm, params)
@@ -269,7 +270,6 @@ def run_episode(
     leverage = np.zeros(T)
     alignment = np.zeros(T)
     alignment_scale = np.zeros(T)
-    potential = np.zeros(T)
     recommended = np.zeros((T, config.items))
     projection_count = 0
     potential_direct = np.zeros(T) if want_full else None
@@ -293,7 +293,6 @@ def run_episode(
             leverage[t] = diag.leverage
             alignment[t] = diag.alignment
             alignment_scale[t] = diag.alignment_scale
-            potential[t] = diag.potential
             projection_count += diag.projected
             if want_full:
                 potential_direct[t] = learner.potential_direct()
@@ -308,7 +307,7 @@ def run_episode(
             # diagnostic fails this cell instead of the sweep.
             final_potential_direct = learner.potential_direct() if T else 0.0
             for name, column in (("leverage", leverage), ("alignment", alignment),
-                                 ("alignment_scale", alignment_scale), ("potential", potential),
+                                 ("alignment_scale", alignment_scale),
                                  ("potential_direct", potential_direct),
                                  ("post_leverage", post_leverage),
                                  ("final_potential_direct", final_potential_direct)):
@@ -354,11 +353,10 @@ def run_episode(
             horizon=T,
             base_dim=config.items,
             context_dim=config.context_dim,
-            **env.trace_constants(),
+            diameter=actions.diameter,
             leverage=leverage,
             alignment=alignment,
             alignment_scale=alignment_scale,
-            potential=potential,
             regret=regret,
             subopt=env.subopt.copy(),
             final_potential_direct=final_potential_direct,

@@ -18,7 +18,7 @@ A round whose residual (lifted, for the explicit learners) is exactly
 zero, one without a mistake, leaves every learner's state and prediction
 unchanged, so ``update`` returns at once: no inverse update, no history
 row, no solve, no projection.  Its diagnostics are those the full update
-would give: leverage and alignment 0, the potential unchanged,
+would give: leverage and alignment 0, hence a zero potential increment,
 ``alignment_scale`` 1, not projected.
 """
 
@@ -50,36 +50,30 @@ class RoundDiagnostics(NamedTuple):
                     preconditioned cumulative residual; non-positive by
                     construction because the recommendation maximised the
                     predicted utility.
-    ``potential``   running quadratic form of the cumulative residual
-                    under the post-update inverse preconditioner,
-                    accumulated through the closed-form increment.
     ``alignment_scale``  natural scale ``1 + ||g|| * ||cumulative||`` for
                     tolerance checks on ``alignment``.
     ``projected``   True when a baseline performed a nontrivial
                     projection this round; always False for the
                     projection-free learners.
 
-    Baselines fill the unavailable scalars with NaN.
+    Baselines fill the unavailable scalars with NaN.  The potential is not
+    recorded: its per-round increment is a function of the leverage and
+    the alignment (:meth:`corectron.diagnostics.TraceSummary.potential_increments`).
     """
 
     leverage: float
     alignment: float
-    potential: float
     alignment_scale: float
     projected: bool
 
 
 def _baseline_diag(projected: bool) -> RoundDiagnostics:
     nan = float("nan")
-    return RoundDiagnostics(nan, nan, nan, nan, projected)
+    return RoundDiagnostics(nan, nan, nan, projected)
 
 
-def _zero_round_diag(potential: float) -> RoundDiagnostics:
-    return RoundDiagnostics(0.0, 0.0, potential, 1.0, False)
-
-
-def _potential_increment(lev: float, align: float) -> float:
-    return (lev + 2.0 * align - align * align) / (1.0 + lev)
+# A round without a mistake: no leverage, no alignment.
+_ZERO_ROUND = RoundDiagnostics(0.0, 0.0, 1.0, False)
 
 
 class _History:
@@ -160,7 +154,6 @@ class CoRectron:
         d = lift_spec.dim
         self._inv = SpdInverse.from_ridge(d, regularizer)
         self._cum = np.zeros(d)
-        self._potential = 0.0
         self._pre = np.zeros(d)
         self._last_lifted: np.ndarray | None = None
 
@@ -173,7 +166,7 @@ class CoRectron:
         g = lift(self.lift_spec, z, g_base)
         self._last_lifted = g
         if not g.any():
-            return _zero_round_diag(self._potential)
+            return _ZERO_ROUND
         align = float(g.dot(self._pre))
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(self._cum))
         lev, ag = self._inv.rank_one_update(g)
@@ -182,8 +175,7 @@ class CoRectron:
             self._pre += ag * ((1.0 - align) / (1.0 + lev))
         else:
             self._pre[:] = 0.0
-        self._potential += _potential_increment(lev, align)
-        return RoundDiagnostics(lev, align, self._potential, scale, False)
+        return RoundDiagnostics(lev, align, scale, False)
 
     def potential_direct(self) -> float:
         """Quadratic form of the cumulative residual, recomputed from state."""
@@ -224,7 +216,6 @@ class CoRectronK:
         self._weights = np.empty(0)  # -coef, the prediction's representer weights
         self._hist = _History(lift_spec)
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
-        self._potential = 0.0
         self._post_leverage: float | None = None  # of the last round
 
     def predict(self, z) -> np.ndarray:
@@ -240,7 +231,7 @@ class CoRectronK:
         g = np.asarray(g_base, dtype=float)
         if not g.any():
             self._post_leverage = 0.0
-            return _zero_round_diag(self._potential)
+            return _ZERO_ROUND
         col, rho = self._hist.gram_column(z, g)
         y, pivot = self._chol.extend(col, rho + self.regularizer)
         lev = (rho - float(y.dot(y))) / self.regularizer
@@ -259,8 +250,7 @@ class CoRectronK:
         # so L^{-1} e_t = e_t / pivot and the last entry of (L L^T)^{-1} e_t
         # is (1 / pivot) / pivot, the value two dense triangular solves give.
         self._post_leverage = 1.0 - self.regularizer * ((1.0 / pivot) / pivot)
-        self._potential += _potential_increment(lev, align)
-        return RoundDiagnostics(lev, align, self._potential, scale, False)
+        return RoundDiagnostics(lev, align, scale, False)
 
     def potential_direct(self) -> float:
         """Potential from the Gram solve: ``t - ridge * sum(coefficients)``.

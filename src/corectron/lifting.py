@@ -63,12 +63,6 @@ class KernelSpec:
     def linear_dot(cls) -> "KernelSpec":
         return cls("linear")
 
-    def value(self, za: np.ndarray, zb: np.ndarray) -> float:
-        if self.kind == "linear":
-            return float(np.dot(za, zb))
-        d = za - zb
-        return float(np.exp(-d.dot(d) / (2.0 * self.bandwidth**2)))
-
     def column(self, Z: np.ndarray, z: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
         """Vector of ``k(Z[s], z)`` over the rows of ``Z``.
 

@@ -9,7 +9,9 @@ eigenvalues from which the diagnostics layer certifies the
 log-determinant, effective dimension and operator norm.
 
 Both projections return a point that satisfies the constraint as
-evaluated on that point, not only in the eigenbasis.
+evaluated on that point, not only in the eigenbasis.  A metric that is
+not positive definite (a tiny ridge lost to rounding) raises
+``np.linalg.LinAlgError``, a numerical failure of that one episode.
 
 Everything but two routines runs on numpy alone: the ball projection's
 ``np.linalg.eigh`` and the Gram eigenvalues' ``eigvalsh`` are LAPACK
@@ -449,7 +451,7 @@ def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResu
         raise ValueError("inverse metric and point dimensions disagree")
     mu, V = np.linalg.eigh(inv_metric)
     if mu[0] <= 0:
-        raise ValueError("inverse metric must be positive definite")
+        raise np.linalg.LinAlgError("inverse metric must be positive definite")
     b = V.T.dot(point)
     # ||w(theta)|| <= nrm / (1 + theta * mu[0]) < radius at this bracket end.
     theta = _radius_multiplier(b * b, mu, radius, nrm / (radius * float(mu[0])))
@@ -485,7 +487,7 @@ def project_ellipsoid_coeff(metric, shape, point, radius: float) -> ProjectionRe
     try:
         s, V = scipy_linalg().eigh(shape, metric, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("metric must be positive definite") from exc
+        raise np.linalg.LinAlgError("metric must be positive definite") from exc
     # Eigenvalues within rounding of zero are noise of the shape's null space;
     # times a large component of b they would push the multiplier past the root.
     s = np.where(s > s.size * np.finfo(float).eps * max(float(s[-1]), 0.0), s, 0.0)

@@ -7,7 +7,6 @@ import pytest
 
 from corectron.cli import main as cli_main
 from corectron.diagnostics import (
-    _MODEL_FACTORS,
     Certificate,
     TraceSummary,
     check_cei,
@@ -19,7 +18,7 @@ from corectron.diagnostics import (
     check_sign_condition,
     standard_certificates,
 )
-from corectron.environment import MODELS, FeedbackModel
+from corectron.environment import BOUND_PAYOFF, FeedbackModel
 from corectron.harness import default_config, resolve_hyperparameters, run_episode
 
 
@@ -38,9 +37,8 @@ def empty_trace():
     z = np.empty(0)
     return TraceSummary(
         algorithm="corectron_l", model_kind="linear", regularizer=1.0, horizon=0,
-        base_dim=3, context_dim=2, bound_payoff=1.0, diameter=1.0,
-        context_bound=1.0, kernel_bound=1.0, comparator_norm=1.0,
-        leverage=z, alignment=z, alignment_scale=z, potential=z, regret=z,
+        base_dim=3, context_dim=2, diameter=1.0,
+        leverage=z, alignment=z, alignment_scale=z, regret=z,
         subopt=z, final_potential_direct=0.0,
         potential_direct=z, post_leverage=z, gram=np.empty((0, 0)),
     )
@@ -118,9 +116,9 @@ class TestOnRealRuns:
         _, trace = run_trace(T=100)
         assert trace.total_subopt() == 0.0
         robust, self_bound = check_robust_bound(trace)
-        B, lam = trace.bound_payoff, trace.regularizer
+        B, lam = BOUND_PAYOFF, trace.regularizer
         H = trace.logdet_from_leverage()
-        expect = B * H + trace.comparator_norm * np.sqrt(lam * H)
+        expect = B * H + np.sqrt(lam * H)
         assert robust.rhs == pytest.approx(expect)
         assert robust.holds and self_bound.holds
 
@@ -211,9 +209,10 @@ class TestOnRealRuns:
 
     def test_unknown_model_kind_rejected(self):
         _, trace = run_trace(T=10)
-        trace.model_kind = "mystery"
-        with pytest.raises(ValueError):
-            check_gram_spectrum(trace)
+        saved = {f.name: getattr(trace, f.name) for f in fields(TraceSummary)}
+        saved["model_kind"] = "mystery"
+        with pytest.raises(ValueError, match="unknown model kind"):
+            TraceSummary(**saved)
 
     def test_certificates_read_every_field_but_file_metadata(self):
         # a field no certificate reads is either file metadata or dead
@@ -234,7 +233,7 @@ class TestOnRealRuns:
         for trace in traces:
             _, skipped = standard_certificates(trace)
             assert not skipped
-        assert names - read == {"algorithm", "base_dim", "context_dim"}
+        assert names - read == {"algorithm", "model_kind", "base_dim", "context_dim"}
 
     def test_spectral_checks_need_stored_gram(self):
         _, trace = run_trace(T=10)
@@ -387,10 +386,14 @@ class TestTraceSerialization:
 
     def test_loads_trace_with_extras_key(self, tmp_path):
         # trace files written before these fields were removed carry
-        # "extras", "projected" and "residual_regret"
+        # "extras", "projected" and "residual_regret", and later ones the
+        # running "potential" and four problem constants that were always 1
         _, trace = run_trace(T=30)
         saved = trace.to_dict()
-        retired = {"extras": {}, "projected": [0] * 30, "residual_regret": trace.total_regret()}
+        retired = {"extras": {}, "projected": [0] * 30, "residual_regret": trace.total_regret(),
+                   "potential": np.cumsum(trace.potential_increments()).tolist(),
+                   "bound_payoff": 1.0, "context_bound": 1.0, "kernel_bound": 1.0,
+                   "comparator_norm": 1.0}
         assert not retired.keys() & saved.keys()
         saved.update(retired)
         path = tmp_path / "old_trace.json"
@@ -401,6 +404,3 @@ class TestTraceSerialization:
         certs_b, _ = standard_certificates(back)
         assert [c.to_dict() for c in certs_a] == [c.to_dict() for c in certs_b]
 
-
-def test_envelope_factors_cover_exactly_the_models():
-    assert set(_MODEL_FACTORS) == set(MODELS)

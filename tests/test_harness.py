@@ -31,6 +31,8 @@ from corectron.harness import (
 )
 from corectron.numkit import SpdInverse
 
+from kernel_reference import kernel_value
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -273,7 +275,7 @@ class TestRunEpisode:
         spec = learners[0].lift_spec
         if spec.kind == "kernel":
             dense = [
-                [spec.kernel.value(zs, zt) * float(gs.dot(gt)) for zt, gt in rounds]
+                [kernel_value(spec.kernel, zs, zt) * float(gs.dot(gt)) for zt, gt in rounds]
                 for zs, gs in rounds
             ]
         else:
@@ -386,7 +388,7 @@ class TestSweep:
             assert row.status == "ok"
             assert row.csv_row()[:8] == ref.csv_row()[:8]
 
-    @pytest.mark.parametrize("field", ["potential", "alignment", "final_potential_direct"])
+    @pytest.mark.parametrize("field", ["leverage", "alignment", "final_potential_direct"])
     def test_non_finite_diagnostic_fails_only_its_cell(self, monkeypatch, field):
         config = tiny_config(horizon=30)
         clean = sweep(config)
@@ -637,7 +639,7 @@ class TestCli:
                                         "nonsquare_gram", "asymmetric_gram",
                                         "string_regularizer", "small_horizon",
                                         "nan_regularizer", "inf_regularizer",
-                                        "leverage_below_minus_one", "inf_potential",
+                                        "leverage_below_minus_one", "inf_alignment",
                                         "nan_diameter", "nan_regret",
                                         "nan_final_potential_direct", "nan_gram"])
     def test_certify_rejects_unreadable_trace(self, tmp_path, capsys, damage):
@@ -664,7 +666,7 @@ class TestCli:
         elif damage == "leverage_below_minus_one":
             saved["leverage"][0] = -2.0
             path.write_text(json.dumps(saved))
-        elif damage in ("inf_potential", "nan_diameter", "nan_regret",
+        elif damage in ("inf_alignment", "nan_diameter", "nan_regret",
                         "nan_final_potential_direct", "nan_gram"):
             bad, key = damage.split("_", 1)
             value = float(bad)
@@ -745,6 +747,33 @@ class TestCli:
             assert line.endswith("missing column(s) setting")
         if damage in ("bad_value", "short_row"):
             assert ": line 3: " in line
+
+    @pytest.mark.parametrize("setting, tiny, algos", [
+        ("linear", 1e-30, ("ons", "corectron_l")),
+        ("noncontextual", 1e-100, ("ons",)),
+    ], ids=["linear-1e-30", "noncontextual-1e-100"])
+    def test_tiny_ridge_fails_only_its_cells(self, tmp_path, capsys, setting, tiny, algos):
+        # a ridge lost to rounding leaves ONS an inverse metric that is not
+        # positive definite: its cells fail, and the sweep finishes and
+        # writes every cell
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="failed episode"):
+            code = cli_main(["run", "--setting", setting,
+                             "--algos", ",".join(a.replace("_", "-") for a in algos),
+                             "--coef-grid", f"{tiny!r},1", "--T", "150", "--seeds", "1",
+                             "--n", "6", "--m", "3", "--p", "3", "--out", str(out)])
+        assert code == 0
+        rows = read_results_csv(out / "results.csv")
+        assert {(r.algorithm, r.coefficient) for r in rows} == {
+            (a, c) for a in algos for c in (tiny, 1.0)}
+        report = json.loads((out / "report.json").read_text())
+        status = {(r["algorithm"], r["coefficient"]): (r["status"], r["message"])
+                  for r in report["results"]}
+        assert status[("ons", tiny)] == (
+            "failed", "LinAlgError: inverse metric must be positive definite")
+        for algorithm in algos:
+            assert status[(algorithm, tiny)][0] == "failed"
+            assert status[(algorithm, 1.0)] == ("ok", "")
 
     def test_run_rejects_conflicting_noise(self, tmp_path):
         code = cli_main([

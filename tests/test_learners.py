@@ -8,6 +8,8 @@ from corectron.learners import KONS, OGD, ONS, CoRectron, CoRectronK
 from corectron.lifting import KernelSpec, LiftSpec
 from corectron.numkit import JITTER_REL
 
+from kernel_reference import kernel_value
+
 
 def unit_context(rng, p):
     z = rng.standard_normal(p)
@@ -77,11 +79,11 @@ class TestCoRectron:
         learner = CoRectron(LiftSpec.identity(2), 1.0)
         learner.update(None, np.array([1.0, 0.5]))
         before = learner.predict().copy()
-        pot = learner.update(None, np.zeros(2)).potential
+        pot = learner.potential_direct()
         diag = learner.update(None, np.zeros(2))
         assert diag.leverage == 0.0
         assert diag.alignment == 0.0
-        assert diag.potential == pot
+        assert learner.potential_direct() == pot
         np.testing.assert_array_equal(learner.predict(), before)
 
     def test_rejects_kernel_lift(self):
@@ -157,12 +159,12 @@ class TestCoRectronK:
         learner = CoRectronK(self.kernel_spec(), lam)
         rng = np.random.default_rng(3)
         z = unit_context(rng, 2)
-        running = learner.update(z, rng.standard_normal(3)).potential
+        learner.update(z, rng.standard_normal(3))
         before = learner.predict(z).copy()
         pot = learner.potential_direct()
         assert learner.post_round_leverage() > 0.0
         diag = learner.update(z, np.zeros(3))
-        assert diag == (0.0, 0.0, running, 1.0, False)
+        assert diag == (0.0, 0.0, 1.0, False)
         assert learner._chol.size == learner._hist.size == learner._coef.size == 1
         np.testing.assert_array_equal(learner.predict(z), before)
         assert learner.potential_direct() == pot
@@ -181,7 +183,7 @@ class TestCoRectronK:
         kern = learner.lift_spec.kernel
         K = np.array(
             [
-                [kern.value(zs, zt) * float(gs.dot(gt)) for zt, gt in hist]
+                [kernel_value(kern, zs, zt) * float(gs.dot(gt)) for zt, gt in hist]
                 for zs, gs in hist
             ]
         )
@@ -235,7 +237,7 @@ def run_kernel_stream(stream, check):
         if not zero:
             hist.append((z.copy(), g.copy()))
         n = len(hist)
-        K = np.array([[spec.kernel.value(zs, zt) * gs.dot(gt) for zt, gt in hist] for zs, gs in hist]).reshape(n, n)
+        K = np.array([[kernel_value(spec.kernel, zs, zt) * gs.dot(gt) for zt, gt in hist] for zs, gs in hist]).reshape(n, n)
         if not zero:
             L = learner._chol.L
             y, pivot = L[n - 1, : n - 1], L[n - 1, n - 1]
@@ -550,7 +552,6 @@ def test_zero_residual_rounds_are_skipped(name, zeros, seed):
     full, twin = make(), make()
     second_order = name.startswith("corectron")
     rng = np.random.default_rng(seed)
-    running = 0.0
     for zero in zeros:
         z = unit_context(rng, 2)
         g = np.zeros(3) if zero else rng.standard_normal(3)
@@ -559,11 +560,10 @@ def test_zero_residual_rounds_are_skipped(name, zeros, seed):
         if zero:
             assert not diag.projected
             if second_order:
-                assert diag == (0.0, 0.0, running, 1.0, False)
+                assert diag == (0.0, 0.0, 1.0, False)
                 assert full.post_round_leverage() == 0.0
         else:
             np.testing.assert_equal(diag, twin.update(z, g))
-            running = diag.potential
         np.testing.assert_equal(learner_state(full), learner_state(twin))
     if name in ("corectron_k", "kons"):
         assert full._chol.size == full._hist.size == zeros.count(False)

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from corectron.lifting import KernelSpec, LiftSpec, adjoint_apply, lift, row_sq_norms
 
+from kernel_reference import kernel_value
+
 # (seed, rows, context dim, bandwidth, how the query relates to the rows)
 column_cases = st.tuples(
     st.integers(0, 2**32 - 1),
@@ -29,18 +31,18 @@ class TestKernelSpec:
         rng = np.random.default_rng(0)
         for _ in range(5):
             z = rng.standard_normal(4)
-            assert k.value(z, z) == pytest.approx(1.0)
+            assert k.column(z[None, :], z)[0] == pytest.approx(1.0)
             assert k.diag_value(z) == 1.0
 
     def test_linear_dot(self):
         k = KernelSpec.linear_dot()
-        assert k.value(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
+        assert k.column(np.array([[1.0, 2.0]]), np.array([3.0, -1.0]))[0] == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for k in (KernelSpec.rbf(1.3), KernelSpec.linear_dot()):
             a, b = rng.standard_normal(3), rng.standard_normal(3)
-            assert k.value(a, b) == pytest.approx(k.value(b, a))
+            assert k.column(a[None, :], b)[0] == pytest.approx(k.column(b[None, :], a)[0])
 
     def test_column_matches_value(self):
         rng = np.random.default_rng(2)
@@ -48,7 +50,7 @@ class TestKernelSpec:
         z = rng.standard_normal(3)
         for k in (KernelSpec.rbf(0.9), KernelSpec.linear_dot()):
             col = k.column(Z, z)
-            expect = [k.value(row, z) for row in Z]
+            expect = [kernel_value(k, row, z) for row in Z]
             np.testing.assert_allclose(col, expect, rtol=1e-12)
 
     @settings(deadline=None, max_examples=200)
@@ -57,7 +59,7 @@ class TestKernelSpec:
         # The column from norms stored row by row (as the kernel learners'
         # history keeps them) is the column without them, bit for bit; it
         # lies in [0, 1] even at exact and near duplicates, and it is the
-        # difference form of ``value`` up to the expansion's cancellation.
+        # difference form ``kernel_value`` up to the expansion's cancellation.
         seed, t, p, bandwidth, query = case
         rng = np.random.default_rng(seed)
         Z = ball_rows(rng, t, p)
@@ -73,7 +75,7 @@ class TestKernelSpec:
         col = k.column(Z, z, sq)
         assert col.tobytes() == k.column(Z, z).tobytes()
         assert np.all((col >= 0.0) & (col <= 1.0))
-        expect = np.array([k.value(row, z) for row in Z])
+        expect = np.array([kernel_value(k, row, z) for row in Z])
         assert np.max(np.abs(col - expect)) <= 1e-12
 
     @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), float("inf")])
@@ -163,7 +165,7 @@ def dense_gram(spec, Z, G):
     absolute terms behind each entry (the scale of its rounding error)."""
     r = G.shape[0]
     if spec.kind == "kernel":
-        kappa = np.array([[spec.kernel.value(a, b) for b in Z] for a in Z]).reshape(r, r)
+        kappa = np.array([[kernel_value(spec.kernel, a, b) for b in Z] for a in Z]).reshape(r, r)
         inner = np.array([[float(a.dot(b)) for b in G] for a in G]).reshape(r, r)
         return kappa * inner, np.abs(kappa) * np.abs(G).dot(np.abs(G).T)
     phi = np.array([lift(spec, z, g) for z, g in zip(Z, G)]).reshape(r, spec.dim)

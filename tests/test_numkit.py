@@ -835,9 +835,8 @@ def spectral(K, lam):
     z = np.zeros(t)
     trace = TraceSummary(
         algorithm="corectron_l", model_kind="noncontextual", regularizer=lam,
-        horizon=t, base_dim=1, context_dim=1, bound_payoff=1.0, diameter=1.0,
-        context_bound=1.0, kernel_bound=1.0, comparator_norm=1.0,
-        leverage=z, alignment=z, alignment_scale=z, potential=z, regret=z,
+        horizon=t, base_dim=1, context_dim=1, diameter=1.0,
+        leverage=z, alignment=z, alignment_scale=z, regret=z,
         subopt=z, final_potential_direct=0.0,
         gram=K,
     )

@@ -6,18 +6,20 @@
 ``run`` plays every cell of the grid below with the ``src/`` of the
 checkout this file sits in, BLAS pinned to one thread before numpy
 loads, and writes one record per cell: digests of the ``RunResult``
-without its timings, of the trace JSON and of the action the harness
-recommended in each round (recorded by wrapping ``harness.top_m_oracle``),
-plus the cell's status, certificate verdicts and certificate values
-``(lhs, rhs)`` in the clear.
+without its timings, of each field of the trace JSON and of the action
+the harness recommended in each round (recorded by wrapping
+``harness.top_m_oracle``), plus the cell's status, certificate verdicts
+and certificate values ``(lhs, rhs)`` in the clear.
 
 ``compare`` sorts the cells of two such files into three groups:
 byte-identical cells, cells whose every action is the same but whose
 values moved, and moved cells, each with its first round recommending a
-different action.  Each value-only cell is printed with its certificate
-drift: the largest change of a certificate value ``v`` relative to
-``1 + |v|``.  It names any cell whose status or certificate verdicts
-changed, and exits 1 when a cell differs.  To check a change,
+different action.  Each value-only cell is printed with what differs
+(the result, and by name the trace fields that changed, were added or
+were removed) and its certificate drift: the largest change of a
+certificate value ``v`` relative to ``1 + |v|``.  It names any cell
+whose status or certificate verdicts changed, and exits 1 when a cell
+differs.  To check a change,
 run this file from both checkouts (copy it into the older one if it
 lacks it) and compare the two outputs.
 
@@ -94,7 +96,9 @@ def run(out_path: str) -> None:
                                    f"/{feedback.kind}/s{seed}")
                             cells[key] = {
                                 "result": _json_digest(record),
-                                "trace": _json_digest(trace.to_dict()) if trace else None,
+                                "trace": ({name: _json_digest(value)
+                                           for name, value in trace.to_dict().items()}
+                                          if trace else None),
                                 "actions": [_digest(a) for a in actions],
                                 "status": result.status,
                                 "holds": {c.name: c.holds for c in result.certificates},
@@ -121,6 +125,20 @@ def _certificate_drift(a: dict, b: dict) -> float:
                 for name in a.keys() & b.keys() for x, y in zip(a[name], b[name])), default=0.0)
 
 
+def _differences(a: dict, b: dict) -> str:
+    """What differs between two records of one cell whose actions agree."""
+    parts = ["result"] if a["result"] != b["result"] else []
+    fields_a, fields_b = a["trace"] or {}, b["trace"] or {}
+    for label, names in (
+        ("changed", [n for n in fields_a.keys() & fields_b.keys() if fields_a[n] != fields_b[n]]),
+        ("added", fields_b.keys() - fields_a.keys()),
+        ("removed", fields_a.keys() - fields_b.keys()),
+    ):
+        if names:
+            parts.append(f"trace {label}: {' '.join(sorted(names))}")
+    return "; ".join(parts)
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         cells_a = json.load(fh)
@@ -143,9 +161,9 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"value-only:     {len(value_only)}")
     drifts = []
     for key in value_only:
-        parts = [p for p in ("result", "trace") if cells_a[key][p] != cells_b[key][p]]
         drifts.append(_certificate_drift(cells_a[key]["certificates"], cells_b[key]["certificates"]))
-        print(f"  {key}  ({', '.join(parts)})  certificate drift {drifts[-1]:.1e}")
+        print(f"  {key}  ({_differences(cells_a[key], cells_b[key])})"
+              f"  certificate drift {drifts[-1]:.1e}")
     if drifts:
         print(f"  largest certificate drift: {max(drifts):.1e}")
     print(f"moved:          {len(moved)}")

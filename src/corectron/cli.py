@@ -21,7 +21,6 @@ from .diagnostics import TraceSummary, standard_certificates
 from .environment import MODELS, FeedbackModel
 from .harness import (
     ALGORITHMS,
-    KERNEL_ONLY_ALGOS,
     aggregate_results,
     best_coefficients,
     default_config,
@@ -29,7 +28,7 @@ from .harness import (
     read_results_csv,
     sweep,
 )
-from .numkit import scipy_linalg
+from .numkit import scipy_blas
 
 
 def _parse_algos(text: str) -> tuple:
@@ -108,13 +107,13 @@ def _feedback_from_args(args) -> FeedbackModel:
     return FeedbackModel.optimal()
 
 
-def _single_thread_ctx(enabled: bool, algorithms: tuple):
+def _single_thread_ctx(enabled: bool):
     """The context that pins BLAS pools to one thread, and the pinning
     state that ``emit`` records in the report.
 
     threadpoolctl limits only the libraries already loaded, so scipy's
-    OpenBLAS, which a kernel learner loads lazily, is loaded first when
-    ``algorithms`` holds one; no other learner loads it.
+    BLAS, which every second-order learner loads when it is built, is
+    loaded first.
     """
     if not enabled:
         return contextlib.nullcontext(), "not requested"
@@ -123,8 +122,7 @@ def _single_thread_ctx(enabled: bool, algorithms: tuple):
     except ImportError:
         print("threadpoolctl unavailable; thread pinning skipped", file=sys.stderr)
         return contextlib.nullcontext(), "unavailable"
-    if any(a in KERNEL_ONLY_ALGOS for a in algorithms):
-        scipy_linalg()
+    scipy_blas()
     return threadpool_limits(limits=1), "applied"
 
 
@@ -168,7 +166,7 @@ def _cmd_run(args) -> int:
             )
             traces[key] = trace
 
-    pinning, thread_pinning = _single_thread_ctx(args.single_thread, config.algorithms)
+    pinning, thread_pinning = _single_thread_ctx(args.single_thread)
     with pinning:
         rows = sweep(
             config,

@@ -38,7 +38,7 @@ from .environment import (
 )
 from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS
 from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec
-from .numkit import DegenerateGramError
+from .numkit import SCIPY_BLAS, DegenerateGramError
 
 __all__ = [
     "SETTINGS",
@@ -316,6 +316,10 @@ def run_episode(
     except _EPISODE_ERRORS as exc:
         status, message = "failed", f"{type(exc).__name__}: {exc}"
     total_time = time.perf_counter() - t_total0
+    # Only the lift is read from here on, so the learner's state (a kernel
+    # learner's factor) is freed before the trace Gram is built.
+    lift_spec = learner.lift_spec
+    del learner
 
     final_regret = float(regret.sum()) if status == "ok" else float("nan")
     result = RunResult(
@@ -343,13 +347,13 @@ def run_episode(
             residuals = recommended - env.revealed
             mistakes = np.flatnonzero(residuals.any(axis=1))
             Z, G = env.contexts[mistakes], residuals[mistakes]
-            spec, r = learner.lift_spec, mistakes.size
-            if (r if spec.kind == KERNEL else min(r, spec.dim)) <= config.diag_cap:
-                gram = spec.gram(Z, G)
+            r = mistakes.size
+            if (r if lift_spec.kind == KERNEL else min(r, lift_spec.dim)) <= config.diag_cap:
+                gram = lift_spec.gram(Z, G)
         trace = TraceSummary(
             algorithm=algorithm,
             model_kind=config.setting,
-            regularizer=learner.regularizer,
+            regularizer=float(params["regularizer"]),
             horizon=T,
             base_dim=config.items,
             context_dim=config.context_dim,
@@ -365,7 +369,7 @@ def run_episode(
             gram=gram,
             # A lift of another model than the setting's (the linear lift
             # facing RBF utilities) has no comparator in its span.
-            comparator_in_span=learner.lift_spec.kind == config.setting,
+            comparator_in_span=lift_spec.kind == config.setting,
         )
         certs, skipped = standard_certificates(trace)
         result.certificates = certs
@@ -480,10 +484,10 @@ def best_coefficients(
 
 def _blas_provenance() -> dict:
     """Name and version of the BLAS that numpy was built against, and of
-    scipy's (a library of its own) when scipy.linalg was imported in this
-    process, from each package's ``show_config``."""
+    scipy's (a library of its own) when this process loaded it, from each
+    package's ``show_config``."""
     packages = {"numpy": np}
-    if "scipy.linalg" in sys.modules:
+    if SCIPY_BLAS in sys.modules:
         import scipy
 
         packages["scipy"] = scipy
@@ -507,11 +511,11 @@ def emit(
     ``str`` (full-precision decimal for floats); the JSON report embeds
     everything else, including per-run certificates and status, and a
     ``provenance`` block: the python, numpy and scipy versions, ``blas``
-    (see :func:`_blas_provenance`; scipy's entry appears only once this
-    process has loaded scipy.linalg) and ``thread_pinning``, the state of BLAS
-    thread pinning during the sweep ("not requested", "applied", or
-    "unavailable" when it was requested but threadpoolctl is not
-    installed).
+    (see :func:`_blas_provenance`; scipy's entry appears once this process
+    has loaded scipy's BLAS, which every learner but OGD uses) and
+    ``thread_pinning``, the state of BLAS thread pinning during the sweep
+    ("not requested", "applied", or "unavailable" when it was requested
+    but threadpoolctl is not installed).
     """
     import scipy
 

@@ -13,20 +13,29 @@ evaluated on that point, not only in the eigenbasis.  A metric that is
 not positive definite (a tiny ridge lost to rounding) raises
 ``np.linalg.LinAlgError``, a numerical failure of that one episode.
 
-Everything but two routines runs on numpy alone: the ball projection's
-``np.linalg.eigh`` and the Gram eigenvalues' ``eigvalsh`` are LAPACK
-through numpy's own build of it.  numpy has neither a packed triangular
-solve nor a generalized symmetric eigensolver, so ``CholFactor``'s BLAS
-``dtpsv`` and ``project_ellipsoid_coeff``'s ``eigh(shape, metric)`` come
-from scipy.linalg through :func:`scipy_linalg`.  Importing scipy.linalg
-takes a few tenths of a second and tens of MB, so it happens only when
-the first ``CholFactor`` is built (a kernel learner's constructor) or the
-first ellipsoid is projected, never for the explicit learners.
+Two BLAS libraries serve these routines.  numpy's own BLAS and
+LAPACK run the matrix-vector products, the ball projection's
+``np.linalg.eigh`` and the Gram eigenvalues' ``eigvalsh``.  scipy's
+BLAS, a separate build, runs what numpy has no routine for:
+``SpdInverse``'s in-place rank-one downdate (``dgemm``) and
+``CholFactor``'s packed triangular solves (``dtpsv``), called through
+the C function pointers of ``scipy.linalg.cython_blas``, which
+:func:`scipy_blas` loads without scipy.linalg when the first
+``SpdInverse`` or ``CholFactor`` is built, never inside a timed update.
+scipy.linalg itself, which takes a few tenths of a second and tens of MB
+to import, serves only ``project_ellipsoid_coeff``'s generalized
+``eigh(shape, metric)`` through :func:`scipy_linalg`, so it is imported
+on KONS's first ellipsoid projection and by no other code.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +61,11 @@ RADIUS_TOL = 1e-10
 # retry with JITTER_REL * (rho + ridge) added to the diagonal.
 BETA_FLOOR_REL = 1e-12
 JITTER_REL = 1e-10
-# Rows of the stored inverse updated per block of SpdInverse.rank_one_update;
-# the scratch block (1 MB at dim 1000) stays in cache between its two
-# passes (outer product, subtraction).  Blocks of 32 to 128 rows measured
-# the same at dim 1000; 256 rows and more were slower.
-UPDATE_BLOCK_ROWS = 128
 # Side of the square tiles in which _require_symmetric compares a matrix
 # with its transpose.
 SYMMETRY_TILE = 256
+# scipy's BLAS as C function pointers, a public module of scipy.linalg.
+SCIPY_BLAS = "scipy.linalg.cython_blas"
 
 
 def scipy_linalg():
@@ -67,6 +73,65 @@ def scipy_linalg():
     import scipy.linalg
 
     return scipy.linalg
+
+
+def scipy_blas():
+    """scipy's BLAS module ``scipy.linalg.cython_blas``, loaded on the first
+    call without importing scipy.linalg.
+
+    Importing the package would also import scipy.sparse and scipy.special
+    (about 28 MB); this module and the OpenBLAS it links add about 1.7 MB,
+    where scipy's f2py BLAS module would add 2.7 MB with its own Fortran
+    runtime.  It is found in the package's directory and registered in
+    ``sys.modules`` under its own name, as the import system would, so a
+    later ``import scipy.linalg`` reuses it rather than loading a second
+    copy.
+    """
+    module = sys.modules.get(SCIPY_BLAS)
+    if module is None:
+        import scipy
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(SCIPY_BLAS, [where])
+        if spec is None:
+            raise ImportError(f"{SCIPY_BLAS} not found in {where}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[SCIPY_BLAS] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _blas_routine(name: str):
+    """scipy's BLAS routine ``name`` as a C function.
+
+    A Fortran routine takes every argument by reference, so each call
+    passes only ``ctypes.byref`` objects.  Declaring no argument types
+    leaves ctypes nothing to convert: a call costs about 0.4 us, against
+    1.2 us with every argument declared a pointer.  Nothing is checked at
+    the call, so each caller passes only float64 arrays whose layout and
+    length it has checked.
+    """
+    capsule = scipy_blas().__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+# The BLAS arguments that are the same in every call, by reference (each
+# reference keeps its value alive).
+_N, _T, _U = (ctypes.byref(ctypes.c_char(c)) for c in (b"N", b"T", b"U"))
+_ONE = ctypes.byref(ctypes.c_int(1))
+_MINUS_ONE, _PLUS_ONE = ctypes.byref(ctypes.c_double(-1.0)), ctypes.byref(ctypes.c_double(1.0))
+
+
+def _address(a: np.ndarray):
+    """A BLAS array argument: the first element of the writable, contiguous
+    ``a``, by reference."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
 
 
 class DegenerateGramError(RuntimeError):
@@ -117,30 +182,30 @@ class SpdInverse:
     ``rank_one_update`` folds one more ``g g^T`` term into ``A`` with the
     rank-one inverse-update identity, written as a symmetric downdate
     ``inv - outer(b, b)`` with ``b = ag / sqrt(1 + lev)``, ``ag = inv . g``
-    and ``lev = g . ag``.  Scaling the vector once leaves two passes over
-    the stored inverse, the outer product and the subtraction, where
-    ``outer(ag, ag) / (1 + lev)`` needs a third.  It subtracts a block of
-    rows at a time through a scratch buffer owned by the instance, so no
-    ``dim x dim`` temporary is made.  Entries ``(i, j)`` and ``(j, i)``
-    subtract the same product ``b_i * b_j == b_j * b_i``, so the stored
-    inverse stays exactly symmetric without re-symmetrising.
+    and ``lev = g . ag``.  Scaling the vector once leaves one product and
+    one subtraction per entry, with no division, in one pass over the
+    stored inverse.
 
-    The arithmetic is that of the dense formula ``inv - outer(b, b)``,
-    bit for bit.  Each block of the outer product is
-    ``np.einsum("i,j->ij", ...)``: numpy's C loop writes every entry as
-    ``0 + a * b``, the same correctly rounded product as ``np.multiply``,
-    except that a product of ``-0.0`` becomes ``+0.0``.  That sign cannot
-    reach the stored inverse, which never holds a ``-0.0`` (the
-    constructors store none, and ``x - y`` is ``-0.0`` only when ``x``
-    is), and ``x - 0.0 == x - (-0.0)`` for every other ``x``.  It is
-    about twice as fast at ``dim`` 1000 as the broadcast
-    ``np.multiply(b[:, None], b)``, whose stride-0 operand makes it the
-    slower of the update's two passes.  ``optimize`` must stay False:
-    an optimized einsum may route the product through BLAS.  A BLAS ``dsyr``
-    update of one triangle is several times faster at large ``dim`` but
-    rounds differently, and the last bit decides the argmax between
-    predicted utilities that are tied in exact arithmetic, so it changes
-    which actions get recommended and the resulting regret.
+    That pass is one BLAS ``dgemm`` of scipy's, ``C := -1 * b b^T + 1 * C``
+    with inner dimension 1, on the stored C-ordered inverse read as the
+    Fortran-ordered matrix ``C = inv^T``, in place and with no temporary
+    (``b b^T`` is symmetric, so updating ``inv^T`` updates ``inv``).  With
+    one term in each inner product, every entry's product ``b_i * b_j``
+    is rounded once on its own, then negated exactly and added to ``C``,
+    so each entry is that of the dense formula ``inv - outer(b, b)``, bit
+    for bit.  A product may come out as ``+0.0`` where ``np.outer`` has
+    ``-0.0``; that sign cannot reach the stored inverse, which never holds
+    a ``-0.0`` (the constructors store none, and ``x - y`` is ``-0.0``
+    only when ``x`` is), and ``x - 0.0 == x - (-0.0)`` for every other
+    ``x``.  Entries ``(i, j)`` and ``(j, i)`` subtract the same product
+    ``b_i * b_j == b_j * b_i``, so the stored inverse stays exactly
+    symmetric without re-symmetrising.  BLAS's rank-one routines ``dger``
+    and ``dsyr`` round differently: their kernels fuse each product into
+    its update (``c - b_i * b_j`` rounded once, a fused multiply-add), and
+    the last bit decides the argmax between predicted utilities that are
+    tied in exact arithmetic, so it would change which actions get
+    recommended and the resulting regret.  ``ag`` stays on numpy's BLAS,
+    whose OpenBLAS is a different build from scipy's.
     """
 
     def __init__(self, dim: int, inv):
@@ -156,9 +221,12 @@ class SpdInverse:
         self._setup(low + np.tril(low, -1).T)
 
     def _setup(self, inv: np.ndarray) -> None:
+        if not (inv.dtype == np.float64 and inv.flags.c_contiguous):
+            raise ValueError("the stored inverse must be a C-ordered float64 array")
         self.dim = inv.shape[0]
         self._inv = inv
-        self._buf = np.empty((min(UPDATE_BLOCK_ROWS, self.dim), self.dim))
+        self._dgemm = _blas_routine("dgemm")
+        self._dim_ref, self._inv_ref = ctypes.byref(ctypes.c_int(self.dim)), _address(inv)
 
     @classmethod
     def from_ridge(cls, dim: int, ridge: float) -> "SpdInverse":
@@ -209,11 +277,10 @@ class SpdInverse:
         if not lev > -1.0:
             raise FloatingPointError("inverse update denominator not positive; state is not SPD")
         b = ag / math.sqrt(1.0 + lev)
-        for r0 in range(0, self.dim, UPDATE_BLOCK_ROWS):
-            r1 = min(r0 + UPDATE_BLOCK_ROWS, self.dim)
-            blk = self._buf[: r1 - r0]
-            np.einsum("i,j->ij", b[r0:r1], b, out=blk)
-            self._inv[r0:r1] -= blk
+        b_ref, n = _address(b), self._dim_ref
+        # transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+        self._dgemm(_N, _N, n, n, _ONE, _MINUS_ONE, b_ref, n, b_ref, _ONE, _PLUS_ONE,
+                    self._inv_ref, n)
         return lev, ag
 
 
@@ -226,15 +293,21 @@ class CholFactor:
     ``t`` rows are always one contiguous block of ``t (t + 1) / 2``
     entries.  Read column-major, that block is the packed upper triangle
     of ``L^T``, so both triangular solves are BLAS ``dtpsv`` calls on the
-    buffer itself, with no copy of the factor.  The constructor imports
-    scipy.linalg for ``dtpsv``, so no solve pays for that import.
+    buffer itself, with no copy of the factor.  The constructor takes
+    scipy's ``dtpsv`` (see :func:`scipy_blas`), so no solve pays for
+    loading it and no factor imports scipy.linalg.
     """
 
     def __init__(self, capacity: int = 64):
         cap = max(capacity, 1)
-        self._ap = np.zeros(cap * (cap + 1) // 2)
-        self.size = 0
-        self._dtpsv = scipy_linalg().blas.dtpsv
+        self._dtpsv = _blas_routine("dtpsv")
+        self._bind(np.zeros(cap * (cap + 1) // 2), 0)
+
+    def _bind(self, ap: np.ndarray, size: int) -> None:
+        # The solves pass the buffer and the factor's size by reference;
+        # both references are made here, once per new row, not per solve.
+        self._ap, self.size = ap, size
+        self._ap_ref, self._size_ref = _address(ap), ctypes.byref(ctypes.c_int(size))
 
     @property
     def L(self) -> np.ndarray:
@@ -246,17 +319,23 @@ class CholFactor:
 
     def copy(self) -> "CholFactor":
         out = CholFactor.__new__(CholFactor)
-        out._ap = self._ap.copy()
-        out.size = self.size
         out._dtpsv = self._dtpsv
+        out._bind(self._ap.copy(), self.size)
         return out
 
-    def _tpsv(self, b: np.ndarray, trans: int) -> np.ndarray:
-        # lower=0: the buffer is the packed upper triangle U = L^T, so
-        # trans=1 solves L x = b and trans=0 solves L^T x = b.
-        if self.size == 0:
-            return np.empty(0)
-        return self._dtpsv(self.size, self._ap, b, lower=0, trans=trans)
+    def _tpsv(self, b: np.ndarray, *ops) -> np.ndarray:
+        """Solve with each of ``ops`` in turn, in place on a copy of ``b``.
+
+        uplo "U": the buffer is the packed upper triangle U = L^T, so
+        ``_T`` solves ``L x = b`` and ``_N`` solves ``L^T x = b``.
+        """
+        x = b.copy()  # dtpsv overwrites its right-hand side
+        if self.size:
+            x_ref = _address(x)
+            for op in ops:
+                # uplo, trans, diag, n, ap, x, incx
+                self._dtpsv(_U, op, _N, self._size_ref, self._ap_ref, x_ref, _ONE)
+        return x
 
     def extend(self, k: np.ndarray, rho_plus_ridge: float) -> tuple[np.ndarray, float]:
         """Append the row for a new point with cross terms ``k``.
@@ -272,7 +351,7 @@ class CholFactor:
         k = _as_vector(k, self.size)
         if rho_plus_ridge <= 0:
             raise ValueError("rho_plus_ridge must be positive")
-        y = self._tpsv(k, trans=1)
+        y = self._tpsv(k, _T)
         pivot_sq = rho_plus_ridge - float(y.dot(y))
         floor = BETA_FLOOR_REL * rho_plus_ridge
         if pivot_sq <= floor:
@@ -284,24 +363,23 @@ class CholFactor:
         pivot = float(np.sqrt(pivot_sq))
         t = self.size
         start, stop = t * (t + 1) // 2, (t + 1) * (t + 2) // 2
-        if stop > self._ap.shape[0]:
+        ap = self._ap
+        if stop > ap.shape[0]:
             # t equals the row capacity here; double it.
-            grown = np.empty(t * (2 * t + 1))
-            grown[:start] = self._ap[:start]
-            self._ap = grown
-        self._ap[start : stop - 1] = y
-        self._ap[stop - 1] = pivot
-        self.size = t + 1
+            ap = np.empty(t * (2 * t + 1))
+            ap[:start] = self._ap[:start]
+        ap[start : stop - 1] = y
+        ap[stop - 1] = pivot
+        self._bind(ap, t + 1)
         return y, pivot
 
     def backward(self, b: np.ndarray) -> np.ndarray:
         """Solve ``L^T x = b``."""
-        return self._tpsv(_as_vector(b, self.size), trans=0)
+        return self._tpsv(_as_vector(b, self.size), _N)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``(L L^T) x = b``."""
-        y = self._tpsv(_as_vector(b, self.size), trans=1)
-        return self._tpsv(y, trans=0)
+        return self._tpsv(_as_vector(b, self.size), _T, _N)
 
 
 class GramMatrix:

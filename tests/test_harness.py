@@ -29,7 +29,7 @@ from corectron.harness import (
     run_episode,
     sweep,
 )
-from corectron.numkit import SpdInverse
+from corectron.numkit import SCIPY_BLAS, SpdInverse
 
 from kernel_reference import kernel_value
 
@@ -545,8 +545,9 @@ class TestCli:
     ])
     def test_report_records_thread_pinning(self, tmp_path, capsys, monkeypatch, pinning,
                                            setting):
-        # As in a fresh process, where a linear run never loads scipy.linalg;
-        # its submodules go too, so that a kernel run can import it afresh.
+        # As in a fresh process, where no run has loaded scipy.linalg or its
+        # BLAS module yet; its submodules go too, so that the run loads the
+        # BLAS module afresh.
         for name in [m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]]:
             monkeypatch.delitem(sys.modules, name)
         if "linalg" in vars(scipy):  # hasattr would import it through scipy's __getattr__
@@ -556,9 +557,8 @@ class TestCli:
 
         def fake_limits(**kw):
             # threadpoolctl limits only the BLAS libraries already loaded, so
-            # a run with a kernel learner loads scipy.linalg first; no other
-            # run ever loads it
-            assert ("scipy.linalg" in sys.modules) == kernel
+            # every pinned run loads scipy's BLAS module first
+            assert SCIPY_BLAS in sys.modules
             limits.append(kw)
             return contextlib.nullcontext()
 
@@ -580,9 +580,9 @@ class TestCli:
         assert limits == ([{"limits": 1}] if pinning == "applied" else [])
         with open(out / "report.json") as fh:
             provenance = json.load(fh)["provenance"]
-        blas = {"numpy": np.show_config(mode="dicts")["Build Dependencies"]["blas"]}
-        if kernel:
-            blas["scipy"] = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        # Both learners use scipy's BLAS, so the report names both libraries.
+        blas = {"numpy": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+                "scipy": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]}
         assert provenance == {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -590,7 +590,8 @@ class TestCli:
             "blas": {lib: {"name": b["name"], "version": b["version"]} for lib, b in blas.items()},
             "thread_pinning": pinning,
         }
-        assert ("scipy.linalg" in sys.modules) == kernel
+        assert SCIPY_BLAS in sys.modules
+        assert "scipy.linalg" not in sys.modules
 
     def test_run_certify_best_workflow(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -54,11 +54,14 @@ class TestSmInverseUpdate:
         out = updated_copy(state, np.zeros(5))
         np.testing.assert_array_equal(out.inv, state.inv)
 
-    def test_matches_direct_inversion(self):
+    # The update is in place on the stored inverse, whatever the layout of
+    # the matrix the state was built from.
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_direct_inversion(self, order):
         rng = np.random.default_rng(2)
         A = random_spd(rng, 5)
         g = rng.standard_normal(5)
-        state = SpdInverse(5, np.linalg.inv(A))
+        state = SpdInverse(5, np.asarray(np.linalg.inv(A), order=order))
         out = updated_copy(state, g)
         direct = np.linalg.inv(A + np.outer(g, g))
         err = np.abs(out.inv - direct).max() / np.abs(direct).max()
@@ -107,7 +110,7 @@ class TestSmInverseUpdate:
 
 # A stream of residuals for the property tests: fresh Gaussian vectors,
 # zero residuals and exact repeats of the previous residual, mixed.  Sizes
-# above numkit.UPDATE_BLOCK_ROWS exercise the blocked update.
+# run from BLAS's small-matrix kernels to its blocked ones.
 hostile_streams = st.tuples(
     st.integers(1, 300),
     st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0]),
@@ -156,11 +159,12 @@ class TestBlockedInverseUpdate:
             ref -= np.outer(b, b)
         np.testing.assert_array_equal(state.inv, ref)
 
-    @pytest.mark.parametrize("d", [129, 257, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 8, 100, 129, 257, 1000])
     def test_signed_zero_chain_bytes_equal_dense_formula(self, d):
         # Sparse residuals leave exact zeros in b, and negating them makes
         # zero products of either sign in outer(b, b); the stored inverse
         # must still match the dense formula to the byte, and its transpose.
+        # Sizes 1 to 100 are the range of BLAS's small-matrix kernels.
         rng = np.random.default_rng(d)
         state = SpdInverse.from_ridge(d, 0.5)
         ref = np.eye(d) / 0.5
@@ -173,7 +177,7 @@ class TestBlockedInverseUpdate:
                 g = -g
             else:
                 g = np.zeros(d)
-                support = rng.choice(d, size=d // 16, replace=False)
+                support = rng.choice(d, size=max(d // 16, 1), replace=False)
                 g[support] = rng.standard_normal(support.size)
             state.rank_one_update(g)
             ag = ref.dot(g)
@@ -184,7 +188,8 @@ class TestBlockedInverseUpdate:
             inv = state.inv
             assert inv.tobytes() == ref.tobytes()
             assert inv.tobytes() == np.ascontiguousarray(inv.T).tobytes()
-        assert negative_zero_products > 0
+        # A 1 x 1 outer product is a square, never -0.0.
+        assert negative_zero_products > 0 or d == 1
 
     def test_update_makes_no_square_temporary(self):
         d = 1000
@@ -652,14 +657,15 @@ def test_ellipsoid_projection_is_feasible_exactly(d, seed):
     assert project_ellipsoid_coeff(metric, shape, out.point, radius).trivial
 
 
-def _euclidean_ellipsoid_clip(shape, c, radius):
-    """Euclidean projection onto {c : c^T shape c <= radius^2} via brentq."""
+def _euclidean_ellipsoid_clip(shape, eig, c, radius):
+    """Euclidean projection onto {c : c^T shape c <= radius^2} via brentq,
+    given ``eig = np.linalg.eigh(shape)``."""
     from scipy.optimize import brentq
 
     val = float(c.dot(shape.dot(c)))
     if val <= radius * radius:
         return c
-    evals, vecs = np.linalg.eigh(shape)
+    evals, vecs = eig
     evals = np.clip(evals, 0.0, None)
     ct = vecs.T.dot(c)
 
@@ -676,10 +682,11 @@ def _euclidean_ellipsoid_clip(shape, c, radius):
 
 def pgd_oracle_ellipsoid(metric, shape, point, radius, steps=60_000):
     lip = 2.0 * np.linalg.eigvalsh(metric)[-1]
+    eig = np.linalg.eigh(shape)
     c = np.zeros_like(point)
     for _ in range(steps):
         c = c - (2.0 / lip) * metric.dot(c - point)
-        c = _euclidean_ellipsoid_clip(shape, c, radius)
+        c = _euclidean_ellipsoid_clip(shape, eig, c, radius)
     return c
 
 

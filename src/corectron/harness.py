@@ -15,6 +15,7 @@ gives the CSV header, the CSV row, the CSV parser, and the one field
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -482,10 +483,39 @@ def best_coefficients(
     return best
 
 
+def _openblas_function(package, name: str):
+    """The function ``openblas_<name>`` of the OpenBLAS that ``package``
+    loaded, through ``ctypes``; None when there is none.
+
+    The library is the one this process mapped from under the package's
+    directory (a wheel keeps it in ``<package>.libs``), as
+    ``/proc/self/maps`` lists it, so it is found only on Linux.  Its
+    symbols carry a prefix and, for a 64-bit-integer build, the suffix
+    ``64_``.
+    """
+    root = os.path.dirname(package.__file__)
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({path for path in (line.split()[-1] for line in fh)
+                            if path.startswith(root) and "openblas" in path.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for symbol in (f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
+                       for suffix in ("64_", "")):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                return function
+    return None
+
+
 def _blas_provenance() -> dict:
     """Name and version of the BLAS that numpy was built against, and of
     scipy's (a library of its own) when this process loaded it, from each
-    package's ``show_config``."""
+    package's ``show_config``; for an OpenBLAS, also its thread count in
+    effect (``threads``) and the core its kernels were chosen for
+    (``config``), read back from the library itself."""
     packages = {"numpy": np}
     if SCIPY_BLAS in sys.modules:
         import scipy
@@ -495,6 +525,11 @@ def _blas_provenance() -> dict:
     for name, package in packages.items():
         blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
         out[name] = {"name": blas.get("name"), "version": blas.get("version")}
+        threads = _openblas_function(package, "get_num_threads")
+        config = _openblas_function(package, "get_config")
+        if threads is not None and config is not None:
+            threads.restype, config.restype = ctypes.c_int, ctypes.c_char_p
+            out[name].update(threads=threads(), config=config().decode(errors="replace"))
     return out
 
 
@@ -512,7 +547,10 @@ def emit(
     everything else, including per-run certificates and status, and a
     ``provenance`` block: the python, numpy and scipy versions, ``blas``
     (see :func:`_blas_provenance`; scipy's entry appears once this process
-    has loaded scipy's BLAS, which every learner but OGD uses) and
+    has loaded scipy's BLAS, which every learner but OGD uses; each
+    OpenBLAS's thread count and core config are read back once per call,
+    since the last bits of ``SpdInverse``'s products depend on how
+    OpenBLAS splits rows among its threads) and
     ``thread_pinning``, the state of BLAS thread pinning during the sweep
     ("not requested", "applied", or "unavailable" when it was requested
     but threadpoolctl is not installed).

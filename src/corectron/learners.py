@@ -39,6 +39,9 @@ __all__ = ["SURROGATE_SCALE", "STEP_COEFF", "RoundDiagnostics", "CoRectron", "Co
 # one setting at which they are compared; only their ridge is swept.
 SURROGATE_SCALE = 0.1
 STEP_COEFF = 0.5
+# CoRectron's largest leverage: from 1 / eps on, the downdate of the stored
+# inverse cancels every digit of it in the residual's direction.
+LEVERAGE_LIMIT = 1.0 / np.finfo(float).eps
 
 
 class RoundDiagnostics(NamedTuple):
@@ -141,7 +144,8 @@ class CoRectron:
     exact zero, ``pre`` is reset to exact zeros, so an all-way tie stays
     a tie broken by index rather than by rounding residue.  No norm
     constraint is ever enforced on the prediction: the downstream argmax
-    is scale invariant.
+    is scale invariant.  A leverage of :data:`LEVERAGE_LIMIT` or more (a
+    ridge lost to rounding) raises :class:`FloatingPointError`.
     """
 
     def __init__(self, lift_spec: LiftSpec, regularizer: float):
@@ -170,6 +174,9 @@ class CoRectron:
         align = float(g.dot(self._pre))
         scale = 1.0 + float(np.linalg.norm(g)) * float(np.linalg.norm(self._cum))
         lev, ag = self._inv.rank_one_update(g)
+        if lev >= LEVERAGE_LIMIT:
+            raise FloatingPointError(f"leverage {lev:.3g} is past 1/eps; the inverse update "
+                                     "cancels every digit")
         self._cum += g
         if self._cum.any():
             self._pre += ag * ((1.0 - align) / (1.0 + lev))

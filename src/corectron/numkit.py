@@ -1,6 +1,7 @@
 """Dense symmetric linear-algebra primitives shared by all learners.
 
-Covers maintenance of a positive-definite inverse under rank-one updates,
+Covers maintenance of a positive-definite inverse under rank-one updates
+(each downdate deferred to the next reader's one pass over the inverse),
 a packed incremental Cholesky factor of a ridged Gram matrix with its
 BLAS triangular solves, projections onto a Mahalanobis-weighted ball
 (one eigendecomposition of the inverse metric) and onto an ellipsoid
@@ -14,10 +15,12 @@ not positive definite (a tiny ridge lost to rounding) raises
 ``np.linalg.LinAlgError``, a numerical failure of that one episode.
 
 Two BLAS libraries serve these routines.  numpy's own BLAS and
-LAPACK run the matrix-vector products, the ball projection's
+LAPACK run the matrix-vector products (block of rows by block of rows
+in ``SpdInverse``'s pass), the ball projection's
 ``np.linalg.eigh`` and the Gram eigenvalues' ``eigvalsh``.  scipy's
 BLAS, a separate build, runs what numpy has no routine for:
-``SpdInverse``'s in-place rank-one downdate (``dgemm``) and
+``SpdInverse``'s in-place rank-one downdate (``dgemm``, on one block of
+rows at a time in the pass) and
 ``CholFactor``'s packed triangular solves (``dtpsv``), called through
 the C function pointers of ``scipy.linalg.cython_blas``, which
 :func:`scipy_blas` loads without scipy.linalg when the first
@@ -66,6 +69,16 @@ JITTER_REL = 1e-10
 SYMMETRY_TILE = 256
 # scipy's BLAS as C function pointers, a public module of scipy.linalg.
 SCIPY_BLAS = "scipy.linalg.cython_blas"
+# SpdInverse's pass covers the stored inverse in blocks of rows of about
+# PASS_BLOCK_BYTES, which a block's matrix-vector product reads back from
+# the L2 cache after its downdate, once the inverse holds more than
+# PASS_ONE_BLOCK_BYTES; a smaller inverse stays in L2 between passes, and
+# blocks would only add calls.  Measured on one core of a Xeon with 2 MB
+# of L2 per core: at d = 400 blocks of 512 KB made an update about 20%
+# slower, from d = 560 on faster; at d = 1000 blocks of 1 MB beat 512 KB
+# and 1.5 MB by about 5%.
+PASS_BLOCK_BYTES = 1024 * 1024
+PASS_ONE_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def scipy_linalg():
@@ -183,29 +196,57 @@ class SpdInverse:
     rank-one inverse-update identity, written as a symmetric downdate
     ``inv - outer(b, b)`` with ``b = ag / sqrt(1 + lev)``, ``ag = inv . g``
     and ``lev = g . ag``.  Scaling the vector once leaves one product and
-    one subtraction per entry, with no division, in one pass over the
-    stored inverse.
+    one subtraction per entry, with no division.
 
-    That pass is one BLAS ``dgemm`` of scipy's, ``C := -1 * b b^T + 1 * C``
+    The downdate is not applied at once: ``b`` is kept pending, and the
+    next reader subtracts it on its way.  ``rank_one_update``, ``apply``
+    and ``quad`` each make one pass over the stored inverse, block of
+    rows by block of rows: each block first takes the pending downdate,
+    then its share of the matrix-vector product, while it is still in
+    cache.  An update therefore costs one pass where a matrix-vector
+    product followed by a downdate cost two.  ``project_ball``, ``inv``
+    and ``copy`` subtract a pending downdate first, in one call, so no
+    reader ever sees the stored inverse without it.  When the whole
+    inverse is one block the pass makes two calls, the downdate and then
+    the product, with no slicing.
+
+    The downdate is one BLAS ``dgemm`` of scipy's, ``C := -1 * b b^T + 1 * C``
     with inner dimension 1, on the stored C-ordered inverse read as the
-    Fortran-ordered matrix ``C = inv^T``, in place and with no temporary
+    Fortran-ordered matrix ``C = inv^T`` (on a block of rows, ``C`` is
+    that block's columns of ``inv^T``), in place and with no temporary
     (``b b^T`` is symmetric, so updating ``inv^T`` updates ``inv``).  With
     one term in each inner product, every entry's product ``b_i * b_j``
     is rounded once on its own, then negated exactly and added to ``C``,
     so each entry is that of the dense formula ``inv - outer(b, b)``, bit
-    for bit.  A product may come out as ``+0.0`` where ``np.outer`` has
-    ``-0.0``; that sign cannot reach the stored inverse, which never holds
-    a ``-0.0`` (the constructors store none, and ``x - y`` is ``-0.0``
-    only when ``x`` is), and ``x - 0.0 == x - (-0.0)`` for every other
-    ``x``.  Entries ``(i, j)`` and ``(j, i)`` subtract the same product
+    for bit, however the rows are split into blocks.  A product may come
+    out as ``+0.0`` where ``np.outer`` has ``-0.0``; that sign cannot
+    reach the stored inverse, which never holds a ``-0.0`` (the
+    constructors store none, and ``x - y`` is ``-0.0`` only when ``x``
+    is), and ``x - 0.0 == x - (-0.0)`` for every other ``x``.  Entries
+    ``(i, j)`` and ``(j, i)`` subtract the same product
     ``b_i * b_j == b_j * b_i``, so the stored inverse stays exactly
     symmetric without re-symmetrising.  BLAS's rank-one routines ``dger``
     and ``dsyr`` round differently: their kernels fuse each product into
     its update (``c - b_i * b_j`` rounded once, a fused multiply-add), and
     the last bit decides the argmax between predicted utilities that are
     tied in exact arithmetic, so it would change which actions get
-    recommended and the resulting regret.  ``ag`` stays on numpy's BLAS,
-    whose OpenBLAS is a different build from scipy's.
+    recommended and the resulting regret.
+
+    The matrix-vector product stays on numpy's BLAS, whose OpenBLAS is a
+    different build from scipy's, one ``dot`` per block of rows.
+    OpenBLAS's ``dgemv`` kernel computes output rows in groups of four
+    from the first row it is given, and a row's last bit depends on
+    whether it falls in a group or in the remainder.  So every block
+    starts on a multiple of 16 rows, which suits groups of any power of
+    two up to 16, and each output row gets the bits of the product of the
+    whole matrix on one thread.  Every block but the last holds about
+    ``PASS_BLOCK_BYTES`` of the inverse, and an inverse of at most
+    ``PASS_ONE_BLOCK_BYTES`` (``d <= 512``) is one block
+    (:func:`_block_starts`).  On more threads OpenBLAS splits a
+    large product's rows among them, and where a split falls off a
+    multiple of four (at two threads: ``d >= 679`` with ``ceil(d / 2)``
+    not a multiple of four) the whole product's bits themselves can
+    differ from the one-thread bits that the pass keeps.
     """
 
     def __init__(self, dim: int, inv):
@@ -223,10 +264,19 @@ class SpdInverse:
     def _setup(self, inv: np.ndarray) -> None:
         if not (inv.dtype == np.float64 and inv.flags.c_contiguous):
             raise ValueError("the stored inverse must be a C-ordered float64 array")
-        self.dim = inv.shape[0]
+        self.dim = d = inv.shape[0]
         self._inv = inv
+        self._pending: np.ndarray | None = None  # b of a downdate not yet subtracted
         self._dgemm = _blas_routine("dgemm")
-        self._dim_ref, self._inv_ref = ctypes.byref(ctypes.c_int(self.dim)), _address(inv)
+        self._dim_ref, self._inv_ref = ctypes.byref(ctypes.c_int(d)), _address(inv)
+        # Per block of rows: its first row, its rows as a view, its row
+        # count by reference and its first entry by reference.  None when
+        # the whole inverse is one block.
+        starts = _block_starts(d)
+        self._blocks = None if len(starts) == 1 else [
+            (r0, inv[r0:r1], ctypes.byref(ctypes.c_int(r1 - r0)), _address(inv[r0]))
+            for r0, r1 in zip(starts, starts[1:] + [d])
+        ]
 
     @classmethod
     def from_ridge(cls, dim: int, ridge: float) -> "SpdInverse":
@@ -243,45 +293,85 @@ class SpdInverse:
     @property
     def inv(self) -> np.ndarray:
         """A copy of the stored inverse."""
+        self._flush()
         return self._inv.copy()
 
     def copy(self) -> "SpdInverse":
+        self._flush()
         out = SpdInverse.__new__(SpdInverse)
         out._setup(self._inv.copy())
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._inv.dot(v)
+        """``A^{-1} v``, in one pass that subtracts the pending downdate."""
+        b = self._pending
+        if b is None:
+            return self._inv.dot(v)
+        if self._blocks is None:
+            self._flush()
+            return self._inv.dot(v)
+        self._pending = None
+        out = np.empty(self.dim)
+        b_buf = ctypes.c_char.from_buffer(b)
+        b_ref, d = ctypes.byref(b_buf), self._dim_ref
+        for r0, block, n, c_ref in self._blocks:
+            # inv[r0:r1] -= outer(b[r0:r1], b): the block's columns of inv^T
+            self._dgemm(_N, _N, d, n, _ONE, _MINUS_ONE, b_ref, d, ctypes.byref(b_buf, 8 * r0), _ONE,
+                        _PLUS_ONE, c_ref, d)
+            np.dot(block, v, out=out[r0 : r0 + block.shape[0]])
+        return out
 
     def quad(self, v: np.ndarray) -> float:
         """Quadratic form ``v^T A^{-1} v``."""
-        return float(v.dot(self._inv.dot(v)))
+        return float(v.dot(self.apply(v)))
 
     def project_ball(self, point: np.ndarray, radius: float) -> "ProjectionResult":
         """:func:`project_ball_mahalanobis` in the metric ``A``, from the
         stored inverse itself (no copy)."""
+        self._flush()
         return project_ball_mahalanobis(self._inv, point, radius)
 
     def rank_one_update(self, g: np.ndarray) -> tuple[float, np.ndarray]:
-        """In place, absorb ``g g^T`` into ``A``; returns ``(lev, ag)``.
+        """Absorb ``g g^T`` into ``A``; returns ``(lev, ag)``.
 
         ``ag = A^{-1} g`` and ``lev = g^T A^{-1} g`` are both taken against
-        the state before the update.  The denominator ``1 + lev`` is
-        positive for any positive-definite state; a non-positive (or NaN)
-        value means the state was corrupted and raises
-        :class:`FloatingPointError` before anything is changed.
+        the state before the update, whose downdate is left pending.  The
+        denominator ``1 + lev`` is positive for any positive-definite
+        state; a non-positive (or NaN) value means the state was corrupted
+        and raises :class:`FloatingPointError` before ``A`` is changed.
         """
         g = _as_vector(g, self.dim)
-        ag = self._inv.dot(g)
+        ag = self.apply(g)
         lev = float(g.dot(ag))
         if not lev > -1.0:
             raise FloatingPointError("inverse update denominator not positive; state is not SPD")
-        b = ag / math.sqrt(1.0 + lev)
-        b_ref, n = _address(b), self._dim_ref
-        # transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
-        self._dgemm(_N, _N, n, n, _ONE, _MINUS_ONE, b_ref, n, b_ref, _ONE, _PLUS_ONE,
-                    self._inv_ref, n)
+        self._pending = ag / math.sqrt(1.0 + lev)
         return lev, ag
+
+    def _flush(self) -> None:
+        """Subtract the pending downdate from the whole stored inverse."""
+        b = self._pending
+        if b is not None:
+            self._pending = None
+            b_ref, d = _address(b), self._dim_ref
+            # transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+            self._dgemm(_N, _N, d, d, _ONE, _MINUS_ONE, b_ref, d, b_ref, _ONE, _PLUS_ONE,
+                        self._inv_ref, d)
+
+
+def _block_starts(dim: int) -> list[int]:
+    """First rows of the blocks of :class:`SpdInverse`'s pass.
+
+    One block while the inverse holds at most ``PASS_ONE_BLOCK_BYTES``;
+    otherwise blocks of the largest multiple of 16 rows (at least 16) that
+    holds at most ``PASS_BLOCK_BYTES``.  A last row on its own joins the
+    block before it: numpy computes a one-row product as a dot product,
+    whose bits differ from ``dgemv``'s.
+    """
+    if 8 * dim * dim <= PASS_ONE_BLOCK_BYTES:
+        return [0]
+    rows = max(16, PASS_BLOCK_BYTES // (8 * dim) // 16 * 16)
+    return list(range(0, dim - 1, rows))
 
 
 class CholFactor:

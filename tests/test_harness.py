@@ -535,6 +535,29 @@ class TestEmit:
             "diag_level": "full",
         }
 
+    def test_report_records_each_openblas_thread_count_in_effect(self, tmp_path):
+        # read back from each library at emit, after a change at run time
+        SpdInverse.from_ridge(2, 1.0)  # loads scipy's BLAS
+        libraries = {"numpy": np, "scipy": scipy}
+        get = {name: harness._openblas_function(package, "get_num_threads")
+               for name, package in libraries.items()}
+        put = {name: harness._openblas_function(package, "set_num_threads")
+               for name, package in libraries.items()}
+        before = {name: function() for name, function in get.items()}
+        try:
+            for threads in sorted({1, before["numpy"]}):
+                for function in put.values():
+                    function(threads)
+                with open(emit([], tmp_path)["json"]) as fh:
+                    blas = json.load(fh)["provenance"]["blas"]
+                assert set(blas) == set(libraries)
+                for entry in blas.values():
+                    assert entry["threads"] == threads
+                    assert entry["config"].startswith(f"OpenBLAS {entry['version']}")
+        finally:
+            for name, function in put.items():
+                function(before[name])
+
 
 class TestCli:
     @pytest.mark.parametrize("pinning, setting", [
@@ -580,6 +603,10 @@ class TestCli:
         assert limits == ([{"limits": 1}] if pinning == "applied" else [])
         with open(out / "report.json") as fh:
             provenance = json.load(fh)["provenance"]
+        # Each OpenBLAS's thread count and core, read back from the library.
+        for entry in provenance["blas"].values():
+            assert entry.pop("threads") >= 1
+            assert entry.pop("config").startswith(f"OpenBLAS {entry['version']}")
         # Both learners use scipy's BLAS, so the report names both libraries.
         blas = {"numpy": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
                 "scipy": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]}
@@ -751,7 +778,7 @@ class TestCli:
 
     @pytest.mark.parametrize("setting, tiny, algos", [
         ("linear", 1e-30, ("ons", "corectron_l")),
-        ("noncontextual", 1e-100, ("ons",)),
+        ("noncontextual", 1e-100, ("ons", "corectron_l")),
     ], ids=["linear-1e-30", "noncontextual-1e-100"])
     def test_tiny_ridge_fails_only_its_cells(self, tmp_path, capsys, setting, tiny, algos):
         # a ridge lost to rounding leaves ONS an inverse metric that is not

@@ -1,11 +1,15 @@
+import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
+from corectron import harness
 from corectron.diagnostics import TraceSummary, check_gram_spectrum
+from corectron.environment import FeedbackModel, top_m_oracle
 from corectron.learners import ONS, SURROGATE_SCALE, CoRectron
 from corectron.lifting import LiftSpec
 from corectron.numkit import (
@@ -15,6 +19,7 @@ from corectron.numkit import (
     DegenerateGramError,
     GramMatrix,
     SpdInverse,
+    _block_starts,
     _radius_multiplier,
     _require_symmetric,
     gram_eigenvalues,
@@ -256,6 +261,145 @@ class TestBlockedInverseUpdate:
             inv, cum = learner._inv.inv, learner._cum
             scale = np.abs(inv).dot(np.abs(cum)).max()
             assert np.abs(learner._pre - inv.dot(cum)).max() <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# the deferred downdate
+
+
+@contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the duration.
+
+    The whole-matrix product's own last bits depend on how OpenBLAS splits
+    its rows among threads: at two threads it splits d = 1001 at row 501,
+    off the groups of four rows that a block of the pass starts.  The pass
+    keeps the bits of the product on one thread.
+    """
+    get = harness._openblas_function(np, "get_num_threads")
+    put = harness._openblas_function(np, "set_num_threads")
+    if get is None or put is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+class DenseInverse:
+    """:class:`SpdInverse`'s reference: the dense formula, each downdate
+    subtracted at once."""
+
+    def __init__(self, dim: int, ridge: float):
+        self.ref = np.eye(dim) / ridge
+
+    def rank_one_update(self, g):
+        ag = self.ref.dot(g)
+        lev = float(g.dot(ag))
+        b = ag / math.sqrt(1.0 + lev)
+        self.ref -= np.outer(b, b)
+        return lev, ag
+
+    def apply(self, v):
+        return self.ref.dot(v)
+
+    def quad(self, v):
+        return float(v.dot(self.ref.dot(v)))
+
+    def project_ball(self, point, radius):
+        return project_ball_mahalanobis(self.ref, point, radius)
+
+
+READERS = ["rank_one_update", "apply", "quad", "project_ball", "inv", "copy"]
+
+
+class TestDeferredDowndate:
+    @pytest.mark.parametrize("d", [1, 2, 100, 512, 513, 673, 1000, 1001, 1057, 4096, 10000])
+    def test_blocks_start_on_multiples_of_16_rows(self, d):
+        starts = _block_starts(d)
+        assert starts[0] == 0 and all(r0 % 16 == 0 for r0 in starts)
+        assert (len(starts) == 1) == (d <= 512)
+        # every block but the last has one positive multiple of 16 rows;
+        # no block has one row
+        rows = {r1 - r0 for r0, r1 in zip(starts, starts[1:])}
+        assert len(rows) <= 1 and all(n > 0 and n % 16 == 0 for n in rows)
+        assert d - starts[-1] >= min(d, 2)
+        if d <= 1057:  # the state's own blocks, at a size that is quick to build
+            blocks = SpdInverse.from_ridge(d, 1.0)._blocks
+            assert (starts == [0]) if blocks is None else ([b[0] for b in blocks] == starts)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([1, 3, 100, 129, 257, 1000, 1001]),
+           st.lists(st.sampled_from(READERS), min_size=1, max_size=10),
+           st.integers(0, 2**32 - 1))
+    @example(1001, ["rank_one_update", "rank_one_update", "apply", "rank_one_update", "quad",
+                    "rank_one_update", "copy", "rank_one_update", "inv"], 0)
+    def test_interleaved_readers_bytes_equal_dense_formula(self, d, ops, seed):
+        # A pending downdate is subtracted by whichever reader comes next;
+        # every reader's answer and the stored inverse must be those of the
+        # dense formula, to the byte.
+        rng = np.random.default_rng(seed)
+        ridge = float(rng.uniform(0.2, 3.0))
+        state, ref = SpdInverse.from_ridge(d, ridge), DenseInverse(d, ridge)
+        with one_blas_thread():
+            for op in ops:
+                v = rng.standard_normal(d)
+                if op == "rank_one_update":
+                    lev, ag = state.rank_one_update(v)
+                    ref_lev, ref_ag = ref.rank_one_update(v)
+                    assert lev == ref_lev and ag.tobytes() == ref_ag.tobytes()
+                elif op == "apply":
+                    assert state.apply(v).tobytes() == ref.apply(v).tobytes()
+                elif op == "quad":
+                    assert state.quad(v) == ref.quad(v)
+                elif op == "project_ball":
+                    # Outside the ball, so the projection reads the inverse,
+                    # where its eigendecomposition is quick (d <= 257).
+                    radius = 0.5 * float(np.linalg.norm(v)) if d <= 257 else 2.0 * float(np.linalg.norm(v))
+                    got, want = state.project_ball(v, radius), ref.project_ball(v, radius)
+                    assert got.point.tobytes() == want.point.tobytes()
+                    assert (got.multiplier, got.trivial) == (want.multiplier, want.trivial)
+                elif op == "inv":
+                    assert state.inv.tobytes() == ref.ref.tobytes()
+                else:
+                    # the copy goes on; the original keeps today's inverse
+                    original, state = state, state.copy()
+                    kept = ref.ref.copy()
+            assert state.inv.tobytes() == ref.ref.tobytes()
+            if "copy" in ops:
+                assert original.inv.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["corectron_l", "ons"])
+    @pytest.mark.parametrize("read_every_round", [True, False])
+    def test_wide_learners_bytes_equal_dense_twins(self, algorithm, read_every_round):
+        # A linear-wide-shaped stream (10 items x context 100, D = 1000)
+        # through each learner and its twin on the dense formula.  Reading
+        # the inverse subtracts the pending downdate, so the unread run is
+        # the one whose every update fuses it into the next product.
+        config = harness.default_config("linear", items=10, context_dim=100, horizon=60)
+        feedback = FeedbackModel.score_perturb(0.3)
+        env = harness.make_environment(config, feedback, 0)
+        params = harness.resolve_hyperparameters(config, algorithm, 1.0)
+        learner = harness.build_learner(config, algorithm, params)
+        twin = harness.build_learner(config, algorithm, params)
+        dim = learner.lift_spec.dim
+        assert dim == 1000
+        (ridge,) = params.values()
+        twin._inv = DenseInverse(dim, ridge)
+        state = "_pre" if algorithm == "corectron_l" else "_w"
+        with one_blas_thread():
+            for t in range(config.horizon):
+                z, x = env.contexts[t], env.revealed[t]
+                xhat = top_m_oracle(learner.predict(z), env.actions)
+                assert xhat.tobytes() == top_m_oracle(twin.predict(z), env.actions).tobytes()
+                learner.update(z, xhat - x)
+                twin.update(z, xhat - x)
+                assert getattr(learner, state).tobytes() == getattr(twin, state).tobytes()
+                if read_every_round:
+                    assert learner._inv.inv.tobytes() == twin._inv.ref.tobytes()
+            assert learner._inv.inv.tobytes() == twin._inv.ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

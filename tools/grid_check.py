@@ -1,4 +1,4 @@
-"""Same-answers check over a 198-cell full-diagnostic grid.
+"""Same-answers check over a 210-cell full-diagnostic grid.
 
     python tools/grid_check.py run OUT.json
     python tools/grid_check.py compare A.json B.json
@@ -23,10 +23,16 @@ differs.  To check a change,
 run this file from both checkouts (copy it into the older one if it
 lacks it) and compare the two outputs.
 
-The grid: the linear, kernel and noncontextual settings with every
-algorithm they admit; 6 items, pick 3, context dimension 3, T=150;
-seeds 0-2; optimal, one-swap 0.5 and score-perturb 0.5 feedback;
-coefficients 0.01 and 1.  11 algorithm-settings x 2 x 3 x 3 = 198 cells.
+The grid, optimal, one-swap 0.5 and score-perturb 0.5 feedback and
+coefficients 0.01 and 1 throughout, in two blocks:
+
+* the linear, kernel and noncontextual settings with every algorithm
+  they admit; 6 items, pick 3, context dimension 3, T=150; seeds 0-2.
+  11 algorithm-settings x 2 x 3 x 3 = 198 cells.
+* "linear-wide": the linear setting's ``corectron_l`` and ``ons`` at
+  lifted dimension 1000, where the stored inverse spans several blocks
+  of ``SpdInverse``'s pass; 10 items, pick 5, context dimension 100,
+  T=50; seed 0.  2 x 2 x 3 = 12 cells.
 """
 
 from __future__ import annotations
@@ -42,8 +48,15 @@ import sys  # noqa: E402
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-SETTINGS = ("linear", "kernel", "noncontextual")
-SEEDS = (0, 1, 2)
+SMALL = dict(items=6, pick=3, context_dim=3, horizon=150)
+# (label, setting, sizes, algorithms or None for all the setting admits, seeds)
+BLOCKS = (
+    ("linear", "linear", SMALL, None, (0, 1, 2)),
+    ("kernel", "kernel", SMALL, None, (0, 1, 2)),
+    ("noncontextual", "noncontextual", SMALL, None, (0, 1, 2)),
+    ("linear-wide", "linear", dict(items=10, pick=5, context_dim=100, horizon=50),
+     ("corectron_l", "ons"), (0,)),
+)
 COEFFICIENTS = (0.01, 1.0)
 
 
@@ -76,23 +89,20 @@ def run(out_path: str) -> None:
     harness.top_m_oracle = recording_oracle
     cells = {}
     try:
-        for setting in SETTINGS:
-            config = harness.default_config(
-                setting, items=6, pick=3, context_dim=3, horizon=150,
-                diag_level="full",
-            )
-            for algorithm in config.algorithms:
+        for label, setting, sizes, algorithms, seeds in BLOCKS:
+            config = harness.default_config(setting, diag_level="full", **sizes)
+            for algorithm in algorithms or config.algorithms:
                 for coefficient in COEFFICIENTS:
                     params = harness.resolve_hyperparameters(config, algorithm, coefficient)
                     for feedback in feedbacks:
-                        for seed in SEEDS:
+                        for seed in seeds:
                             actions.clear()
                             result, trace = harness.run_episode(
                                 config, algorithm, coefficient, params, feedback, seed
                             )
                             record = result.to_dict()
                             del record["runtime_seconds"], record["total_seconds"]
-                            key = (f"{setting}/{algorithm}/c{coefficient:g}"
+                            key = (f"{label}/{algorithm}/c{coefficient:g}"
                                    f"/{feedback.kind}/s{seed}")
                             cells[key] = {
                                 "result": _json_digest(record),

@@ -13,7 +13,6 @@ input file (a trace, or ``results.csv``) cannot be used.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import sys
 
@@ -28,7 +27,6 @@ from .harness import (
     read_results_csv,
     sweep,
 )
-from .numkit import scipy_blas
 
 
 def _parse_algos(text: str) -> tuple:
@@ -78,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--full-scale", action="store_true",
                      help="long horizons and 10 seeds")
-    run.add_argument("--single-thread", action="store_true",
-                     help="pin BLAS pools to one thread for timing runs")
     run.add_argument("--diag-cap", type=int, default=None,
                      help="max side of the stored trace Gram, min(mistakes, lift dim)")
     run.add_argument("--diag-level", choices=("full", "light"), default=None,
@@ -105,25 +101,6 @@ def _feedback_from_args(args) -> FeedbackModel:
     if args.xi:
         return FeedbackModel.score_perturb(args.xi)
     return FeedbackModel.optimal()
-
-
-def _single_thread_ctx(enabled: bool):
-    """The context that pins BLAS pools to one thread, and the pinning
-    state that ``emit`` records in the report.
-
-    threadpoolctl limits only the libraries already loaded, so scipy's
-    BLAS, which every second-order learner loads when it is built, is
-    loaded first.
-    """
-    if not enabled:
-        return contextlib.nullcontext(), "not requested"
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("threadpoolctl unavailable; thread pinning skipped", file=sys.stderr)
-        return contextlib.nullcontext(), "unavailable"
-    scipy_blas()
-    return threadpool_limits(limits=1), "applied"
 
 
 def _cmd_run(args) -> int:
@@ -166,15 +143,12 @@ def _cmd_run(args) -> int:
             )
             traces[key] = trace
 
-    pinning, thread_pinning = _single_thread_ctx(args.single_thread)
-    with pinning:
-        rows = sweep(
-            config,
-            jobs=args.jobs,
-            trace_hook=hook if args.save_traces else None,
-        )
-    paths = emit(rows, args.out, config=config, traces=traces if traces else None,
-                 thread_pinning=thread_pinning)
+    rows = sweep(
+        config,
+        jobs=args.jobs,
+        trace_hook=hook if args.save_traces else None,
+    )
+    paths = emit(rows, args.out, config=config, traces=traces if traces else None)
 
     for cell in aggregate_results(rows):
         print(

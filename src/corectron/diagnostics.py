@@ -158,6 +158,12 @@ class TraceSummary:
         lev, align = self.leverage, self.alignment
         return (lev + 2.0 * align - align * align) / (1.0 + lev)
 
+    def post_update_leverages(self) -> np.ndarray:
+        """Per-round leverages under the updated preconditioner, which the
+        Sherman-Morrison step gives from the pre-update ones as
+        ``lev / (1 + lev)``."""
+        return self.leverage / (1.0 + self.leverage)
+
     def total_regret(self) -> float:
         return float(self.regret.sum())
 
@@ -255,14 +261,14 @@ def check_post_leverage_identity(trace: TraceSummary) -> Certificate:
         return Certificate("leverage_update_identity", 0.0, 0.0, 1e-8)
     if trace.post_leverage is None:
         raise ValueError("trace has no post-update leverage record")
-    expected = trace.leverage / (1.0 + trace.leverage)
+    expected = trace.post_update_leverages()
     err = float(np.max(np.abs(trace.post_leverage - expected) / (1.0 + np.abs(expected))))
     return Certificate("leverage_update_identity", err, 0.0, 1e-8)
 
 
 def check_cei(trace: TraceSummary) -> Certificate:
     """Final potential is at most the summed post-update leverages."""
-    rhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
+    rhs = float(np.sum(trace.post_update_leverages()))
     lhs = trace.final_potential_direct if trace.horizon else 0.0
     return _cert("cumulative_potential_bound", lhs, rhs)
 
@@ -340,7 +346,7 @@ def check_gram_spectrum(trace: TraceSummary) -> list[Certificate]:
     h_eig = float(np.sum(np.log1p(evals / lam)))
     deff = float(np.sum(evals / (evals + lam)))
     opnorm = float(evals.max(initial=0.0))
-    lhs = float(np.sum(trace.leverage / (1.0 + trace.leverage)))
+    lhs = float(np.sum(trace.post_update_leverages()))
     ident_err = abs(trace.logdet_from_leverage() - h_eig)
     cap = trace.horizon * trace.diameter**2
     return [

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import platform
-import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -39,7 +38,7 @@ from .environment import (
 )
 from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS
 from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec
-from .numkit import SCIPY_BLAS, DegenerateGramError
+from .numkit import DegenerateGramError, scipy_blas
 
 __all__ = [
     "SETTINGS",
@@ -511,18 +510,16 @@ def _openblas_function(package, name: str):
 
 
 def _blas_provenance() -> dict:
-    """Name and version of the BLAS that numpy was built against, and of
-    scipy's (a library of its own) when this process loaded it, from each
-    package's ``show_config``; for an OpenBLAS, also its thread count in
-    effect (``threads``) and the core its kernels were chosen for
+    """Name and version of the BLAS that numpy and scipy (a library of its
+    own, loaded here if no learner of this process did) were built against,
+    from each package's ``show_config``; for an OpenBLAS, also its thread
+    count in effect (``threads``) and the core its kernels were chosen for
     (``config``), read back from the library itself."""
-    packages = {"numpy": np}
-    if SCIPY_BLAS in sys.modules:
-        import scipy
+    import scipy
 
-        packages["scipy"] = scipy
+    scipy_blas()
     out = {}
-    for name, package in packages.items():
+    for name, package in (("numpy", np), ("scipy", scipy)):
         blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
         out[name] = {"name": blas.get("name"), "version": blas.get("version")}
         threads = _openblas_function(package, "get_num_threads")
@@ -538,7 +535,6 @@ def emit(
     out_dir,
     config: ExperimentConfig | None = None,
     traces: dict | None = None,
-    thread_pinning: str = "not requested",
 ) -> dict:
     """Write results.csv, report.json, and optional trace files.
 
@@ -546,14 +542,12 @@ def emit(
     ``str`` (full-precision decimal for floats); the JSON report embeds
     everything else, including per-run certificates and status, and a
     ``provenance`` block: the python, numpy and scipy versions, ``blas``
-    (see :func:`_blas_provenance`; scipy's entry appears once this process
-    has loaded scipy's BLAS, which every learner but OGD uses; each
-    OpenBLAS's thread count and core config are read back once per call,
-    since the last bits of ``SpdInverse``'s products depend on how
-    OpenBLAS splits rows among its threads) and
-    ``thread_pinning``, the state of BLAS thread pinning during the sweep
-    ("not requested", "applied", or "unavailable" when it was requested
-    but threadpoolctl is not installed).
+    (see :func:`_blas_provenance`: numpy's and scipy's for every run, an
+    OGD-only run and the parent of ``jobs > 1`` workers included, though
+    neither uses scipy's BLAS; each OpenBLAS's thread count, which the
+    environment sets, and core config are read back once per call, since
+    the last bits of ``SpdInverse``'s products depend on how OpenBLAS
+    splits rows among its threads).
     """
     import scipy
 
@@ -572,7 +566,6 @@ def emit(
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": _blas_provenance(),
-            "thread_pinning": thread_pinning,
         },
         "summary": aggregate_results(rows) if rows else [],
         "results": [r.to_dict() for r in rows],

@@ -162,11 +162,8 @@ class LiftSpec:
         """Gram of the lifted rows ``lift(Z[s], G[s])`` from its smaller side:
         ``kappa(Z, Z) * (G G^T)`` (r x r), or ``Phi^T Phi`` (D x D) for an
         explicit lift with D < r, which has the same nonzero eigenvalues."""
-        r = G.shape[0]
-        if self.kind != KERNEL and self.dim < r:
-            # The stacked lift(Z[s], G[s]), bit for bit.
-            phi = G if self.kind == NONCONTEXTUAL else Z[:, :, None] * G[:, None, :]
-            phi = phi.reshape(r, self.dim)
+        if self.kind != KERNEL and self.dim < G.shape[0]:
+            phi = lift(self, Z, G)
             return phi.T.dot(phi)
         gram = G.dot(G.T)
         if self.kind == LINEAR:
@@ -180,15 +177,19 @@ def lift(spec: LiftSpec, z, x_base) -> np.ndarray:
     """Explicit coordinates of the lifted vector at context ``z``.
 
     Linear-context lifts are stored column-major: the flat vector of
-    ``x z^T`` stacks the columns ``z_j * x``.
+    ``x z^T`` stacks the columns ``z_j * x``.  Stacked rows, ``x_base`` of
+    shape ``(..., base_dim)`` with contexts ``z`` of shape
+    ``(..., context_dim)``, lift to rows of shape ``(..., dim)``, each bit
+    for bit the lift of its own row.
     """
     x = np.asarray(x_base, dtype=float)
-    if x.shape != (spec.base_dim,):
+    if x.shape[-1:] != (spec.base_dim,):
         raise ValueError("base vector has wrong dimension")
     if spec.kind == NONCONTEXTUAL:
         return x.copy()
     if spec.kind == LINEAR:
-        return np.outer(z, x).ravel()
+        phi = np.asarray(z)[..., :, None] * x[..., None, :]
+        return phi.reshape(phi.shape[:-2] + (spec.dim,))
     raise ValueError("kernel lifts cannot be materialised explicitly")
 
 

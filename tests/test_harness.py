@@ -1,11 +1,9 @@
-import contextlib
 import csv
 import json
 import math
 import os
 import platform
 import sys
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -560,14 +558,14 @@ class TestEmit:
 
 
 class TestCli:
-    @pytest.mark.parametrize("pinning, setting", [
-        ("not requested", "linear"),
-        ("unavailable", "linear"),
-        ("applied", "linear"),
-        ("applied", "kernel"),
+    @pytest.mark.parametrize("setting, algos, jobs", [
+        ("linear", "corectron-l", 1),
+        ("linear", "corectron-l", 2),
+        ("kernel", "corectron-k", 1),
+        ("kernel", "corectron-k", 2),
+        ("linear", "ogd", 1),
     ])
-    def test_report_records_thread_pinning(self, tmp_path, capsys, monkeypatch, pinning,
-                                           setting):
+    def test_report_records_blas_provenance(self, tmp_path, monkeypatch, setting, algos, jobs):
         # As in a fresh process, where no run has loaded scipy.linalg or its
         # BLAS module yet; its submodules go too, so that the run loads the
         # BLAS module afresh.
@@ -575,39 +573,18 @@ class TestCli:
             monkeypatch.delitem(sys.modules, name)
         if "linalg" in vars(scipy):  # hasattr would import it through scipy's __getattr__
             monkeypatch.delattr(scipy, "linalg")
-        limits = []
-        kernel = setting == "kernel"
-
-        def fake_limits(**kw):
-            # threadpoolctl limits only the BLAS libraries already loaded, so
-            # every pinned run loads scipy's BLAS module first
-            assert SCIPY_BLAS in sys.modules
-            limits.append(kw)
-            return contextlib.nullcontext()
-
-        if pinning == "unavailable":
-            monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises
-        elif pinning == "applied":
-            fake = types.ModuleType("threadpoolctl")
-            fake.threadpool_limits = fake_limits
-            monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
         out = tmp_path / "out"
-        args = ["run", "--setting", setting, "--algos", "corectron-k" if kernel else "corectron-l",
-                "--T", "5", "--seeds", "1",
-                "--coef-grid", "1", "--n", "4", "--m", "2", "--p", "3", "--out", str(out)]
-        if pinning != "not requested":
-            args.append("--single-thread")
-        assert cli_main(args) == 0
-        stderr = capsys.readouterr().err
-        assert ("pinning skipped" in stderr) == (pinning == "unavailable")
-        assert limits == ([{"limits": 1}] if pinning == "applied" else [])
+        assert cli_main(["run", "--setting", setting, "--algos", algos, "--T", "5",
+                         "--seeds", "2", "--coef-grid", "1", "--n", "4", "--m", "2",
+                         "--p", "3", "--jobs", str(jobs), "--out", str(out)]) == 0
         with open(out / "report.json") as fh:
             provenance = json.load(fh)["provenance"]
         # Each OpenBLAS's thread count and core, read back from the library.
         for entry in provenance["blas"].values():
             assert entry.pop("threads") >= 1
             assert entry.pop("config").startswith(f"OpenBLAS {entry['version']}")
-        # Both learners use scipy's BLAS, so the report names both libraries.
+        # The report names scipy's BLAS too, though neither an OGD-only run
+        # nor the parent of parallel workers builds a learner that uses it.
         blas = {"numpy": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
                 "scipy": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]}
         assert provenance == {
@@ -615,7 +592,6 @@ class TestCli:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": {lib: {"name": b["name"], "version": b["version"]} for lib, b in blas.items()},
-            "thread_pinning": pinning,
         }
         assert SCIPY_BLAS in sys.modules
         assert "scipy.linalg" not in sys.modules
@@ -816,4 +792,10 @@ class TestCli:
     def test_diag_level_off_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--diag-level", "off"])
+        assert exc.value.code == 2
+
+    def test_removed_pinning_flag_rejected(self):
+        # BLAS threads are set by the environment alone.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--single-thread"])
         assert exc.value.code == 2

@@ -144,6 +144,23 @@ class TestContextMap:
                 rhs = float(adjoint_apply(spec, zc, w).dot(x))
                 assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
 
+    def test_stacked_lift_is_its_rows(self):
+        # Rows stacked in any shape lift bit for bit as one by one, -0.0
+        # entries included: each lifted row is ``z_j * x`` column by column.
+        rng = np.random.default_rng(6)
+        for n, p, shape in [(1, 1, (1,)), (3, 2, (6,)), (4, 3, (2, 5))]:
+            Z = ball_rows(rng, int(np.prod(shape)), p)
+            G = rng.standard_normal((Z.shape[0], n))
+            G[0] = 0.0
+            Z[-1, 0] = -0.0
+            Z, G = Z.reshape(shape + (p,)), G.reshape(shape + (n,))
+            for spec in (LiftSpec.identity(n), LiftSpec.linear(n, p)):
+                stacked = lift(spec, Z, G)
+                rows = [lift(spec, z, g) for z, g in zip(Z.reshape(-1, p), G.reshape(-1, n))]
+                assert stacked.shape == shape + (spec.dim,)
+                assert stacked.tobytes() == np.array(rows).tobytes()
+            assert np.signbit(stacked[np.nonzero(stacked == 0.0)]).any()
+
     def test_kernel_lift_not_materializable(self):
         spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
         with pytest.raises(ValueError):

@@ -111,7 +111,8 @@ def top_m_oracle(w: np.ndarray, spec: ActionSetSpec) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape[-1:] != (spec.n,):
         raise ValueError("score vector has wrong dimension")
-    order = np.argsort(-w, kind="stable")
+    # The method, not np.argsort: the same stable order without its dispatch.
+    order = (-w).argsort(kind="stable")
     if w.ndim == 1:  # the per-round call: plain indexing skips put_along_axis's set-up
         x = np.zeros(spec.n)
         x[order[: spec.m]] = spec.scale

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .environment import (
     UtilitySpec,
     top_m_oracle,
 )
-from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS
+from .learners import STEP_COEFF, CoRectron, CoRectronK, KONS, OGD, ONS, RoundDiagnostics
 from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, LiftSpec
 from .numkit import DegenerateGramError, scipy_blas
 
@@ -238,6 +239,21 @@ _CORECTRON_ALGOS = ("corectron_l", "corectron_k")
 _EPISODE_ERRORS = (DegenerateGramError, FloatingPointError, np.linalg.LinAlgError)
 
 
+def _failure(exc: Exception) -> tuple[str, str]:
+    """The status and message of an episode that ``exc`` ended."""
+    return "failed", f"{type(exc).__name__}: {exc}"
+
+
+def _diagnostic_rows(diags: list, horizon: int) -> np.ndarray:
+    """The rounds' ``RoundDiagnostics`` as one row per field over ``horizon``
+    columns, zeros past the last round given."""
+    n, width = len(diags), len(RoundDiagnostics._fields)
+    rows = np.zeros((width, horizon))
+    flat = np.fromiter(itertools.chain.from_iterable(diags), float, count=n * width)
+    rows[:, :n] = flat.reshape(n, width).T
+    return rows
+
+
 def run_episode(
     config: ExperimentConfig,
     algorithm: str,
@@ -267,11 +283,8 @@ def run_episode(
     is_corectron = algorithm in _CORECTRON_ALGOS
     want_full = config.diag_level == "full" and is_corectron
 
-    leverage = np.zeros(T)
-    alignment = np.zeros(T)
-    alignment_scale = np.zeros(T)
+    diags = []  # each round's RoundDiagnostics
     recommended = np.zeros((T, config.items))
-    projection_count = 0
     potential_direct = np.zeros(T) if want_full else None
     post_leverage = np.zeros(T) if want_full else None
 
@@ -284,37 +297,42 @@ def run_episode(
             t0 = time.perf_counter()
             w_base = learner.predict(z)
             learner_time += time.perf_counter() - t0
-            if not np.all(np.isfinite(w_base)):
+            if not np.isfinite(w_base).all():
                 raise FloatingPointError("non-finite prediction")
             xhat = recommended[t] = top_m_oracle(w_base, actions)
             t0 = time.perf_counter()
             diag = learner.update(z, xhat - x)
             learner_time += time.perf_counter() - t0
-            leverage[t] = diag.leverage
-            alignment[t] = diag.alignment
-            alignment_scale[t] = diag.alignment_scale
-            projection_count += diag.projected
+            diags.append(diag)
             if want_full:
                 potential_direct[t] = learner.potential_direct()
                 post_leverage[t] = learner.post_round_leverage()
-        # One dot per row, rounded as a per-round ``u.dot(x - xhat)`` would be.
-        lost = env.revealed - recommended
-        regret = np.matmul(env.utilities[:, None, :], lost[:, :, None])[:, 0, 0]
-        if not np.isfinite(regret.sum()):
-            raise FloatingPointError("non-finite regret")
-        if is_corectron:
-            # The trace accepts only finite numbers; a learner's non-finite
-            # diagnostic fails this cell instead of the sweep.
-            final_potential_direct = learner.potential_direct() if T else 0.0
-            for name, column in (("leverage", leverage), ("alignment", alignment),
-                                 ("alignment_scale", alignment_scale),
-                                 ("potential_direct", potential_direct),
-                                 ("post_leverage", post_leverage),
-                                 ("final_potential_direct", final_potential_direct)):
-                if column is not None and not np.all(np.isfinite(column)):
-                    raise FloatingPointError(f"non-finite {name}")
     except _EPISODE_ERRORS as exc:
-        status, message = "failed", f"{type(exc).__name__}: {exc}"
+        status, message = _failure(exc)
+    # The rounds played, a failed episode's too, in one conversion: a row per
+    # RoundDiagnostics field, zeros past the last round.
+    leverage, alignment, alignment_scale, projected = _diagnostic_rows(diags, T)
+    projection_count = int(projected.sum())
+    if status == "ok":
+        try:
+            # One dot per row, rounded as a per-round ``u.dot(x - xhat)`` would be.
+            lost = env.revealed - recommended
+            regret = np.matmul(env.utilities[:, None, :], lost[:, :, None])[:, 0, 0]
+            if not np.isfinite(regret.sum()):
+                raise FloatingPointError("non-finite regret")
+            if is_corectron:
+                # The trace accepts only finite numbers; a learner's non-finite
+                # diagnostic fails this cell instead of the sweep.
+                final_potential_direct = learner.potential_direct() if T else 0.0
+                for name, column in (("leverage", leverage), ("alignment", alignment),
+                                     ("alignment_scale", alignment_scale),
+                                     ("potential_direct", potential_direct),
+                                     ("post_leverage", post_leverage),
+                                     ("final_potential_direct", final_potential_direct)):
+                    if column is not None and not np.all(np.isfinite(column)):
+                        raise FloatingPointError(f"non-finite {name}")
+        except _EPISODE_ERRORS as exc:
+            status, message = _failure(exc)
     total_time = time.perf_counter() - t_total0
     # Only the lift is read from here on, so the learner's state (a kernel
     # learner's factor) is freed before the trace Gram is built.
@@ -482,31 +500,44 @@ def best_coefficients(
     return best
 
 
-def _openblas_function(package, name: str):
-    """The function ``openblas_<name>`` of the OpenBLAS that ``package``
-    loaded, through ``ctypes``; None when there is none.
-
-    The library is the one this process mapped from under the package's
-    directory (a wheel keeps it in ``<package>.libs``), as
-    ``/proc/self/maps`` lists it, so it is found only on Linux.  Its
-    symbols carry a prefix and, for a 64-bit-integer build, the suffix
-    ``64_``.
-    """
-    root = os.path.dirname(package.__file__)
+def _mapped_files() -> set[str]:
+    """The files this process has mapped, as ``/proc/self/maps`` lists
+    them; empty where it cannot be read (off Linux)."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({path for path in (line.split()[-1] for line in fh)
-                            if path.startswith(root) and "openblas" in path.lower()})
+            return {line.split()[-1] for line in fh}
     except OSError:
-        return None
-    for path in paths:
+        return set()
+
+
+def _openblas_functions(package, names, mapped: set[str]) -> list:
+    """For each of ``names``, the function ``openblas_<name>`` of the
+    OpenBLAS that ``package`` loaded, through ``ctypes``; None where there
+    is none.
+
+    The library is the one this process mapped from under the package's
+    directory (a wheel keeps it in ``<package>.libs``), among the
+    ``mapped`` files of :func:`_mapped_files`, and is opened once for all
+    of ``names``.  Its symbols carry a prefix and, for a 64-bit-integer
+    build, the suffix ``64_``.
+    """
+    root = os.path.dirname(package.__file__)
+    found = [None] * len(names)
+    for path in sorted(p for p in mapped if p.startswith(root) and "openblas" in p.lower()):
         library = ctypes.CDLL(path)
-        for symbol in (f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
-                       for suffix in ("64_", "")):
-            function = getattr(library, symbol, None)
-            if function is not None:
-                return function
-    return None
+        for i, name in enumerate(names):
+            for symbol in (f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
+                           for suffix in ("64_", "")):
+                if found[i] is None:
+                    found[i] = getattr(library, symbol, None)
+        if None not in found:
+            break
+    return found
+
+
+def _openblas_function(package, name: str):
+    """:func:`_openblas_functions` of one name, from the maps as they are now."""
+    return _openblas_functions(package, (name,), _mapped_files())[0]
 
 
 def _blas_provenance() -> dict:
@@ -514,16 +545,17 @@ def _blas_provenance() -> dict:
     own, loaded here if no learner of this process did) were built against,
     from each package's ``show_config``; for an OpenBLAS, also its thread
     count in effect (``threads``) and the core its kernels were chosen for
-    (``config``), read back from the library itself."""
+    (``config``), read back from the library itself.  The process's maps
+    are read once, after scipy's BLAS is loaded."""
     import scipy
 
     scipy_blas()
+    mapped = _mapped_files()
     out = {}
     for name, package in (("numpy", np), ("scipy", scipy)):
         blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
         out[name] = {"name": blas.get("name"), "version": blas.get("version")}
-        threads = _openblas_function(package, "get_num_threads")
-        config = _openblas_function(package, "get_config")
+        threads, config = _openblas_functions(package, ("get_num_threads", "get_config"), mapped)
         if threads is not None and config is not None:
             threads.restype, config.restype = ctypes.c_int, ctypes.c_char_p
             out[name].update(threads=threads(), config=config().decode(errors="replace"))

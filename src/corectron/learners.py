@@ -70,13 +70,11 @@ class RoundDiagnostics(NamedTuple):
     projected: bool
 
 
-def _baseline_diag(projected: bool) -> RoundDiagnostics:
-    nan = float("nan")
-    return RoundDiagnostics(nan, nan, nan, projected)
-
-
 # A round without a mistake: no leverage, no alignment.
 _ZERO_ROUND = RoundDiagnostics(0.0, 0.0, 1.0, False)
+# A baseline's round, without and with a nontrivial projection.
+_UNPROJECTED = RoundDiagnostics(math.nan, math.nan, math.nan, False)
+_PROJECTED = RoundDiagnostics(math.nan, math.nan, math.nan, True)
 
 
 class _History:
@@ -223,6 +221,7 @@ class CoRectronK:
         self._weights = np.empty(0)  # -coef, the prediction's representer weights
         self._hist = _History(lift_spec)
         self._gram_total = 0.0  # sum of all Gram entries = ||cumulative||^2
+        self._potential = 0.0  # t - ridge * sum(coef), with t = 0
         self._post_leverage: float | None = None  # of the last round
 
     def predict(self, z) -> np.ndarray:
@@ -253,6 +252,7 @@ class CoRectronK:
         self._fwd_ones[t] = (1.0 - float(y.dot(self._fwd_ones[:t]))) / pivot
         self._coef = self._chol.backward(self._fwd_ones[: t + 1])
         self._weights = -self._coef
+        self._potential = self._hist.size - self.regularizer * float(self._coef.sum())
         # Last diagonal entry of K (K + ridge I)^{-1}: L is lower triangular,
         # so L^{-1} e_t = e_t / pivot and the last entry of (L L^T)^{-1} e_t
         # is (1 / pivot) / pivot, the value two dense triangular solves give.
@@ -266,8 +266,10 @@ class CoRectronK:
         vector with the all-ones vector.  ``t`` counts the stored
         (nonzero) residuals: a zero residual's row would be decoupled, with
         coefficient ``1 / ridge``, and add ``1 - ridge / ridge = 0``.
+        The value is computed in :meth:`update` whenever the coefficients
+        change, and stored: a round without a mistake leaves it as it is.
         """
-        return self._hist.size - self.regularizer * float(self._coef.sum())
+        return self._potential
 
     def post_round_leverage(self) -> float:
         """The last round's diagonal entry of ``K (K + ridge I)^{-1}``,
@@ -297,12 +299,12 @@ class OGD:
         z = self.lift_spec.check_context(z)
         g = lift(self.lift_spec, z, g_base)
         if not g.any():
-            return _baseline_diag(False)
+            return _UNPROJECTED
         self._w -= self.step_size * g
         nrm = float(np.linalg.norm(self._w))
         if nrm > 1.0:
             self._w /= nrm
-        return _baseline_diag(False)
+        return _UNPROJECTED
 
 
 class ONS:
@@ -332,14 +334,18 @@ class ONS:
 
     def update(self, z, g_base) -> RoundDiagnostics:
         z = self.lift_spec.check_context(z)
-        g = SURROGATE_SCALE * lift(self.lift_spec, z, g_base)
+        g = lift(self.lift_spec, z, g_base)
+        g *= SURROGATE_SCALE
         if not g.any():
-            return _baseline_diag(False)
+            return _UNPROJECTED
         self._inv.rank_one_update(g)
-        target = self._w - self._inv.apply(g) / STEP_COEFF
+        # w - A^{-1} g / STEP_COEFF, formed in the product's own array.
+        target = self._inv.apply(g)
+        target /= STEP_COEFF
+        np.subtract(self._w, target, out=target)
         proj = self._inv.project_ball(target, 1.0)
         self._w = proj.point
-        return _baseline_diag(not proj.trivial)
+        return _UNPROJECTED if proj.trivial else _PROJECTED
 
 
 class KONS:
@@ -376,7 +382,7 @@ class KONS:
         z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
         if not g.any():
-            return _baseline_diag(False)
+            return _UNPROJECTED
         col, rho = self._hist.gram_column(z, g)
         s2 = SURROGATE_SCALE**2
         self._gram.append(col, rho)
@@ -391,9 +397,9 @@ class KONS:
         gram = self._gram.entries
         if in_ellipsoid(gram, target, 1.0):
             self._coef = target
-            return _baseline_diag(False)
+            return _UNPROJECTED
         # The projection metric s^2 K + ridge I, formed only when projecting.
         metric = s2 * gram
         metric.flat[:: metric.shape[0] + 1] += self.ridge
         self._coef = project_ellipsoid_coeff(metric, gram, target, 1.0).point
-        return _baseline_diag(True)
+        return _PROJECTED

@@ -199,11 +199,15 @@ class SpdInverse:
     one subtraction per entry, with no division.
 
     The downdate is not applied at once: ``b`` is kept pending, and the
-    next reader subtracts it on its way.  ``rank_one_update``, ``apply``
-    and ``quad`` each make one pass over the stored inverse, block of
-    rows by block of rows: each block first takes the pending downdate,
-    then its share of the matrix-vector product, while it is still in
-    cache.  An update therefore costs one pass where a matrix-vector
+    next reader subtracts it on its way.  It is kept in one vector made
+    with the state, which every update overwrites in place, and the BLAS
+    references to it, whole and at each block's first row, are made once
+    with the inverse's own, so an update allocates no vector for ``b``
+    and makes no reference; a copy gets a vector of its own.
+    ``rank_one_update``, ``apply`` and ``quad`` each make one pass over
+    the stored inverse, block of rows by block of rows: each block first
+    takes the pending downdate, then its share of the matrix-vector
+    product, while it is still in cache.  An update therefore costs one pass where a matrix-vector
     product followed by a downdate cost two.  ``project_ball``, ``inv``
     and ``copy`` subtract a pending downdate first, in one call, so no
     reader ever sees the stored inverse without it.  When the whole
@@ -266,15 +270,20 @@ class SpdInverse:
             raise ValueError("the stored inverse must be a C-ordered float64 array")
         self.dim = d = inv.shape[0]
         self._inv = inv
-        self._pending: np.ndarray | None = None  # b of a downdate not yet subtracted
+        # b of the pending downdate, valid while _pending is set.
+        self._b = b = np.empty(d)
+        self._pending = False
         self._dgemm = _blas_routine("dgemm")
-        self._dim_ref, self._inv_ref = ctypes.byref(ctypes.c_int(d)), _address(inv)
+        self._dim_ref, self._inv_ref, self._b_ref = (
+            ctypes.byref(ctypes.c_int(d)), _address(inv), _address(b))
         # Per block of rows: its first row, its rows as a view, its row
-        # count by reference and its first entry by reference.  None when
-        # the whole inverse is one block.
+        # count by reference, its first entry by reference and the entry of
+        # b at its first row by reference.  None when the whole inverse is
+        # one block.
         starts = _block_starts(d)
         self._blocks = None if len(starts) == 1 else [
-            (r0, inv[r0:r1], ctypes.byref(ctypes.c_int(r1 - r0)), _address(inv[r0]))
+            (r0, inv[r0:r1], ctypes.byref(ctypes.c_int(r1 - r0)), _address(inv[r0]),
+             _address(b[r0:]))
             for r0, r1 in zip(starts, starts[1:] + [d])
         ]
 
@@ -304,20 +313,18 @@ class SpdInverse:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``A^{-1} v``, in one pass that subtracts the pending downdate."""
-        b = self._pending
-        if b is None:
+        if not self._pending:
             return self._inv.dot(v)
         if self._blocks is None:
             self._flush()
             return self._inv.dot(v)
-        self._pending = None
+        self._pending = False
         out = np.empty(self.dim)
-        b_buf = ctypes.c_char.from_buffer(b)
-        b_ref, d = ctypes.byref(b_buf), self._dim_ref
-        for r0, block, n, c_ref in self._blocks:
+        b_ref, d = self._b_ref, self._dim_ref
+        for r0, block, n, c_ref, b_r0_ref in self._blocks:
             # inv[r0:r1] -= outer(b[r0:r1], b): the block's columns of inv^T
-            self._dgemm(_N, _N, d, n, _ONE, _MINUS_ONE, b_ref, d, ctypes.byref(b_buf, 8 * r0), _ONE,
-                        _PLUS_ONE, c_ref, d)
+            self._dgemm(_N, _N, d, n, _ONE, _MINUS_ONE, b_ref, d, b_r0_ref, _ONE, _PLUS_ONE,
+                        c_ref, d)
             np.dot(block, v, out=out[r0 : r0 + block.shape[0]])
         return out
 
@@ -345,15 +352,15 @@ class SpdInverse:
         lev = float(g.dot(ag))
         if not lev > -1.0:
             raise FloatingPointError("inverse update denominator not positive; state is not SPD")
-        self._pending = ag / math.sqrt(1.0 + lev)
+        np.divide(ag, math.sqrt(1.0 + lev), out=self._b)
+        self._pending = True
         return lev, ag
 
     def _flush(self) -> None:
         """Subtract the pending downdate from the whole stored inverse."""
-        b = self._pending
-        if b is not None:
-            self._pending = None
-            b_ref, d = _address(b), self._dim_ref
+        if self._pending:
+            self._pending = False
+            b_ref, d = self._b_ref, self._dim_ref
             # transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
             self._dgemm(_N, _N, d, d, _ONE, _MINUS_ONE, b_ref, d, b_ref, _ONE, _PLUS_ONE,
                         self._inv_ref, d)
@@ -610,7 +617,8 @@ def project_ball_mahalanobis(inv_metric, point, radius: float) -> ProjectionResu
     point = _as_vector(point)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    nrm = float(np.linalg.norm(point))
+    # np.linalg.norm's formula for a float vector, without its dispatch.
+    nrm = math.sqrt(point.dot(point))
     if nrm <= radius * (1.0 + TRIVIAL_SLACK):
         return ProjectionResult(point.copy(), 0.0, True)
 

@@ -27,6 +27,7 @@ from corectron.harness import (
     run_episode,
     sweep,
 )
+from corectron.learners import ONS
 from corectron.numkit import SCIPY_BLAS, SpdInverse
 
 from kernel_reference import kernel_value
@@ -412,6 +413,36 @@ class TestSweep:
         for row, ref in zip(rows[1:], clean[1:]):
             assert row.status == "ok"
             assert row.csv_row()[:8] == ref.csv_row()[:8]
+
+    def test_failed_cell_keeps_projections_before_its_failure(self, monkeypatch):
+        # An update that raises at round k fails the cell, which still
+        # reports the projections of rounds 0..k-1; k is the last
+        # projecting round of the clean run.
+        config = tiny_config(algorithms=("ons",), coef_grid=(0.01,), seeds=(0,),
+                             feedback_models=(FeedbackModel.one_swap(0.5),))
+        args = (config, "ons", 0.01, resolve_hyperparameters(config, "ons", 0.01),
+                config.feedback_models[0], 0)
+        update = ONS.update
+        projected, fail_at = [], []
+
+        def flaky(self, z, g):
+            if len(projected) in fail_at:
+                raise FloatingPointError("injected")
+            diag = update(self, z, g)
+            projected.append(diag.projected)
+            return diag
+
+        monkeypatch.setattr(ONS, "update", flaky)
+        clean, _ = run_episode(*args)
+        k = max(t for t, flag in enumerate(projected) if flag)
+        before = sum(projected[:k])
+        assert 0 < before < clean.projection_count == sum(projected)
+        projected.clear()
+        fail_at.append(k)
+        failed, trace = run_episode(*args)
+        assert (failed.status, failed.message) == ("failed", "FloatingPointError: injected")
+        assert math.isnan(failed.final_regret) and trace is None
+        assert failed.projection_count == before
 
     def test_feedback_sweep_expands_rows(self):
         config = tiny_config(

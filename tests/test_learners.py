@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from scipy.linalg import solve_triangular
 from corectron.environment import ActionSetSpec, top_m_oracle
 from corectron.learners import KONS, OGD, ONS, CoRectron, CoRectronK
 from corectron.lifting import KernelSpec, LiftSpec
-from corectron.numkit import JITTER_REL
+from corectron.numkit import JITTER_REL, SpdInverse
 
 from kernel_reference import kernel_value
 
@@ -193,6 +195,20 @@ class TestCoRectronK:
     def test_update_same_with_or_without_predict(self, monkeypatch):
         # update reuses the kernel column predict computed at the same context
         check_kernel_column_reuse(monkeypatch, lambda spec: CoRectronK(spec, 0.5), -1.0)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from([1e-3, 0.7, 10.0]), st.lists(st.booleans(), max_size=30),
+           st.integers(0, 2**32 - 1))
+    def test_stored_potential_is_the_recomputed_one(self, ridge, zeros, seed):
+        # the potential kept by update is, to the byte, the formula on the
+        # coefficients as they stand, after zero and nonzero residuals alike
+        rng = np.random.default_rng(seed)
+        learner = CoRectronK(self.kernel_spec(), ridge)
+        for zero in zeros:
+            z = unit_context(rng, 2)
+            learner.update(z, np.zeros(3) if zero else rng.standard_normal(3))
+            expected = learner._hist.size - ridge * float(learner._coef.sum())
+            assert np.float64(learner.potential_direct()).tobytes() == np.float64(expected).tobytes()
 
 
 # Hostile kernel streams: per round, a fresh context or a near-duplicate
@@ -408,6 +424,26 @@ class TestONS:
         for _ in range(150):
             learner.update(None, rng.standard_normal(3) * 0.6)
             assert np.linalg.norm(learner._w) <= 1.0 + 1e-9
+
+    def test_diagnostics_flag_the_projections_that_moved_the_point(self, monkeypatch):
+        # NaN for the scalars ONS does not have; projected exactly when the
+        # projection returned another point than the Newton target
+        targets = []
+        project = SpdInverse.project_ball
+        monkeypatch.setattr(SpdInverse, "project_ball",
+                            lambda self, point, radius: targets.append(point.copy())
+                            or project(self, point, radius))
+        rng = np.random.default_rng(15)
+        learner = ONS(LiftSpec.linear(3, 2), ridge=0.3)
+        seen = set()
+        for _ in range(40):
+            targets.clear()
+            diag = learner.update(unit_context(rng, 2), rng.standard_normal(3))
+            assert all(math.isnan(v) for v in diag[:3])
+            (target,) = targets
+            assert diag.projected == (learner._w.tobytes() != target.tobytes())
+            seen.add(diag.projected)
+        assert seen == {False, True}
 
     def test_holds_one_square_matrix(self):
         # the stored inverse serves both the Newton step and the projection

@@ -371,6 +371,30 @@ class TestDeferredDowndate:
             if "copy" in ops:
                 assert original.inv.tobytes() == kept.tobytes()
 
+    @pytest.mark.parametrize("d", [100, 1000])
+    def test_pending_downdate_keeps_one_buffer(self, d):
+        # One pending vector per state, written in place by every update; a
+        # copy gets its own, so the two states' downdates stay apart.
+        rng = np.random.default_rng(d)
+        state, ref = SpdInverse.from_ridge(d, 0.5), DenseInverse(d, 0.5)
+        address = state._b.ctypes.data
+        with one_blas_thread():
+            for _ in range(3):
+                g = rng.standard_normal(d)
+                state.rank_one_update(g)
+                ref.rank_one_update(g)
+                assert state._b.ctypes.data == address
+            twin, twin_ref = state.copy(), DenseInverse(d, 0.5)
+            twin_ref.ref = ref.ref.copy()
+            assert not np.shares_memory(twin._b, state._b)
+            for states in ((state, ref), (twin, twin_ref), (state, ref)):
+                g = rng.standard_normal(d)
+                for s in states:
+                    s.rank_one_update(g)
+            assert state._b.ctypes.data == address
+            assert state.inv.tobytes() == ref.ref.tobytes()
+            assert twin.inv.tobytes() == twin_ref.ref.tobytes()
+
     @pytest.mark.parametrize("algorithm", ["corectron_l", "ons"])
     @pytest.mark.parametrize("read_every_round", [True, False])
     def test_wide_learners_bytes_equal_dense_twins(self, algorithm, read_every_round):
@@ -683,6 +707,37 @@ class TestProjectBall:
         assert np.linalg.norm(out.point) <= radius * (1.0 + 1e-9)
         assert out.trivial == (ratio < 1.0)
         assert project_ball_mahalanobis(inv_metric, out.point, radius).trivial
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from([1e300, -1e-300, 5e-324, 1e-160]),
+                    min_size=1, max_size=40))
+    def test_trivial_test_reads_numpy_norm(self, entries):
+        # The feasibility test compares the norm of the point with
+        # radius * (1 + TRIVIAL_SLACK).  At the radius that puts that bound
+        # on np.linalg.norm's value the point is feasible, and one float
+        # below it is not: the projection then reads the inverse metric,
+        # here not symmetric, and raises.  So the norm is numpy's, to the bit.
+        point = np.array(entries)
+        with np.errstate(over="ignore"):  # huge entries: the norm is inf
+            norm = float(np.linalg.norm(point))
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+        def radius_for(bound):
+            r = bound / (1.0 + TRIVIAL_SLACK)
+            for _ in range(4):
+                c = r * (1.0 + TRIVIAL_SLACK)
+                if c == bound:
+                    return r
+                r = float(np.nextafter(r, math.inf if c < bound else 0.0))
+            return None
+
+        with np.errstate(over="ignore"):
+            assert project_ball_mahalanobis(skew, point, radius_for(norm) if norm else 5e-324).trivial
+            below = float(np.nextafter(norm, 0.0))
+            radius = radius_for(below)
+            if below > 0.0 and radius:
+                with pytest.raises(ValueError, match="symmetric"):
+                    project_ball_mahalanobis(skew, point, radius)
 
     def test_feasible_point_is_trivial(self):
         out = project_ball_mahalanobis(np.eye(3), np.array([0.1, 0.2, 0.1]), 1.0)

@@ -171,7 +171,7 @@ class UtilitySpec:
         if self.kind not in MODELS:
             raise ValueError(f"unknown utility kind: {self.kind!r}")
         if self.kind != NONCONTEXTUAL and self.context_dim <= 0:
-            raise ValueError("contextual utilities need a positive context dimension")
+            raise ValueError(f"the {self.kind} model needs context_dim >= 1")
         if self.kind == KERNEL and not 0 < self.bandwidth < math.inf:
             raise ValueError("bandwidth must be finite and positive")
 

@@ -19,6 +19,7 @@ import ctypes
 import itertools
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -109,13 +110,18 @@ class ExperimentConfig:
     diag_level: str = "full"
 
     def __post_init__(self):
-        if self.setting not in SETTINGS:
-            raise ValueError(f"unknown setting: {self.setting!r}")
+        # The specs an episode builds check the setting, the context
+        # dimension, the bandwidth and ``0 < pick <= items``.
+        UtilitySpec(self.setting, self.context_dim, self.bandwidth)
+        ActionSetSpec(self.items, self.pick)
         for name in ("algorithms", "seeds", "coef_grid", "feedback_models"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
         if not all(0 < c < math.inf for c in self.coef_grid):
             raise ValueError(f"coefficients must be finite and positive: {self.coef_grid}")
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
+                   for s in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers: {self.seeds}")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
@@ -129,12 +135,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown diag level: {self.diag_level!r}")
         if self.diag_cap < 0:
             raise ValueError("diag_cap must be nonnegative")
-        if not (0 < self.pick <= self.items):
-            raise ValueError("need 0 < pick <= items")
-        if self.setting != NONCONTEXTUAL and self.context_dim < 1:
-            raise ValueError(f"the {self.setting} setting needs context_dim >= 1")
-        if self.setting == KERNEL and not 0 < self.bandwidth < math.inf:
-            raise ValueError("the kernel setting needs a finite positive bandwidth")
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
 
@@ -500,63 +500,43 @@ def best_coefficients(
     return best
 
 
-def _mapped_files() -> set[str]:
-    """The files this process has mapped, as ``/proc/self/maps`` lists
-    them; empty where it cannot be read (off Linux)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            return {line.split()[-1] for line in fh}
-    except OSError:
-        return set()
-
-
-def _openblas_functions(package, names, mapped: set[str]) -> list:
+def _openblas_functions(package, names) -> list:
     """For each of ``names``, the function ``openblas_<name>`` of the
-    OpenBLAS that ``package`` loaded, through ``ctypes``; None where there
-    is none.
+    OpenBLAS that ``package`` (numpy or scipy) calls, through ``ctypes``;
+    None where there is none.
 
-    The library is the one this process mapped from under the package's
-    directory (a wheel keeps it in ``<package>.libs``), among the
-    ``mapped`` files of :func:`_mapped_files`, and is opened once for all
-    of ``names``.  Its symbols carry a prefix and, for a 64-bit-integer
+    Each is looked up on the handle of the extension module that calls the
+    package's BLAS, ``numpy.linalg._umath_linalg`` or scipy's
+    ``scipy.linalg.cython_blas`` (loaded here if no learner did), so the
+    dynamic linker finds it in the library that module links, wherever
+    that lies.  Its symbols carry a prefix and, for a 64-bit-integer
     build, the suffix ``64_``.
     """
-    root = os.path.dirname(package.__file__)
-    found = [None] * len(names)
-    for path in sorted(p for p in mapped if p.startswith(root) and "openblas" in p.lower()):
-        library = ctypes.CDLL(path)
-        for i, name in enumerate(names):
-            for symbol in (f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
-                           for suffix in ("64_", "")):
-                if found[i] is None:
-                    found[i] = getattr(library, symbol, None)
-        if None not in found:
-            break
+    caller = np.linalg._umath_linalg if package is np else scipy_blas()
+    library = ctypes.CDLL(caller.__file__)
+    found = []
+    for name in names:
+        functions = (getattr(library, f"{prefix}_{name}{suffix}", None)
+                     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+        found.append(next((f for f in functions if f is not None), None))
     return found
-
-
-def _openblas_function(package, name: str):
-    """:func:`_openblas_functions` of one name, from the maps as they are now."""
-    return _openblas_functions(package, (name,), _mapped_files())[0]
 
 
 def _blas_provenance() -> dict:
     """Name and version of the BLAS that numpy and scipy (a library of its
-    own, loaded here if no learner of this process did) were built against,
-    from each package's ``show_config``; for an OpenBLAS, also its thread
-    count in effect (``threads``) and the core its kernels were chosen for
-    (``config``), read back from the library itself.  The process's maps
-    are read once, after scipy's BLAS is loaded."""
+    own) were built against, from each package's ``show_config``; for an
+    OpenBLAS, also its thread count in effect (``threads``) and the core
+    its kernels were chosen for (``config``), read back from the library
+    itself through :func:`_openblas_functions`."""
     import scipy
 
-    scipy_blas()
-    mapped = _mapped_files()
     out = {}
     for name, package in (("numpy", np), ("scipy", scipy)):
         blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
         out[name] = {"name": blas.get("name"), "version": blas.get("version")}
-        threads, config = _openblas_functions(package, ("get_num_threads", "get_config"), mapped)
+        threads, config = _openblas_functions(package, ("get_num_threads", "get_config"))
         if threads is not None and config is not None:
+            threads.argtypes = config.argtypes = ()
             threads.restype, config.restype = ctypes.c_int, ctypes.c_char_p
             out[name].update(threads=threads(), config=config().decode(errors="replace"))
     return out
@@ -579,7 +559,9 @@ def emit(
     neither uses scipy's BLAS; each OpenBLAS's thread count, which the
     environment sets, and core config are read back once per call, since
     the last bits of ``SpdInverse``'s products depend on how OpenBLAS
-    splits rows among its threads).
+    splits rows among its threads; each library is found through the
+    extension module that calls it, whose handle the dynamic linker
+    resolves the library's symbols on).
     """
     import scipy
 

@@ -79,6 +79,8 @@ SCIPY_BLAS = "scipy.linalg.cython_blas"
 # and 1.5 MB by about 5%.
 PASS_BLOCK_BYTES = 1024 * 1024
 PASS_ONE_BLOCK_BYTES = 2 * 1024 * 1024
+# The rows a new CholFactor holds before its buffer first doubles.
+CHOL_CAPACITY = 64
 
 
 def scipy_linalg():
@@ -395,10 +397,9 @@ class CholFactor:
     loading it and no factor imports scipy.linalg.
     """
 
-    def __init__(self, capacity: int = 64):
-        cap = max(capacity, 1)
+    def __init__(self):
         self._dtpsv = _blas_routine("dtpsv")
-        self._bind(np.zeros(cap * (cap + 1) // 2), 0)
+        self._bind(np.zeros(CHOL_CAPACITY * (CHOL_CAPACITY + 1) // 2), 0)
 
     def _bind(self, ap: np.ndarray, size: int) -> None:
         # The solves pass the buffer and the factor's size by reference;

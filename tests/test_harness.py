@@ -140,6 +140,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="must not be empty|finite and positive"):
             ExperimentConfig(**grids)
 
+    @pytest.mark.parametrize("seeds", [(-1,), (0, -3), (1.5,), (2.0,), ("1",), (True,), (None,)])
+    def test_seeds_must_be_nonnegative_integers(self, seeds):
+        # A negative seed would abort the sweep in numpy's seeding, outside
+        # the episode errors, and 1.5 would run as seed 1.
+        with pytest.raises(ValueError, match="seeds must be non-negative integers"):
+            default_config("linear", seeds=seeds)
+
+    def test_numpy_integer_seeds_accepted(self):
+        assert default_config("linear", seeds=(0, np.int64(3))).seeds == (0, 3)
+
 
 class TestRunEpisode:
     @pytest.mark.parametrize("setting, algorithm", [
@@ -568,10 +578,10 @@ class TestEmit:
         # read back from each library at emit, after a change at run time
         SpdInverse.from_ridge(2, 1.0)  # loads scipy's BLAS
         libraries = {"numpy": np, "scipy": scipy}
-        get = {name: harness._openblas_function(package, "get_num_threads")
-               for name, package in libraries.items()}
-        put = {name: harness._openblas_function(package, "set_num_threads")
-               for name, package in libraries.items()}
+        get, put = {}, {}
+        for name, package in libraries.items():
+            get[name], put[name] = harness._openblas_functions(
+                package, ("get_num_threads", "set_num_threads"))
         before = {name: function() for name, function in get.items()}
         try:
             for threads in sorted({1, before["numpy"]}):
@@ -586,6 +596,24 @@ class TestEmit:
         finally:
             for name, function in put.items():
                 function(before[name])
+
+    def test_report_finds_each_openblas_without_the_process_maps(self, tmp_path, monkeypatch):
+        # Each library is found through the module that calls it, so a
+        # process that cannot read its own maps records both all the same.
+        real_open = open
+
+        def open_without_maps(path, *args, **kwargs):
+            if path == "/proc/self/maps":
+                raise OSError("no maps here")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", open_without_maps)
+        with real_open(emit([], tmp_path)["json"]) as fh:
+            blas = json.load(fh)["provenance"]["blas"]
+        assert set(blas) == {"numpy", "scipy"}
+        for entry in blas.values():
+            assert entry["threads"] >= 1
+            assert entry["config"].startswith(f"OpenBLAS {entry['version']}")
 
 
 class TestCli:

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
-from corectron import harness
+from corectron import harness, numkit
 from corectron.diagnostics import TraceSummary, check_gram_spectrum
 from corectron.environment import FeedbackModel, top_m_oracle
 from corectron.learners import ONS, SURROGATE_SCALE, CoRectron
@@ -276,8 +277,7 @@ def one_blas_thread():
     off the groups of four rows that a block of the pass starts.  The pass
     keeps the bits of the product on one thread.
     """
-    get = harness._openblas_function(np, "get_num_threads")
-    put = harness._openblas_function(np, "set_num_threads")
+    get, put = harness._openblas_functions(np, ("get_num_threads", "set_num_threads"))
     if get is None or put is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set here")
     before = get()
@@ -540,7 +540,8 @@ def grow_packed(stream):
     F = np.array(feats).reshape(len(kinds), dim)
     K = F.dot(F.T)
     M = K + ridge * np.eye(len(kinds))
-    factor = CholFactor(capacity=1)
+    with mock.patch.object(numkit, "CHOL_CAPACITY", 1):
+        factor = CholFactor()
     jitters = 0
     for t in range(len(kinds)):
         y, pivot = factor.extend(K[t, :t], M[t, t])
@@ -599,7 +600,8 @@ class TestPackedFactorProperties:
 
     def test_growth_keeps_rows(self):
         # capacity 1 doubles to 2, 4, ..., 64; every row survives each copy
-        factor = CholFactor(capacity=1)
+        with mock.patch.object(numkit, "CHOL_CAPACITY", 1):
+            factor = CholFactor()
         rows = []
         for t in range(40):
             k = np.full(t, 0.01)

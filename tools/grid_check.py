@@ -9,7 +9,11 @@ loads, and writes one record per cell: digests of the ``RunResult``
 without its timings, of each field of the trace JSON and of the action
 the harness recommended in each round (recorded by wrapping
 ``harness.top_m_oracle``), plus the cell's status, certificate verdicts
-and certificate values ``(lhs, rhs)`` in the clear.
+and certificate values ``(lhs, rhs)`` in the clear.  It also writes each
+block's rows with ``harness.emit`` into a temporary directory and
+records one digest per top-level key of that ``report.json``
+(``provenance`` included), without the timings ``runtime_seconds``,
+``total_seconds``, ``mean_runtime`` and ``std_runtime``.
 
 ``compare`` sorts the cells of two such files into three groups:
 byte-identical cells, cells whose every action is the same but whose
@@ -18,8 +22,9 @@ different action.  Each value-only cell is printed with what differs
 (the result, and by name the trace fields that changed, were added or
 were removed) and its certificate drift: the largest change of a
 certificate value ``v`` relative to ``1 + |v|``.  It names any cell
-whose status or certificate verdicts changed, and exits 1 when a cell
-differs.  To check a change,
+whose status or certificate verdicts changed, and each block whose
+report differs, with the keys that differ.  It exits 1 when a cell or a
+report differs.  To check a change,
 run this file from both checkouts (copy it into the older one if it
 lacks it) and compare the two outputs.
 
@@ -48,6 +53,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,6 +80,19 @@ def _json_digest(obj) -> str:
     return _digest(json.dumps(obj, sort_keys=True).encode())
 
 
+def _report_record(harness, rows, config) -> dict:
+    """One digest per top-level key of the ``report.json`` that
+    ``harness.emit`` writes for ``rows``, without its timings."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        with open(harness.emit(rows, out_dir, config)["json"]) as fh:
+            report = json.load(fh)
+    for row in report["results"]:
+        del row["runtime_seconds"], row["total_seconds"]
+    for cell in report["summary"]:
+        del cell["mean_runtime"], cell["std_runtime"]
+    return {name: _json_digest(value) for name, value in report.items()}
+
+
 def run(out_path: str) -> None:
     sys.path.insert(0, SRC)
     from corectron import harness
@@ -92,11 +112,16 @@ def run(out_path: str) -> None:
         return x
 
     harness.top_m_oracle = recording_oracle
-    cells = {}
+    cells, reports = {}, {}
     try:
         for label, setting, sizes, algorithms, seeds in BLOCKS:
-            config = harness.default_config(setting, diag_level="full", **sizes)
-            for algorithm in algorithms or config.algorithms:
+            config = harness.default_config(
+                setting, diag_level="full", coef_grid=COEFFICIENTS, feedback_models=feedbacks,
+                seeds=seeds, **sizes)
+            if algorithms:
+                config = replace(config, algorithms=algorithms)
+            rows = []
+            for algorithm in config.algorithms:
                 for coefficient in COEFFICIENTS:
                     params = harness.resolve_hyperparameters(config, algorithm, coefficient)
                     for feedback in feedbacks:
@@ -105,6 +130,7 @@ def run(out_path: str) -> None:
                             result, trace = harness.run_episode(
                                 config, algorithm, coefficient, params, feedback, seed
                             )
+                            rows.append(result)
                             record = result.to_dict()
                             del record["runtime_seconds"], record["total_seconds"]
                             key = (f"{label}/{algorithm}/c{coefficient:g}"
@@ -120,11 +146,12 @@ def run(out_path: str) -> None:
                                 "certificates": {c.name: [c.lhs, c.rhs]
                                                  for c in result.certificates},
                             }
+            reports[label] = _report_record(harness, rows, config)
     finally:
         harness.top_m_oracle = oracle
     with open(out_path, "w") as fh:
-        json.dump(cells, fh, indent=0, sort_keys=True)
-    print(f"{len(cells)} cells written to {out_path}")
+        json.dump({"cells": cells, "reports": reports}, fh, indent=0, sort_keys=True)
+    print(f"{len(cells)} cells and {len(reports)} reports written to {out_path}")
 
 
 def _first_divergence(a: list, b: list) -> int:
@@ -156,9 +183,11 @@ def _differences(a: dict, b: dict) -> str:
 
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
-        cells_a = json.load(fh)
+        run_a = json.load(fh)
     with open(path_b) as fh:
-        cells_b = json.load(fh)
+        run_b = json.load(fh)
+    cells_a, cells_b = run_a["cells"], run_b["cells"]
+    reports_a, reports_b = run_a["reports"], run_b["reports"]
     only = sorted(set(cells_a) ^ set(cells_b))
     identical, value_only, moved = [], [], []
     for key in sorted(set(cells_a) & set(cells_b)):
@@ -189,7 +218,15 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"  {key}")
     if only:
         print(f"in one file only: {', '.join(only)}")
-    return 0 if len(identical) == len(cells_a) == len(cells_b) else 1
+    labels = sorted(reports_a.keys() | reports_b.keys())
+    differing = [label for label in labels if reports_a.get(label) != reports_b.get(label)]
+    print(f"reports byte-identical: {len(labels) - len(differing)} of {len(labels)}")
+    for label in differing:
+        a, b = reports_a.get(label, {}), reports_b.get(label, {})
+        keys = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+        print(f"  {label}  differs in: {' '.join(keys)}")
+    same = len(identical) == len(cells_a) == len(cells_b) and not differing
+    return 0 if same else 1
 
 
 def main(argv=None) -> int:

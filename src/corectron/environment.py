@@ -9,14 +9,14 @@ relative Gaussian score noise.
 
 All randomness flows through counter-based streams keyed by (seed, role)
 so that every algorithm sees the identical round sequence for a seed.
-Each per-round helper also takes a ``(T, ...)`` stack of rounds and gives,
-bit for bit, its T one-round calls, drawing from its stream in that order.
+Each per-round helper also takes a ``(T, ...)`` stack of rounds and draws
+from its stream in the order of its T one-round calls.
 
-For that reason the RBF utilities evaluate their kernel in the difference
-form ``exp(-|z - c|^2 / (2 bandwidth^2))``, a row-wise reduction whose
-rounding does not depend on how many contexts are stacked.  The learners'
-kernel column (``corectron.lifting``) uses the expanded form with one BLAS
-matvec, which is faster but rounds differently with the number of rows.
+There is one RBF arithmetic: RBF utilities and their normaliser take the
+kernel from the learners' :class:`corectron.lifting.KernelSpec`, whose
+matvec over the stacked contexts may round differently with their number,
+so they and the gaps derived from them equal their one-row calls to
+rounding.  Contexts and oracle actions keep their one-row calls' bits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lifting import KERNEL, LINEAR, NONCONTEXTUAL
+from .lifting import KERNEL, LINEAR, NONCONTEXTUAL, KernelSpec, row_dot
 
 __all__ = [
     "MODELS",
@@ -94,15 +94,10 @@ class ActionSetSpec:
         return self.scale * math.sqrt(2.0 * min(self.m, self.n - self.m))
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot of each row of ``a`` with that of ``b``, each the BLAS dot of ``a.dot(b)``."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def sample_context(rng: np.random.Generator, shape: int | tuple) -> np.ndarray:
     """Standard normal rows of shape ``(..., p)``, each rescaled onto the unit ball if outside."""
     z = rng.standard_normal(shape)
-    nrm = np.sqrt(_rowdot(z, z))[..., None]
+    nrm = np.sqrt(row_dot(z, z))[..., None]
     return np.divide(z, nrm, out=z, where=nrm > 1.0)
 
 
@@ -120,19 +115,6 @@ def top_m_oracle(w: np.ndarray, spec: ActionSetSpec) -> np.ndarray:
     x = np.zeros(w.shape)
     np.put_along_axis(x, order[..., : spec.m], spec.scale, axis=-1)
     return x
-
-
-def _rbf_columns(rows: np.ndarray, centers: np.ndarray, bandwidth: float) -> np.ndarray:
-    """RBF kernel values ``(len(rows), len(centers))`` in the difference form.
-
-    Each entry depends only on its row and center, never on the number of
-    rows, so a stack of contexts gives its one-row calls bit for bit.
-    """
-    cols = []
-    for c in centers:
-        d = rows - c[None, :]
-        cols.append(np.exp(-np.einsum("ij,ij->i", d, d) / (2.0 * bandwidth**2)))
-    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -202,8 +184,7 @@ def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
     norms = np.linalg.norm(centers, axis=1)
     over = norms > 1.0
     centers[over] /= norms[over, None]
-    # The kernel matrix of the centers, as utility_eval forms it.
-    kmat = _rbf_columns(centers, centers, spec.bandwidth)
+    kmat = KernelSpec.rbf(spec.bandwidth).matrix(centers)
     while True:
         raw = rng.standard_normal((RBF_CENTERS, n))
         sq = float(np.einsum("in,ij,jn->", raw, kmat, raw))
@@ -212,7 +193,12 @@ def build_utility_model(rng: np.random.Generator, spec: UtilitySpec, n: int):
 
 
 def utility_eval(model, z) -> np.ndarray:
-    """Base-space utility vectors ``(..., n)`` of contexts ``(..., p)``, one ``gemv`` a row."""
+    """Base-space utility vectors ``(..., n)`` of contexts ``(..., p)``, one ``gemv`` a row.
+
+    RBF kernel values come from the one RBF arithmetic, a :meth:`KernelSpec.column`
+    per center over the stacked contexts, so RBF utilities equal their one-row
+    calls to rounding, unlike contexts and oracle actions, bitwise at any stack.
+    """
     if isinstance(model, FixedUtility):
         return np.tile(model.vector, np.shape(z)[:-1] + (1,))
     z = np.asarray(z, dtype=float)
@@ -220,7 +206,8 @@ def utility_eval(model, z) -> np.ndarray:
         return np.matmul(model.weights, z[..., None])[..., 0]
     if isinstance(model, RbfUtility):
         rows = z.reshape(-1, z.shape[-1])
-        k = _rbf_columns(rows, model.centers, model.bandwidth)
+        kernel, sq = KernelSpec.rbf(model.bandwidth), row_dot(rows, rows)
+        k = np.stack([kernel.column(rows, c, sq) for c in model.centers], axis=-1)
         u = np.matmul(k[:, None, :], model.coeffs)[:, 0, :]
         return u.reshape(z.shape[:-1] + u.shape[-1:])
     raise TypeError(f"unknown utility model: {type(model).__name__}")
@@ -269,7 +256,7 @@ def suboptimality(u: np.ndarray, x_base: np.ndarray, spec: ActionSetSpec) -> np.
     if not feasible:
         raise ValueError("action is not a feasible m-item selection")
     best = top_m_oracle(u, spec)
-    return _rowdot(u, best) - _rowdot(u, x)
+    return row_dot(u, best) - row_dot(u, x)
 
 
 def reveal_action(
@@ -304,7 +291,7 @@ def reveal_action(
         np.put_along_axis(x, pair, swapped, axis=-1)
         return x, np.where(swap, spec.scale * (out_in[..., 0] - out_in[..., 1]), 0.0)
     noise = rng.standard_normal(u.shape)
-    size = model.xi * np.sqrt(_rowdot(u, u))
+    size = model.xi * np.sqrt(row_dot(u, u))
     x = top_m_oracle(u + size[..., None] * noise, spec)
     return x, suboptimality(u, x, spec)
 

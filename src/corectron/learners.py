@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lifting import KERNEL, LiftSpec, adjoint_apply, lift, row_sq_norms
+from .lifting import KERNEL, LiftSpec, adjoint_apply, lift, row_dot
 from .numkit import CholFactor, GramMatrix, SpdInverse, in_ellipsoid, project_ellipsoid_coeff
 
 __all__ = ["SURROGATE_SCALE", "STEP_COEFF", "RoundDiagnostics", "CoRectron", "CoRectronK", "OGD",
@@ -110,9 +110,15 @@ class _History:
             self._sq = np.concatenate([self._sq, np.zeros_like(self._sq)])
         self._Z[t] = z
         self._G[t] = g
-        self._sq[t] = row_sq_norms(self._Z[t : t + 1])[0]
+        self._sq[t] = row_dot(self._Z[t], self._Z[t])
         self.size = t + 1
         self._kcol = None
+
+    def holds_column_at(self, z) -> bool:
+        """Whether ``z`` is a float vector with the bytes of the cached column's
+        context, which ``predict`` checked, so ``update`` need not."""
+        return (self._kcol is not None and isinstance(z, np.ndarray) and z.dtype == float
+                and z.shape == self._Z.shape[1:] and z.tobytes() == self._kcol[0])
 
     def kernel_column(self, z: np.ndarray) -> np.ndarray:
         """The kernel values of the stored contexts at ``z``."""
@@ -233,7 +239,8 @@ class CoRectronK:
         return (self._weights * self._hist.kernel_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        z = self.lift_spec.check_context(z)
+        if not self._hist.holds_column_at(z):
+            z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
         if not g.any():
             self._post_leverage = 0.0
@@ -379,7 +386,8 @@ class KONS:
         return (self._coef * self._hist.kernel_column(z)).dot(self._hist.residuals)
 
     def update(self, z, g_base) -> RoundDiagnostics:
-        z = self.lift_spec.check_context(z)
+        if not self._hist.holds_column_at(z):
+            z = self.lift_spec.check_context(z)
         g = np.asarray(g_base, dtype=float)
         if not g.any():
             return _UNPROJECTED

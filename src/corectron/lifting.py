@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "LiftSpec", "lift", "adjoint_apply", "row_sq_norms"]
+__all__ = ["KernelSpec", "LiftSpec", "lift", "adjoint_apply", "row_dot"]
 
 NONCONTEXTUAL = "noncontextual"
 LINEAR = "linear"
@@ -32,9 +32,10 @@ KERNEL = "kernel"
 _CONTEXT_SQ_NORM_BOUND = (1.0 + 1e-9) ** 2
 
 
-def row_sq_norms(Z: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of ``Z``, as :meth:`KernelSpec.column` takes them."""
-    return np.einsum("ij,ij->i", Z, Z)
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of ``a`` with that of ``b``, each the BLAS dot of ``a.dot(b)``,
+    whatever the number of rows; ``row_dot(Z, Z)`` is the ``sq`` of :meth:`KernelSpec.column`."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,13 @@ class KernelSpec:
     def column(self, Z: np.ndarray, z: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
         """Vector of ``k(Z[s], z)`` over the rows of ``Z``.
 
-        ``sq`` is ``row_sq_norms(Z)``, which a caller may already hold; the
+        ``sq`` is ``row_dot(Z, Z)``, which a caller may already hold; the
         RBF column then makes one matvec and no pass over ``Z`` besides.
         """
         if self.kind == "linear":
             return Z.dot(z)
         if sq is None:
-            sq = row_sq_norms(Z)
+            sq = row_dot(Z, Z)
         dist = Z.dot(z)
         dist *= -2.0
         dist += sq + float(z.dot(z))
@@ -83,12 +84,13 @@ class KernelSpec:
         the RBF diagonal is exactly 1, as :meth:`diag_value` gives it."""
         if self.kind == "linear":
             return Z.dot(Z.T)
-        sq = row_sq_norms(Z)
+        sq = row_dot(Z, Z)
         dist = Z.dot(Z.T)
         dist *= -2.0
-        # Row by row, so no second r x r array is made.
-        for s, row in enumerate(dist):
-            row += sq[s] + sq
+        # Each entry adds the rounded sq[s] + sq[t], as column adds sq + z.z;
+        # 64 rows at a time, so no second r x r array is made.
+        for s in range(0, len(sq), 64):
+            dist[s : s + 64] += sq[s : s + 64, None] + sq
         dist.flat[:: dist.shape[0] + 1] = 0.0
         return self._rbf(dist)
 

@@ -539,6 +539,27 @@ def test_every_entry_rejects_bad_context(make, z):
     np.testing.assert_array_equal(learner.predict(np.array([0.0, 0.6])), before)
 
 
+@pytest.mark.parametrize("make", [p for p in CONTEXTUAL_LEARNERS
+                                  if p.id in ("corectron_k", "kons")])
+def test_kernel_update_checks_only_a_context_predict_did_not(make, monkeypatch):
+    # update skips the check of the context whose kernel column predict
+    # cached; one overwritten in place after predict is checked and refused
+    learner = make()
+    check, calls = LiftSpec.check_context, []
+    monkeypatch.setattr(LiftSpec, "check_context",
+                        lambda self, z: calls.append(z) or check(self, z))
+    learner.update(np.array([0.6, 0.0]), np.array([1.0, 0.0, -1.0]))
+    z = np.array([0.0, 0.6])
+    learner.predict(z)
+    learner.update(z, np.array([0.0, 1.0, -1.0]))
+    assert len(calls) == 2  # the first update's and predict's
+    learner.predict(z)
+    z[0] = np.nan
+    with pytest.raises(ValueError):
+        learner.update(z, np.array([0.0, 1.0, -1.0]))
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize(
     "make",
     [

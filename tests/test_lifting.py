@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corectron.lifting import KernelSpec, LiftSpec, adjoint_apply, lift, row_sq_norms
+from corectron.lifting import KernelSpec, LiftSpec, adjoint_apply, lift, row_dot
 
 from kernel_reference import kernel_value
 
@@ -71,7 +71,7 @@ class TestKernelSpec:
         }[query]
         z /= max(1.0, np.linalg.norm(z))
         k = KernelSpec.rbf(bandwidth)
-        sq = np.array([row_sq_norms(Z[s : s + 1])[0] for s in range(t)])
+        sq = np.array([row_dot(Z[s], Z[s]) for s in range(t)])
         col = k.column(Z, z, sq)
         assert col.tobytes() == k.column(Z, z).tobytes()
         assert np.all((col >= 0.0) & (col <= 1.0))
@@ -82,6 +82,19 @@ class TestKernelSpec:
     def test_bad_bandwidth(self, bandwidth):
         with pytest.raises(ValueError):
             KernelSpec.rbf(bandwidth)
+
+    @pytest.mark.parametrize("r", [0, 1, 63, 64, 65, 499])
+    def test_rbf_matrix_is_the_row_by_row_formula(self, r):
+        # Whole blocks of rows add sq[s] + sq with the rounding of one row's sum.
+        Z = ball_rows(np.random.default_rng(r), r, 5) if r else np.empty((0, 5))
+        sq = row_dot(Z, Z)
+        dist = Z.dot(Z.T)
+        dist *= -2.0
+        for s, row in enumerate(dist):
+            row += sq[s] + sq
+        dist.flat[:: r + 1] = 0.0
+        want = np.exp(np.maximum(dist, 0.0) / (-2.0 * 0.8**2))
+        assert KernelSpec.rbf(0.8).matrix(Z).tobytes() == want.tobytes()
 
 
 class TestContextMap:

@@ -8,10 +8,10 @@ checkout this file sits in, BLAS pinned to one thread before numpy
 loads, and writes one record per cell: digests of the ``RunResult``
 without its timings, of each field of the trace JSON and of the action
 the harness recommended in each round (recorded by wrapping
-``harness.top_m_oracle``), plus the cell's status, certificate verdicts
-and certificate values ``(lhs, rhs)`` in the clear.  It also writes each
-block's rows with ``harness.emit`` into a temporary directory and
-records one digest per top-level key of that ``report.json``
+``harness.top_m_oracle``), plus the cell's status, ``final_regret``,
+certificate verdicts and certificate values ``(lhs, rhs)`` in the clear.
+It also writes each block's rows with ``harness.emit`` into a temporary
+directory and records one digest per top-level key of that ``report.json``
 (``provenance`` included), without the timings ``runtime_seconds``,
 ``total_seconds``, ``mean_runtime`` and ``std_runtime``.
 
@@ -20,8 +20,11 @@ byte-identical cells, cells whose every action is the same but whose
 values moved, and moved cells, each with its first round recommending a
 different action.  Each value-only cell is printed with what differs
 (the result, and by name the trace fields that changed, were added or
-were removed) and its certificate drift: the largest change of a
-certificate value ``v`` relative to ``1 + |v|``.  It names any cell
+were removed), its certificate drift, the largest change of a
+certificate value ``v`` relative to ``1 + |v|``, and its regret change,
+the change of ``final_regret`` relative to ``1 + |final_regret|``: the
+measure that ``perfbench``'s references bound by 1e-12.  The largest of
+each over the grid follows the list.  It names any cell
 whose status or certificate verdicts changed, and each block whose
 report differs, with the keys that differ.  It exits 1 when a cell or a
 report differs.  To check a change,
@@ -142,6 +145,7 @@ def run(out_path: str) -> None:
                                           if trace else None),
                                 "actions": [_digest(a) for a in actions],
                                 "status": result.status,
+                                "final_regret": result.final_regret,
                                 "holds": {c.name: c.holds for c in result.certificates},
                                 "certificates": {c.name: [c.lhs, c.rhs]
                                                  for c in result.certificates},
@@ -165,6 +169,12 @@ def _certificate_drift(a: dict, b: dict) -> float:
     """Largest change of a certificate value ``v`` relative to ``1 + |v|``."""
     return max((abs(x - y) / (1.0 + abs(x))
                 for name in a.keys() & b.keys() for x, y in zip(a[name], b[name])), default=0.0)
+
+
+def _regret_change(a: dict, b: dict) -> float:
+    """Change of ``final_regret`` relative to ``1 + |final_regret|``."""
+    x, y = a["final_regret"], b["final_regret"]
+    return abs(x - y) / (1.0 + abs(x))
 
 
 def _differences(a: dict, b: dict) -> str:
@@ -203,13 +213,16 @@ def compare(path_a: str, path_b: str) -> int:
                 != (cells_b[key]["status"], cells_b[key]["holds"])]
     print(f"byte-identical: {len(identical)}")
     print(f"value-only:     {len(value_only)}")
-    drifts = []
+    drifts, regrets = [], []
     for key in value_only:
-        drifts.append(_certificate_drift(cells_a[key]["certificates"], cells_b[key]["certificates"]))
-        print(f"  {key}  ({_differences(cells_a[key], cells_b[key])})"
-              f"  certificate drift {drifts[-1]:.1e}")
+        a, b = cells_a[key], cells_b[key]
+        drifts.append(_certificate_drift(a["certificates"], b["certificates"]))
+        regrets.append(_regret_change(a, b))
+        print(f"  {key}  ({_differences(a, b)})"
+              f"  certificate drift {drifts[-1]:.1e}  regret change {regrets[-1]:.1e}")
     if drifts:
         print(f"  largest certificate drift: {max(drifts):.1e}")
+        print(f"  largest regret change: {max(regrets):.1e}")
     print(f"moved:          {len(moved)}")
     for key, t in moved:
         print(f"  {key}  first different action at round {t}")

@@ -102,16 +102,26 @@ def sample_context(rng: np.random.Generator, shape: int | tuple) -> np.ndarray:
 
 
 def top_m_oracle(w: np.ndarray, spec: ActionSetSpec) -> np.ndarray:
-    """Exact argmax over the action set per row of scores; ties go to the lowest index."""
+    """Exact argmax over the action set per row of scores; ties go to the lowest index.
+
+    A NaN or infinite score raises :class:`FloatingPointError`.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape[-1:] != (spec.n,):
         raise ValueError("score vector has wrong dimension")
+    neg = -w
     # The method, not np.argsort: the same stable order without its dispatch.
-    order = (-w).argsort(kind="stable")
+    order = neg.argsort(kind="stable")
+    # -inf sorts first and NaN last, so a row's scores are all finite exactly
+    # when its first and last ordered ones are.
     if w.ndim == 1:  # the per-round call: plain indexing skips put_along_axis's set-up
+        if not (math.isfinite(neg[order[0]]) and math.isfinite(neg[order[-1]])):
+            raise FloatingPointError("non-finite prediction")
         x = np.zeros(spec.n)
         x[order[: spec.m]] = spec.scale
         return x
+    if not np.isfinite(np.take_along_axis(neg, order[..., [0, -1]], axis=-1)).all():
+        raise FloatingPointError("non-finite prediction")
     x = np.zeros(w.shape)
     np.put_along_axis(x, order[..., : spec.m], spec.scale, axis=-1)
     return x

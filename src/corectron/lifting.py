@@ -190,6 +190,8 @@ def lift(spec: LiftSpec, z, x_base) -> np.ndarray:
     if spec.kind == NONCONTEXTUAL:
         return x.copy()
     if spec.kind == LINEAR:
+        if x.ndim == 1:  # the per-round call: the same products, without broadcasting
+            return np.multiply.outer(z, x).ravel()
         phi = np.asarray(z)[..., :, None] * x[..., None, :]
         return phi.reshape(phi.shape[:-2] + (spec.dim,))
     raise ValueError("kernel lifts cannot be materialised explicitly")

@@ -73,11 +73,18 @@ SCIPY_BLAS = "scipy.linalg.cython_blas"
 # PASS_BLOCK_BYTES, which a block's matrix-vector product reads back from
 # the L2 cache after its downdate, once the inverse holds more than
 # PASS_ONE_BLOCK_BYTES; a smaller inverse stays in L2 between passes, and
-# blocks would only add calls.  Measured on one core of a Xeon with 2 MB
-# of L2 per core: at d = 400 blocks of 512 KB made an update about 20%
-# slower, from d = 560 on faster; at d = 1000 blocks of 1 MB beat 512 KB
-# and 1.5 MB by about 5%.
-PASS_BLOCK_BYTES = 1024 * 1024
+# blocks would only add calls (at d = 400 they made an update about 20%
+# slower).  Measured in process on one core of a Xeon with 2 MB of L2 per
+# core, BLAS on one thread, block sizes interleaved: an update is fastest
+# with blocks of 32 to 48 rows at every d from 600 to 2000.  From d = 800
+# on, blocks of 64 rows or more fall off a cliff of the downdate's dgemm
+# (scipy's OpenBLAS), while the product's time does not depend on the
+# rows.  At d = 1000, 128-row (1 MB) blocks made an update 21-36% slower
+# than 48-row blocks, and 64-row (512 KB) blocks 7-18% slower; at d = 1500
+# and 2000, 64-row blocks made it twice as slow as 32-row blocks.  384 KB
+# gives 80 rows at d = 600 (as fast as 1 MB there), 48 at d = 800 and
+# 1000, 32 at d = 1200 and 1500, and 16 at d = 2000 (3-9% slower than 32).
+PASS_BLOCK_BYTES = 384 * 1024
 PASS_ONE_BLOCK_BYTES = 2 * 1024 * 1024
 # The rows a new CholFactor holds before its buffer first doubles.
 CHOL_CAPACITY = 64

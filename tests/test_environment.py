@@ -186,6 +186,26 @@ class TestTopMOracle:
         )
         _assert_bitwise(top_m_oracle(np.empty((0, 6)), spec), np.empty((0, 6)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n, m", [(1, 1), (6, 3)])
+    def test_non_finite_score_raises(self, bad, n, m):
+        # Wherever it sits, a NaN or infinite score raises, alone or in a
+        # stacked row; finite extremes do not.
+        spec = ActionSetSpec(n, m)
+        for i in range(n):
+            w = np.linspace(-1.0, 1.0, n)
+            w[i] = bad
+            with pytest.raises(FloatingPointError, match="^non-finite prediction$"):
+                top_m_oracle(w, spec)
+            stacked = np.zeros((2, 3, n))
+            stacked[1, 2] = w
+            with pytest.raises(FloatingPointError, match="^non-finite prediction$"):
+                top_m_oracle(stacked, spec)
+        big = np.full((2, n), np.finfo(float).max)
+        big[0, 0] = -big[0, 0]
+        top_m_oracle(big, spec)
+        top_m_oracle(big[0], spec)
+
 
 class TestSampleContext:
     def test_always_in_unit_ball(self):

@@ -424,6 +424,40 @@ class TestSweep:
             assert row.status == "ok"
             assert row.csv_row()[:8] == ref.csv_row()[:8]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prediction_fails_only_its_cell(self, monkeypatch, bad):
+        # The oracle rejects the prediction: a NaN would otherwise sort last
+        # and an infinity first, and the cell would play on.
+        config = tiny_config(horizon=30)
+        clean = sweep(config)
+        build = harness.build_learner
+        damaged = []
+
+        def damaging(config, algorithm, params):
+            learner = build(config, algorithm, params)
+            if algorithm == "corectron_l" and not damaged:
+                predict, rounds = learner.predict, []
+
+                def predict_bad(z):
+                    w = predict(z).copy()
+                    rounds.append(None)
+                    if len(rounds) == 5:
+                        w[1] = bad
+                    return w
+
+                learner.predict = predict_bad
+                damaged.append(learner)
+            return learner
+
+        monkeypatch.setattr(harness, "build_learner", damaging)
+        rows = sweep(config)
+        assert len(rows) == len(clean)
+        assert rows[0].algorithm == "corectron_l" and rows[0].status == "failed"
+        assert rows[0].message == "FloatingPointError: non-finite prediction"
+        for row, ref in zip(rows[1:], clean[1:]):
+            assert row.status == "ok"
+            assert row.csv_row()[:8] == ref.csv_row()[:8]
+
     def test_failed_cell_keeps_projections_before_its_failure(self, monkeypatch):
         # An update that raises at round k fails the cell, which still
         # reports the projections of rounds 0..k-1; k is the last

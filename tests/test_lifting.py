@@ -174,6 +174,21 @@ class TestContextMap:
                 assert stacked.tobytes() == np.array(rows).tobytes()
             assert np.signbit(stacked[np.nonzero(stacked == 0.0)]).any()
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2), (2, 5), (10, 100)])
+    def test_row_lift_bytes_equal_broadcast_formula(self, n, p):
+        # One row lifts to the broadcast formula's bytes, column z_j * x by
+        # column, with -0.0 and subnormal entries on both sides.
+        rng = np.random.default_rng(n * p)
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, -1.0])
+        z, x = rng.standard_normal(p) / (2.0 * p), rng.standard_normal(n)
+        z[: min(p, 6)] = special[: min(p, 6)]
+        x[::2] = special[: len(x[::2])]
+        spec = LiftSpec.linear(n, p)
+        got = lift(spec, z, x)
+        want = (z[:, None] * x[None, :]).reshape(-1)
+        assert got.shape == (spec.dim,) and got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.concatenate([zj * x for zj in z]).tobytes()
+
     def test_kernel_lift_not_materializable(self):
         spec = LiftSpec.kernelized(3, 2, KernelSpec.rbf(1.0))
         with pytest.raises(ValueError):

@@ -371,6 +371,32 @@ class TestDeferredDowndate:
             if "copy" in ops:
                 assert original.inv.tobytes() == kept.tobytes()
 
+    @pytest.mark.parametrize("block_kb", [128, 512, 1024, 4096])
+    @pytest.mark.parametrize("d", [1000, 1001, 2000])
+    def test_pass_bytes_do_not_depend_on_block_size(self, monkeypatch, d, block_kb):
+        # Blocks of 16 to 512 rows: every update, reader and stored inverse
+        # keeps the dense formula's bytes, whatever the block size.
+        monkeypatch.setattr(numkit, "PASS_BLOCK_BYTES", block_kb * 1024)
+        rng = np.random.default_rng(d)
+        state, ref = SpdInverse.from_ridge(d, 0.7), DenseInverse(d, 0.7)
+        starts = [block[0] for block in state._blocks]
+        assert len(starts) > 1 and starts[1] <= max(16, block_kb * 1024 // (8 * d))
+        with one_blas_thread():
+            for op in ["rank_one_update", "rank_one_update", "apply", "rank_one_update", "quad",
+                       "rank_one_update", "rank_one_update", "inv", "rank_one_update", "apply"]:
+                v = rng.standard_normal(d)
+                if op == "rank_one_update":
+                    lev, ag = state.rank_one_update(v)
+                    ref_lev, ref_ag = ref.rank_one_update(v)
+                    assert lev == ref_lev and ag.tobytes() == ref_ag.tobytes()
+                elif op == "apply":
+                    assert state.apply(v).tobytes() == ref.apply(v).tobytes()
+                elif op == "quad":
+                    assert state.quad(v) == ref.quad(v)
+                else:
+                    assert state.inv.tobytes() == ref.ref.tobytes()
+            assert state.inv.tobytes() == ref.ref.tobytes()
+
     @pytest.mark.parametrize("d", [100, 1000])
     def test_pending_downdate_keeps_one_buffer(self, d):
         # One pending vector per state, written in place by every update; a

@@ -1,4 +1,4 @@
-"""Same-answers check over a 222-cell full-diagnostic grid.
+"""Same-answers check over a 234-cell full-diagnostic grid.
 
     python tools/grid_check.py run OUT.json
     python tools/grid_check.py compare A.json B.json
@@ -32,7 +32,7 @@ run this file from both checkouts (copy it into the older one if it
 lacks it) and compare the two outputs.
 
 The grid, optimal, one-swap 0.5 and score-perturb 0.5 feedback and
-coefficients 0.01 and 1 throughout, in three blocks:
+coefficients 0.01 and 1 throughout, in four blocks:
 
 * the linear, kernel and noncontextual settings with every algorithm
   they admit; 6 items, pick 3, context dimension 3, T=150; seeds 0-2.
@@ -41,6 +41,9 @@ coefficients 0.01 and 1 throughout, in three blocks:
   lifted dimension 1000, where the stored inverse spans several blocks
   of ``SpdInverse``'s pass; 10 items, pick 5, context dimension 100,
   T=50; seed 0.  2 x 2 x 3 = 12 cells.
+* "linear-2000": the same at lifted dimension 2000, where a block of
+  the pass holds 16 rows; 10 items, pick 5, context dimension 200, T=50;
+  seed 0.  2 x 2 x 3 = 12 cells.
 * "kernel-long": the kernel setting's ``corectron_k`` and ``ons`` over a
   long horizon, where a round's cost is mostly its bookkeeping; 10 items,
   pick 5, context dimension 10, T=2000; seed 0.  2 x 2 x 3 = 12 cells.
@@ -68,6 +71,8 @@ BLOCKS = (
     ("kernel", "kernel", SMALL, None, (0, 1, 2)),
     ("noncontextual", "noncontextual", SMALL, None, (0, 1, 2)),
     ("linear-wide", "linear", dict(items=10, pick=5, context_dim=100, horizon=50),
+     ("corectron_l", "ons"), (0,)),
+    ("linear-2000", "linear", dict(items=10, pick=5, context_dim=200, horizon=50),
      ("corectron_l", "ons"), (0,)),
     ("kernel-long", "kernel", dict(items=10, pick=5, context_dim=10, horizon=2000),
      ("corectron_k", "ons"), (0,)),
